@@ -19,7 +19,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -74,17 +76,17 @@ def split_subwords(word: str, chunk_size: int) -> list[str]:
     return [word[i : i + chunk_size] for i in range(0, len(word), chunk_size)]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Tokenization:
     """Hashed chunk ids plus word boundaries for one sentence."""
 
     n_words: int
     subword_ids: np.ndarray  # (m,) int64
     word_offsets: np.ndarray  # (n_words + 1,) int64, word i owns [off[i], off[i+1])
+    word_sizes: np.ndarray = field(init=False)  # (n_words,) chunks per word
 
-    @property
-    def word_sizes(self) -> np.ndarray:
-        return np.diff(self.word_offsets)
+    def __post_init__(self) -> None:
+        self.word_sizes = np.diff(self.word_offsets)
 
 
 class Tokenizer:
@@ -262,7 +264,6 @@ class ForwardPass:
     pos: np.ndarray  # (S, L) gathered word indices (clipped)
     mask: np.ndarray  # (S, L)
     alpha: np.ndarray  # (S, L) attention, zero outside mask
-    gathered: np.ndarray  # (S, L, hidden_dim) masked word vectors
     pooled: np.ndarray  # (S, hidden_dim)
     reps: np.ndarray  # (S, rep_dim)
     probs: np.ndarray  # (S, NUM_CLASSES)
@@ -302,7 +303,7 @@ def forward_sentence(params: EncoderParams, tok: Tokenization, l_max: int) -> Fo
     log_norm = logits_max + np.log(np.exp(logits - logits_max).sum(axis=1, keepdims=True))
     log_probs = logits - log_norm
     probs = np.exp(log_probs)
-    return ForwardPass(tok, x, word_vecs, pos, mask, alpha, gathered, pooled, reps, probs, log_probs)
+    return ForwardPass(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
 
 
 @dataclass(frozen=True)
@@ -339,6 +340,33 @@ def _unit_rows(matrix: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.
     return unit, norms
 
 
+@lru_cache(maxsize=1024)
+def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (span, word) pairs of attention pooling in one sentence, by word.
+
+    Returns a (3, P) array whose rows hold each pair's index into the
+    sentence's raveled (S, L) attention, its span and its word, and the
+    index of each word's first pair. Every word is in at least one span, so
+    the words split the pairs into non-empty runs.
+    """
+    starts, ends, _ = span_layout(n, l_max)
+    width = min(l_max, n)
+    pos = starts[:, None] + np.arange(width)
+    flat = np.flatnonzero(pos <= ends[:, None])
+    order = np.argsort(pos.ravel()[flat], kind="stable")
+    flat = flat[order]
+    pairs = np.stack([flat, flat // width, pos.ravel()[flat]])
+    word_starts = np.searchsorted(pairs[2], np.arange(n))
+    pairs.setflags(write=False)
+    word_starts.setflags(write=False)
+    return pairs, word_starts
+
+
+def _offsets(sizes: Sequence[int]) -> list[int]:
+    """Start of each part in a concatenation of parts with these sizes."""
+    return list(accumulate(sizes[:-1], initial=0))
+
+
 def batch_gradients(
     params: EncoderParams,
     toks: Sequence[Tokenization],
@@ -357,141 +385,155 @@ def batch_gradients(
     The tag loss is the mean over sentences of the per-sentence mean span
     cross-entropy; the prototype term averages over all selected spans of
     the batch and is active only when global prototypes are given.
+
+    Each sentence runs its own forward pass; the backward pass then runs
+    once over the whole batch, with spans, words and chunks concatenated
+    and per-sentence sums done as segment reductions.
     """
     if not (len(toks) == len(golds) == len(selections)):
         raise ValueError("toks, golds and selections must be aligned")
     n_sentences = len(toks)
     if n_sentences == 0:
         raise ValueError("empty batch")
-    grads = EncoderParams.zeros_like(params)
     d_e = params.embed.shape[1]
-
     dtype = params.w_proj.dtype
-    proto_active = proto_vecs is not None and weights.proto_weight != 0.0
-    if proto_active:
-        unit_prot, _ = _unit_rows(
-            np.asarray(proto_vecs, dtype=dtype), np.asarray(proto_present)
-        )
 
-    n_selected = int(sum(len(sel) for sel in selections))
-    tag_total = 0.0
+    fps = [forward_sentence(params, tok, l_max) for tok in toks]
+    span_counts = [fp.reps.shape[0] for fp in fps]
+    for gold, n_spans in zip(golds, span_counts):
+        if len(gold) != n_spans:
+            raise ValueError(f"gold classes misaligned: {len(gold)} vs {n_spans} spans")
+
+    # Pack the batch: spans, words and chunks of all sentences end to end.
+    span_starts = _offsets(span_counts)
+    alpha_sizes = [fp.alpha.size for fp in fps]
+    alpha = np.concatenate([fp.alpha.ravel() for fp in fps])
+    reps, pooled, probs, log_probs, word_vecs, x = (
+        np.concatenate([getattr(fp, name) for fp in fps])
+        for name in ("reps", "pooled", "probs", "log_probs", "word_vecs", "x")
+    )
+    del fps  # the packed copies are all the backward pass reads
+    gold = np.concatenate(golds).astype(np.int64, copy=False)
+    sel = np.concatenate(selections).astype(np.int64, copy=False)
+    sel += np.repeat(span_starts, [len(s) for s in selections])
+    n_selected = len(sel)
+
+    # Span-tag cross-entropy, normalized per sentence then per batch.
+    rows = np.arange(len(gold))
+    span_weight = np.repeat(1.0 / (np.array(span_counts) * n_sentences), span_counts)
+    tag_mean = float(span_weight @ -log_probs[rows, gold])
+    batch_reps = BatchReps(reps[sel], probs[sel].argmax(axis=1), gold[sel])
+    dlogits = probs.copy()
+    dlogits[rows, gold] -= 1.0
+    dlogits *= span_weight[:, None].astype(dtype)
+
+    # Classifier block.
+    grads_cls = dlogits.T @ reps
+    grads_b_cls = dlogits.sum(axis=0)
+    dreps = dlogits @ params.w_cls
+
     proto_total = 0.0
-    sel_reps: list[np.ndarray] = []
-    sel_pred: list[np.ndarray] = []
-    sel_gold: list[np.ndarray] = []
+    proto_active = proto_vecs is not None and weights.proto_weight != 0.0
+    if proto_active and n_selected:
+        unit_prot, _ = _unit_rows(np.asarray(proto_vecs, dtype=dtype), np.asarray(proto_present))
+        y = gold[sel]
+        z = reps[sel]
+        z_norm = np.linalg.norm(z, axis=1)
+        valid = z_norm > 0
+        if not valid.all():
+            logger.debug("%d zero-norm span representations skipped", int((~valid).sum()))
+        safe_norm = np.where(valid, z_norm, 1.0)
+        zhat = z / safe_norm[:, None]
+        zhat[~valid] = 0.0
+        cos = zhat @ unit_prot.T  # (k, C); absent/zero prototypes give 0
 
-    for tok, gold, sel in zip(toks, golds, selections):
-        fp = forward_sentence(params, tok, l_max)
-        n_spans = fp.reps.shape[0]
-        gold = np.asarray(gold)
-        if gold.shape[0] != n_spans:
-            raise ValueError(f"gold classes misaligned: {gold.shape[0]} vs {n_spans} spans")
-        sel = np.asarray(sel, dtype=np.int64)
+        # Alignment: -cos(z, prototype of the gold class).
+        cos_y = cos[np.arange(n_selected), y]
+        align_vals = np.where(valid, -cos_y, 0.0)
+        d_align = (cos_y[:, None] * zhat - unit_prot[y]) / safe_norm[:, None]
+        d_align[~valid] = 0.0
 
-        # Span-tag cross-entropy, normalized per sentence then per batch.
-        rows = np.arange(n_spans)
-        tag_total += float(-fp.log_probs[rows, gold].mean())
-        coeff = 1.0 / (n_spans * n_sentences)
-        dlogits = fp.probs.copy()
-        dlogits[rows, gold] -= 1.0
-        dlogits *= coeff
+        # Separation: log-sum-exp of cosines to the other present classes.
+        other = np.asarray(proto_present)[None, :] & (
+            np.arange(unit_prot.shape[0])[None, :] != y[:, None]
+        )
+        exp_cos = np.where(other, np.exp(cos), 0.0)
+        row_sum = exp_cos.sum(axis=1)
+        has_other = row_sum > 0
+        sep_vals = np.where(valid & has_other, np.log(np.where(has_other, row_sum, 1.0)), 0.0)
+        w = exp_cos / np.where(has_other, row_sum, 1.0)[:, None]
+        w_dot_cos = (w * cos).sum(axis=1)
+        d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / safe_norm[:, None]
+        d_sep[~(valid & has_other)] = 0.0
 
-        dreps_extra = np.zeros_like(fp.reps)
-        if len(sel):
-            z = fp.reps[sel]
-            sel_reps.append(z.copy())
-            sel_pred.append(fp.probs[sel].argmax(axis=1))
-            sel_gold.append(gold[sel])
-            if proto_active and n_selected:
-                y = gold[sel]
-                z_norm = np.linalg.norm(z, axis=1)
-                valid = z_norm > 0
-                if not valid.all():
-                    logger.debug("%d zero-norm span representations skipped", int((~valid).sum()))
-                safe_norm = np.where(valid, z_norm, 1.0)
-                zhat = z / safe_norm[:, None]
-                zhat[~valid] = 0.0
-                cos = zhat @ unit_prot.T  # (k, C); absent/zero prototypes give 0
+        proto_total = float(
+            weights.align_weight * align_vals.sum() + weights.sep_weight * sep_vals.sum()
+        )
+        scale = weights.proto_weight / n_selected
+        dreps[sel] += scale * (weights.align_weight * d_align + weights.sep_weight * d_sep)
 
-                # Alignment: -cos(z, prototype of the gold class).
-                cos_y = cos[np.arange(len(sel)), y]
-                align_vals = np.where(valid, -cos_y, 0.0)
-                d_align = (cos_y[:, None] * zhat - unit_prot[y]) / safe_norm[:, None]
-                d_align[~valid] = 0.0
+    # Projection block.
+    grads_proj = dreps.T @ pooled
+    grads_b_proj = dreps.sum(axis=0)
+    del reps, pooled, probs, log_probs, dlogits  # lowers the peak on long sentences
 
-                # Separation: log-sum-exp of cosines to the other present classes.
-                other = np.asarray(proto_present)[None, :] & (
-                    np.arange(unit_prot.shape[0])[None, :] != y[:, None]
-                )
-                exp_cos = np.where(other, np.exp(cos), 0.0)
-                row_sum = exp_cos.sum(axis=1)
-                has_other = row_sum > 0
-                sep_vals = np.where(valid & has_other, np.log(np.where(has_other, row_sum, 1.0)), 0.0)
-                w = exp_cos / np.where(has_other, row_sum, 1.0)[:, None]
-                w_dot_cos = (w * cos).sum(axis=1)
-                d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / safe_norm[:, None]
-                d_sep[~(valid & has_other)] = 0.0
+    # Attention pooling over (span, word) pairs, ordered by word so that the
+    # per-word gradient is a segment sum. The pooled gradient is dreps @ w_proj;
+    # the pairs carry dreps, which is narrower at the default sizes (rep_dim 16
+    # against hidden_dim 32), and w_proj is applied once per word instead.
+    word_counts = [tok.n_words for tok in toks]
+    layouts = [_pair_layout(n, l_max) for n in word_counts]
+    pair_counts = [pairs.shape[1] for pairs, _ in layouts]
+    pair_offsets = [_offsets(alpha_sizes), span_starts, _offsets(word_counts)]
+    alpha_idx, span_idx, word_idx = np.concatenate(
+        [pairs for pairs, _ in layouts], axis=1
+    ) + np.repeat(pair_offsets, pair_counts, axis=1)
+    word_starts = np.concatenate([starts for _, starts in layouts])
+    word_starts += np.repeat(_offsets(pair_counts), word_counts)
+    alpha = alpha.take(alpha_idx)
+    dreps_pairs = dreps.take(span_idx, axis=0)
+    word_reps = (word_vecs @ params.w_proj.T).take(word_idx, axis=0)
+    dalpha = np.einsum("pz,pz->p", dreps_pairs, word_reps)
+    inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(gold))
+    dscore = alpha * (dalpha - inner.astype(dtype).take(span_idx))
+    dscore_words = np.add.reduceat(dscore, word_starts)
+    grads_attn = dscore_words @ word_vecs
+    dreps_pairs *= alpha[:, None]
+    dword = np.add.reduceat(dreps_pairs, word_starts, axis=0) @ params.w_proj
+    dword += dscore_words[:, None] * params.w_attn
 
-                proto_total += float(
-                    weights.align_weight * align_vals.sum() + weights.sep_weight * sep_vals.sum()
-                )
-                scale = weights.proto_weight / n_selected
-                dreps_extra[sel] += scale * (
-                    weights.align_weight * d_align + weights.sep_weight * d_sep
-                )
+    # Word mean over chunks, then the window-3 context layer. The window's
+    # zero padding at each sentence boundary takes no gradient.
+    sizes = np.concatenate([tok.word_sizes for tok in toks])
+    dh_sub = np.repeat(dword / sizes[:, None].astype(dtype), sizes, axis=0)
+    grads_ctx = dh_sub.T @ x
+    grads_b_ctx = dh_sub.sum(axis=0)
+    dx = dh_sub @ params.w_ctx
+    first_chunks = np.array(_offsets([len(tok.subword_ids) for tok in toks]))
+    dx[first_chunks, :d_e] = 0.0
+    dx[first_chunks[1:] - 1, 2 * d_e :] = 0.0
+    d_sub = dx[:, d_e : 2 * d_e].copy()
+    d_sub[:-1] += dx[1:, :d_e]
+    d_sub[1:] += dx[:-1, 2 * d_e :]
+    grads_embed = np.zeros_like(params.embed)
+    np.add.at(grads_embed, np.concatenate([tok.subword_ids for tok in toks]), d_sub)
 
-        # Classifier block.
-        grads.w_cls += dlogits.T @ fp.reps
-        grads.b_cls += dlogits.sum(axis=0)
-        dreps = dlogits @ params.w_cls + dreps_extra
-
-        # Projection block.
-        grads.w_proj += dreps.T @ fp.pooled
-        grads.b_proj += dreps.sum(axis=0)
-        dpooled = dreps @ params.w_proj
-
-        # Attention pooling: alpha is zero outside the span mask, so masked
-        # positions contribute nothing below.
-        dalpha = np.einsum("sd,sld->sl", dpooled, fp.gathered)
-        inner = (fp.alpha * dalpha).sum(axis=1, keepdims=True)
-        dscore = fp.alpha * (dalpha - inner)
-        grads.w_attn += np.einsum("sl,sld->d", dscore, fp.gathered)
-        dword_terms = (
-            fp.alpha[:, :, None] * dpooled[:, None, :]
-            + dscore[:, :, None] * params.w_attn[None, None, :]
-        ) * fp.mask[:, :, None]
-        dword = np.zeros_like(fp.word_vecs)
-        np.add.at(dword, fp.pos.ravel(), dword_terms.reshape(-1, dword.shape[1]))
-
-        # Word mean over chunks, then the window-3 context layer.
-        sizes = tok.word_sizes
-        dh_sub = np.repeat(dword / sizes[:, None].astype(dword.dtype), sizes, axis=0)
-        grads.w_ctx += dh_sub.T @ fp.x
-        grads.b_ctx += dh_sub.sum(axis=0)
-        dx = dh_sub @ params.w_ctx
-        d_sub = dx[:, d_e : 2 * d_e].copy()
-        d_sub[:-1] += dx[1:, :d_e]
-        d_sub[1:] += dx[:-1, 2 * d_e :]
-        np.add.at(grads.embed, tok.subword_ids, d_sub)
-
-    tag_mean = tag_total / n_sentences
+    grads = EncoderParams(
+        embed=grads_embed,
+        w_ctx=grads_ctx,
+        b_ctx=grads_b_ctx,
+        w_attn=grads_attn,
+        w_proj=grads_proj,
+        b_proj=grads_b_proj,
+        w_cls=grads_cls,
+        b_cls=grads_b_cls,
+    )
     proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
     total = tag_mean + weights.proto_weight * proto_mean
     if not np.isfinite(total):
         raise TrainingDivergedError("non-finite training loss")
     grads.check_finite("gradient")
 
-    if sel_reps:
-        batch_reps = BatchReps(
-            np.concatenate(sel_reps), np.concatenate(sel_pred), np.concatenate(sel_gold)
-        )
-    else:
-        rep_dim = params.w_proj.shape[0]
-        batch_reps = BatchReps(
-            np.zeros((0, rep_dim), dtype=params.w_proj.dtype),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-        )
     return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
 
 
@@ -505,7 +547,10 @@ def batch_loss(
     proto_present: np.ndarray | None = None,
     weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
-    """Forward-only counterpart of batch_gradients (finite-difference probes)."""
+    """Loss breakdown of batch_gradients alone, for finite-difference probes.
+
+    It runs the full backward pass and discards the gradients.
+    """
     breakdown, _, _ = batch_gradients(
         params, toks, golds, selections, l_max, proto_vecs, proto_present, weights
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -55,11 +56,14 @@ def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
     ``f1_weighted`` normalizes the scores to sum to 1; ``uniform`` ignores
     them. Equal scores short-circuit to the uniform weights so both modes
     produce bit-identical aggregates in that case. An all-zero score vector
-    falls back to uniform (logged).
+    falls back to uniform (logged). Scores outside [0, 1], NaN included,
+    are rejected in both modes.
     """
     if not scores:
         raise ValueError("need at least one score")
     for s in scores:
+        if not math.isfinite(s):
+            raise ValueError(f"non-finite F1 score: {s}")
         if s < 0:
             raise ValueError(f"negative F1 score: {s}")
         if s > 1:

@@ -22,6 +22,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     LossWeights,
+    Tokenization,
     Tokenizer,
     adam_step,
     batch_gradients,
@@ -150,6 +151,7 @@ class SpanTagger:
         self.last_fit_metrics_: dict | None = None
         self._rng = None
         self._tokenizer = None
+        self._train_inputs: dict[Sentence, tuple[Tokenization, np.ndarray]] = {}
 
     @property
     def is_fitted(self) -> bool:
@@ -210,8 +212,7 @@ class SpanTagger:
         validate_sentences(sentences)
         if not self.is_fitted:
             self._initialize()
-        toks = [self._tokenizer.tokenize(s.tokens) for s in sentences]
-        golds = [derive_gold_tags(s, self.l_max).classes.astype(np.int64) for s in sentences]
+        toks, golds = zip(*map(self._training_inputs, sentences))
         if global_prototypes is not None and global_prototypes.dim != self.rep_dim:
             raise ValueError(
                 f"global prototypes have dim {global_prototypes.dim}, model uses {self.rep_dim}"
@@ -244,6 +245,16 @@ class SpanTagger:
             "batches": n_batches,
         }
         return self
+
+    def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray]:
+        """Tokenization and gold classes of a training sentence, cached."""
+        cached = self._train_inputs.get(sentence)
+        if cached is None:
+            gold = derive_gold_tags(sentence, self.l_max).classes
+            gold.setflags(write=False)
+            cached = self._tokenizer.tokenize(sentence.tokens), gold
+            self._train_inputs[sentence] = cached
+        return cached
 
     def _train_batch(self, toks, golds, proto_vecs, proto_present, weights):
         selections = [

@@ -1,0 +1,162 @@
+"""Per-sentence reference for ``fedspan.encoder.batch_gradients``.
+
+The package runs the backward pass once over the whole packed batch. This
+module keeps the straightforward form, one sentence at a time with
+``np.add.at`` scatters, as an oracle the packed pass is checked against.
+"""
+
+import numpy as np
+
+from fedspan.encoder import (
+    BatchReps,
+    EncoderParams,
+    LossBreakdown,
+    LossWeights,
+    TrainingDivergedError,
+    _unit_rows,
+    forward_sentence,
+)
+
+
+def reference_batch_gradients(
+    params,
+    toks,
+    golds,
+    selections,
+    l_max,
+    proto_vecs=None,
+    proto_present=None,
+    weights=LossWeights(),
+):
+    """Same contract as ``batch_gradients``; each sentence is its own pass."""
+    if not (len(toks) == len(golds) == len(selections)):
+        raise ValueError("toks, golds and selections must be aligned")
+    n_sentences = len(toks)
+    if n_sentences == 0:
+        raise ValueError("empty batch")
+    grads = EncoderParams.zeros_like(params)
+    d_e = params.embed.shape[1]
+
+    dtype = params.w_proj.dtype
+    proto_active = proto_vecs is not None and weights.proto_weight != 0.0
+    if proto_active:
+        unit_prot, _ = _unit_rows(
+            np.asarray(proto_vecs, dtype=dtype), np.asarray(proto_present)
+        )
+
+    n_selected = int(sum(len(sel) for sel in selections))
+    tag_total = 0.0
+    proto_total = 0.0
+    sel_reps = []
+    sel_pred = []
+    sel_gold = []
+
+    for tok, gold, sel in zip(toks, golds, selections):
+        fp = forward_sentence(params, tok, l_max)
+        gathered = fp.word_vecs[fp.pos] * fp.mask[:, :, None]
+        n_spans = fp.reps.shape[0]
+        gold = np.asarray(gold)
+        if gold.shape[0] != n_spans:
+            raise ValueError(f"gold classes misaligned: {gold.shape[0]} vs {n_spans} spans")
+        sel = np.asarray(sel, dtype=np.int64)
+
+        # Span-tag cross-entropy, normalized per sentence then per batch.
+        rows = np.arange(n_spans)
+        tag_total += float(-fp.log_probs[rows, gold].mean())
+        coeff = 1.0 / (n_spans * n_sentences)
+        dlogits = fp.probs.copy()
+        dlogits[rows, gold] -= 1.0
+        dlogits *= coeff
+
+        dreps_extra = np.zeros_like(fp.reps)
+        if len(sel):
+            z = fp.reps[sel]
+            sel_reps.append(z.copy())
+            sel_pred.append(fp.probs[sel].argmax(axis=1))
+            sel_gold.append(gold[sel])
+            if proto_active and n_selected:
+                y = gold[sel]
+                z_norm = np.linalg.norm(z, axis=1)
+                valid = z_norm > 0
+                safe_norm = np.where(valid, z_norm, 1.0)
+                zhat = z / safe_norm[:, None]
+                zhat[~valid] = 0.0
+                cos = zhat @ unit_prot.T
+
+                cos_y = cos[np.arange(len(sel)), y]
+                align_vals = np.where(valid, -cos_y, 0.0)
+                d_align = (cos_y[:, None] * zhat - unit_prot[y]) / safe_norm[:, None]
+                d_align[~valid] = 0.0
+
+                other = np.asarray(proto_present)[None, :] & (
+                    np.arange(unit_prot.shape[0])[None, :] != y[:, None]
+                )
+                exp_cos = np.where(other, np.exp(cos), 0.0)
+                row_sum = exp_cos.sum(axis=1)
+                has_other = row_sum > 0
+                sep_vals = np.where(valid & has_other, np.log(np.where(has_other, row_sum, 1.0)), 0.0)
+                w = exp_cos / np.where(has_other, row_sum, 1.0)[:, None]
+                w_dot_cos = (w * cos).sum(axis=1)
+                d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / safe_norm[:, None]
+                d_sep[~(valid & has_other)] = 0.0
+
+                proto_total += float(
+                    weights.align_weight * align_vals.sum() + weights.sep_weight * sep_vals.sum()
+                )
+                scale = weights.proto_weight / n_selected
+                dreps_extra[sel] += scale * (
+                    weights.align_weight * d_align + weights.sep_weight * d_sep
+                )
+
+        # Classifier block.
+        grads.w_cls += dlogits.T @ fp.reps
+        grads.b_cls += dlogits.sum(axis=0)
+        dreps = dlogits @ params.w_cls + dreps_extra
+
+        # Projection block.
+        grads.w_proj += dreps.T @ fp.pooled
+        grads.b_proj += dreps.sum(axis=0)
+        dpooled = dreps @ params.w_proj
+
+        # Attention pooling: alpha is zero outside the span mask.
+        dalpha = np.einsum("sd,sld->sl", dpooled, gathered)
+        inner = (fp.alpha * dalpha).sum(axis=1, keepdims=True)
+        dscore = fp.alpha * (dalpha - inner)
+        grads.w_attn += np.einsum("sl,sld->d", dscore, gathered)
+        dword_terms = (
+            fp.alpha[:, :, None] * dpooled[:, None, :]
+            + dscore[:, :, None] * params.w_attn[None, None, :]
+        ) * fp.mask[:, :, None]
+        dword = np.zeros_like(fp.word_vecs)
+        np.add.at(dword, fp.pos.ravel(), dword_terms.reshape(-1, dword.shape[1]))
+
+        # Word mean over chunks, then the window-3 context layer.
+        sizes = tok.word_sizes
+        dh_sub = np.repeat(dword / sizes[:, None].astype(dword.dtype), sizes, axis=0)
+        grads.w_ctx += dh_sub.T @ fp.x
+        grads.b_ctx += dh_sub.sum(axis=0)
+        dx = dh_sub @ params.w_ctx
+        d_sub = dx[:, d_e : 2 * d_e].copy()
+        d_sub[:-1] += dx[1:, :d_e]
+        d_sub[1:] += dx[:-1, 2 * d_e :]
+        np.add.at(grads.embed, tok.subword_ids, d_sub)
+
+    tag_mean = tag_total / n_sentences
+    proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
+    total = tag_mean + weights.proto_weight * proto_mean
+    if not np.isfinite(total):
+        raise TrainingDivergedError("non-finite training loss")
+    grads.check_finite("gradient")
+
+    if sel_reps:
+        batch_reps = BatchReps(
+            np.concatenate(sel_reps), np.concatenate(sel_pred), np.concatenate(sel_gold)
+        )
+    else:
+        rep_dim = params.w_proj.shape[0]
+        batch_reps = BatchReps(
+            np.zeros((0, rep_dim), dtype=params.w_proj.dtype),
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
+    return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps

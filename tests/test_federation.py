@@ -60,6 +60,12 @@ class TestAggregationWeights:
         with pytest.raises(ValueError):
             aggregation_weights([], "uniform")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["f1_weighted", "uniform"])
+    def test_non_finite_score_rejected(self, bad, mode):
+        with pytest.raises(ValueError, match="non-finite"):
+            aggregation_weights([bad, 0.5], mode)
+
     def test_equal_scores_bitwise_match_uniform(self):
         for k, score in ((3, 0.3), (4, 0.7), (7, 0.123)):
             weighted = aggregation_weights([score] * k, "f1_weighted")

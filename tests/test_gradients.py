@@ -13,6 +13,8 @@ from fedspan.encoder import (
 )
 from fedspan.tagging import span_count
 
+from reference_gradients import reference_batch_gradients
+
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
 
@@ -139,3 +141,88 @@ class TestGradientCheck:
         after = batch_loss(moved, *args)
         predicted_drop = eps * float(direction @ direction)
         assert breakdown.total - after.total == pytest.approx(predicted_drop, rel=1e-3)
+
+
+def assert_matches_reference(params, args):
+    """Packed gradients, loss breakdown and BatchReps equal the per-sentence
+    reference to 1e-10, relative to the largest entry of each block."""
+    breakdown, grads, reps = batch_gradients(params, *args)
+    ref_breakdown, ref_grads, ref_reps = reference_batch_gradients(params, *args)
+    for field in ("total", "tag", "proto"):
+        got, want = getattr(breakdown, field), getattr(ref_breakdown, field)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300), field
+    for (name, got), (_, want) in zip(grads.blocks(), ref_grads.blocks()):
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        scale = float(np.abs(want).max()) if want.size else 0.0
+        assert np.abs(got - want).max(initial=0.0) <= 1e-10 * scale, name
+    assert reps.reps.shape == ref_reps.reps.shape
+    scale = float(np.abs(ref_reps.reps).max(initial=0.0))
+    assert np.abs(reps.reps - ref_reps.reps).max(initial=0.0) <= 1e-10 * scale
+    assert np.array_equal(reps.pred_classes, ref_reps.pred_classes)
+    assert np.array_equal(reps.gold_classes, ref_reps.gold_classes)
+
+
+def eight_sentence_case(lengths, l_max=3, empty_selection=False, null_gold=False, protos=True):
+    """A float64 batch of len(lengths) sentences with the given word counts."""
+    rng = np.random.default_rng(sum(lengths) + 31 * l_max)
+    config = EncoderConfig(
+        vocab_size=13, embed_dim=3, hidden_dim=4, rep_dim=3, chunk_size=2, l_max=l_max,
+        precision="float64",
+    )
+    params = EncoderParams.initialize(config, 5)
+    # Non-zero attention weights so the softmax backward is exercised.
+    params.w_attn[:] = rng.normal(size=params.w_attn.shape)
+    tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
+    toks, golds, selections = [], [], []
+    for n in lengths:
+        toks.append(tokenizer.tokenize([WORDS[i] for i in rng.integers(0, len(WORDS), n)]))
+        total = span_count(n, l_max)
+        golds.append(np.zeros(total, dtype=np.int64) if null_gold else rng.integers(0, 16, total))
+        if empty_selection:
+            selections.append(np.zeros(0, dtype=np.int64))
+        else:
+            n_sel = int(rng.integers(1, total + 1))
+            selections.append(np.sort(rng.choice(total, size=n_sel, replace=False)))
+    proto_vecs = present = None
+    if protos:
+        proto_vecs = rng.normal(size=(16, config.rep_dim))
+        present = rng.random(16) < 0.6
+        present[0] = True
+        proto_vecs[~present] = 0.0
+    weights = LossWeights(proto_weight=2.0, align_weight=0.7, sep_weight=1.3)
+    return params, (toks, golds, selections, l_max, proto_vecs, present, weights)
+
+
+class TestPackedMatchesPerSentence:
+    @pytest.mark.parametrize("case_seed", range(50))
+    def test_random_configurations(self, case_seed):
+        config, params, toks, golds, selections, protos, present, weights = random_case(case_seed)
+        assert_matches_reference(
+            params, (toks, golds, selections, config.l_max, protos, present, weights)
+        )
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [1] * 8,  # n = 1 everywhere
+            [3] * 8,  # n = l_max
+            [4, 5, 6, 7, 8, 9, 4, 5],  # n > l_max
+            [1, 3, 7, 2, 3, 1, 9, 3],  # mixed, so spans per sentence differ
+        ],
+    )
+    def test_eight_sentence_lengths(self, lengths):
+        assert_matches_reference(*eight_sentence_case(lengths))
+
+    def test_empty_selection(self):
+        params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], empty_selection=True)
+        assert_matches_reference(params, args)
+        breakdown, _, reps = batch_gradients(params, *args)
+        assert breakdown.proto == 0.0 and reps.reps.shape == (0, 3)
+
+    def test_all_null_gold(self):
+        assert_matches_reference(*eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], null_gold=True))
+
+    def test_no_prototypes(self):
+        params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], protos=False)
+        assert_matches_reference(params, args)
+        assert batch_gradients(params, *args)[0].proto == 0.0

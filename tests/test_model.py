@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fedspan.model as model_module
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
 from fedspan.model import NotFittedError, SpanTagger, select_proto_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
@@ -149,6 +150,20 @@ class TestTraining:
         metrics = tagger.last_fit_metrics_
         assert {"train_loss", "tag_loss", "proto_loss", "batches"} == set(metrics)
         assert metrics["proto_loss"] == 0.0
+
+    def test_training_inputs_derived_once_per_sentence(self, tiny_corpus, monkeypatch):
+        calls = []
+        derive = model_module.derive_gold_tags
+        monkeypatch.setattr(
+            model_module, "derive_gold_tags", lambda s, l_max: calls.append(s) or derive(s, l_max)
+        )
+        sentences = tiny_corpus.train[:6]
+        tagger = small_tagger()
+        tagger.partial_fit(sentences, epochs=2)
+        tagger.partial_fit(sentences[:3], epochs=1)
+        assert calls == list(sentences)
+        tagger.fit(sentences[:2], epochs=1)  # fit starts over, cache included
+        assert calls == list(sentences) + list(sentences[:2])
 
 
 class TestInference:
