@@ -3,20 +3,20 @@
 Every span tagged with a sentiment hosts at most one aspect-opinion pair,
 chosen among the aspect/opinion spans that fall inside it. Orientation is
 decided by which role starts first; boundary ties prefer the shorter span.
-``brute_force_decode`` re-derives the same selection by exhaustive pairwise
-comparison and exists purely as an equivalence oracle for tests.
+The test suite checks the decoder against an exhaustive pairwise oracle.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 
-from .corpus import Span, Triplet
+import numpy as np
+
+from .corpus import Polarity, Span, Triplet
 from .tagging import ASPECT_BIT, INDEX_SENTIMENT, OPINION_BIT, TagMatrix, enumerate_spans
 
 logger = logging.getLogger(__name__)
-
-MAX_BRUTE_FORCE_LENGTH = 10
 
 
 def _sort_key(triplet: Triplet) -> tuple:
@@ -29,20 +29,24 @@ def _sort_key(triplet: Triplet) -> tuple:
     )
 
 
-def _candidate_sets(tags: TagMatrix) -> tuple[list[Span], list[Span], list[tuple[Span, object]]]:
-    spans = enumerate_spans(tags.n, tags.l_max)
-    aspects = []
-    opinions = []
-    sentiments = []
-    for span, cls in zip(spans, tags.classes):
-        cls = int(cls)
-        if cls & ASPECT_BIT:
-            aspects.append(span)
-        if cls & OPINION_BIT:
-            opinions.append(span)
-        polarity = INDEX_SENTIMENT[cls & 3]
-        if polarity is not None:
-            sentiments.append((span, polarity))
+@lru_cache(maxsize=1024)
+def _spans(n: int, l_max: int) -> tuple[Span, ...]:
+    return tuple(enumerate_spans(n, l_max))
+
+
+def _candidate_sets(tags: TagMatrix) -> tuple[list[Span], list[Span], list[tuple[Span, Polarity]]]:
+    """Aspect, opinion and (sentiment span, polarity) candidates, in span order."""
+    spans = _spans(tags.n, tags.l_max)
+    classes = np.asarray(tags.classes)
+    if classes.shape != (len(spans),):
+        raise ValueError(f"need one class per span: {classes.shape} vs {len(spans)} spans")
+    aspects = [spans[i] for i in np.flatnonzero(classes & ASPECT_BIT).tolist()]
+    opinions = [spans[i] for i in np.flatnonzero(classes & OPINION_BIT).tolist()]
+    sentiment = classes & 3
+    tagged = np.flatnonzero(sentiment).tolist()
+    sentiments = [
+        (spans[i], INDEX_SENTIMENT[s]) for i, s in zip(tagged, sentiment[tagged].tolist())
+    ]
     return aspects, opinions, sentiments
 
 
@@ -75,55 +79,4 @@ def decode_triplets(tags: TagMatrix) -> list[Triplet]:
             logger.debug("selected aspect and opinion coincide in %s-%s, skipped", cover.start, cover.end)
             continue
         out.add(Triplet(aspect, opinion, polarity))
-    return sorted(out, key=_sort_key)
-
-
-def _pair_better(
-    new: tuple[Span, Span], best: tuple[Span, Span], aspect_first: bool
-) -> bool:
-    # Lexicographic preference matching the selection rule: primary role by
-    # largest right boundary (shorter on ties), secondary role by smallest
-    # left boundary (shorter on ties).
-    if aspect_first:
-        primary_new, secondary_new = new
-        primary_best, secondary_best = best
-    else:
-        secondary_new, primary_new = new
-        secondary_best, primary_best = best
-    key_new = (-primary_new.end, -primary_new.start, secondary_new.start, secondary_new.end)
-    key_best = (-primary_best.end, -primary_best.start, secondary_best.start, secondary_best.end)
-    return key_new < key_best
-
-
-def brute_force_decode(tags: TagMatrix) -> list[Triplet]:
-    """Naive reference decoder: enumerate every pair inside each sentiment span."""
-    if tags.n > MAX_BRUTE_FORCE_LENGTH:
-        raise ValueError(f"brute force decoder limited to n <= {MAX_BRUTE_FORCE_LENGTH}")
-    aspects, opinions, sentiments = _candidate_sets(tags)
-    out: set[Triplet] = set()
-    for cover, polarity in sentiments:
-        cand_a = []
-        for a in aspects:
-            if cover.start <= a.start and a.end <= cover.end:
-                cand_a.append(a)
-        cand_o = []
-        for o in opinions:
-            if cover.start <= o.start and o.end <= cover.end:
-                cand_o.append(o)
-        if not cand_a or not cand_o:
-            continue
-        min_a = cover.end + 1
-        for a in cand_a:
-            min_a = min(min_a, a.start)
-        min_o = cover.end + 1
-        for o in cand_o:
-            min_o = min(min_o, o.start)
-        aspect_first = min_a <= min_o
-        best: tuple[Span, Span] | None = None
-        for a in cand_a:
-            for o in cand_o:
-                if best is None or _pair_better((a, o), best, aspect_first):
-                    best = (a, o)
-        if best is not None and best[0] != best[1]:
-            out.add(Triplet(best[0], best[1], polarity))
     return sorted(out, key=_sort_key)

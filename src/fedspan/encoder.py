@@ -90,7 +90,8 @@ class Tokenization:
 
 
 class Tokenizer:
-    """Deterministic chunking + keyed-hash vocabulary lookup (cached)."""
+    """Deterministic chunking + keyed-hash vocabulary lookup, cached per
+    chunk and per word."""
 
     def __init__(self, vocab_size: int, chunk_size: int, hash_seed: int = 0):
         self.vocab_size = vocab_size
@@ -98,6 +99,7 @@ class Tokenizer:
         self.hash_seed = hash_seed
         self._key = hash_seed.to_bytes(8, "little", signed=False)
         self._cache: dict[str, int] = {}
+        self._word_cache: dict[str, tuple[int, ...]] = {}
 
     def subword_id(self, subword: str) -> int:
         cached = self._cache.get(subword)
@@ -109,16 +111,21 @@ class Tokenizer:
             self._cache[subword] = cached
         return cached
 
+    def _hash_word(self, word: str) -> tuple[int, ...]:
+        if not word:
+            raise ValueError("cannot tokenize an empty token")
+        ids = tuple(self.subword_id(sub) for sub in split_subwords(word, self.chunk_size))
+        self._word_cache[word] = ids
+        return ids
+
     def tokenize(self, tokens: Sequence[str]) -> Tokenization:
         if not tokens:
             raise ValueError("cannot tokenize an empty sentence")
         ids: list[int] = []
         offsets = [0]
         for word in tokens:
-            if not word:
-                raise ValueError("cannot tokenize an empty token")
-            for sub in split_subwords(word, self.chunk_size):
-                ids.append(self.subword_id(sub))
+            word_ids = self._word_cache.get(word)
+            ids.extend(self._hash_word(word) if word_ids is None else word_ids)
             offsets.append(len(ids))
         return Tokenization(
             len(tokens),
@@ -261,8 +268,8 @@ class ForwardPass:
     tok: Tokenization
     x: np.ndarray  # (m, 3*embed_dim) windowed chunk embeddings
     word_vecs: np.ndarray  # (n, hidden_dim)
-    pos: np.ndarray  # (S, L) gathered word indices (clipped)
-    mask: np.ndarray  # (S, L)
+    pos: np.ndarray  # (S, L) gathered word indices (clipped), shared and read-only
+    mask: np.ndarray  # (S, L), shared and read-only
     alpha: np.ndarray  # (S, L) attention, zero outside mask
     pooled: np.ndarray  # (S, hidden_dim)
     reps: np.ndarray  # (S, rep_dim)
@@ -270,38 +277,60 @@ class ForwardPass:
     log_probs: np.ndarray  # (S, NUM_CLASSES)
 
 
+@lru_cache(maxsize=1024)
+def _gather_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, L) word index of each span's slots, clipped to the sentence, and
+    the mask of the slots inside the span. Cached and read-only."""
+    starts, ends, _ = span_layout(n, l_max)
+    pos = starts[:, None] + np.arange(min(l_max, n))
+    mask = pos <= ends[:, None]
+    np.minimum(pos, n - 1, out=pos)
+    pos.setflags(write=False)
+    mask.setflags(write=False)
+    return pos, mask
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """(rows, 1) maxima of a 2-D array.
+
+    numpy reduces along a short contiguous axis one row at a time; over the
+    first axis of a transposed copy it compares whole rows at once. The
+    maximum is exact, so the order of comparisons does not matter.
+    """
+    return np.ascontiguousarray(a.T).max(axis=0)[:, None]
+
+
 def forward_sentence(params: EncoderParams, tok: Tokenization, l_max: int) -> ForwardPass:
-    n = tok.n_words
     d_e = params.embed.shape[1]
-    sub = params.embed[tok.subword_ids]
+    sub = params.embed.take(tok.subword_ids, axis=0)
     m = sub.shape[0]
     x = np.zeros((m, 3 * d_e), dtype=sub.dtype)
     x[:, d_e : 2 * d_e] = sub
     x[1:, :d_e] = sub[:-1]
     x[:-1, 2 * d_e :] = sub[1:]
-    h_sub = x @ params.w_ctx.T + params.b_ctx
-    word_sizes = tok.word_sizes[:, None].astype(sub.dtype)
-    word_vecs = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0) / word_sizes
+    h_sub = x @ params.w_ctx.T
+    h_sub += params.b_ctx
+    word_vecs = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0)
+    word_vecs /= tok.word_sizes[:, None].astype(sub.dtype)
 
-    starts, ends, _ = span_layout(n, l_max)
-    width = min(l_max, n)
-    pos_raw = starts[:, None] + np.arange(width)
-    mask = pos_raw <= ends[:, None]
-    pos = np.minimum(pos_raw, n - 1)
-
+    pos, mask = _gather_layout(tok.n_words, l_max)
     scores = word_vecs @ params.w_attn  # (n,)
-    span_scores = np.where(mask, scores[pos], -np.inf)
-    span_scores_max = span_scores.max(axis=1, keepdims=True)
-    exp_scores = np.exp(span_scores - span_scores_max)
-    alpha = exp_scores / exp_scores.sum(axis=1, keepdims=True)
+    alpha = np.where(mask, scores.take(pos), -np.inf)
+    alpha -= _row_max(alpha)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
 
-    gathered = word_vecs[pos] * mask[:, :, None]
-    pooled = np.einsum("sl,sld->sd", alpha, gathered)
-    reps = pooled @ params.w_proj.T + params.b_proj
-    logits = reps @ params.w_cls.T + params.b_cls
-    logits_max = logits.max(axis=1, keepdims=True)
-    log_norm = logits_max + np.log(np.exp(logits - logits_max).sum(axis=1, keepdims=True))
-    log_probs = logits - log_norm
+    # alpha is exactly 0 outside the mask, so the clipped slots add nothing.
+    pooled = np.einsum("sl,sld->sd", alpha, word_vecs.take(pos, axis=0))
+    reps = pooled @ params.w_proj.T
+    reps += params.b_proj
+    logits = reps @ params.w_cls.T
+    logits += params.b_cls
+    logits_max = _row_max(logits)
+    log_norm = np.exp(logits - logits_max).sum(axis=1, keepdims=True)
+    np.log(log_norm, out=log_norm)
+    log_norm += logits_max
+    log_probs = np.subtract(logits, log_norm, out=logits)
     probs = np.exp(log_probs)
     return ForwardPass(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
 
@@ -349,10 +378,9 @@ def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     index of each word's first pair. Every word is in at least one span, so
     the words split the pairs into non-empty runs.
     """
-    starts, ends, _ = span_layout(n, l_max)
-    width = min(l_max, n)
-    pos = starts[:, None] + np.arange(width)
-    flat = np.flatnonzero(pos <= ends[:, None])
+    pos, mask = _gather_layout(n, l_max)
+    width = pos.shape[1]
+    flat = np.flatnonzero(mask)
     order = np.argsort(pos.ravel()[flat], kind="stable")
     flat = flat[order]
     pairs = np.stack([flat, flat // width, pos.ravel()[flat]])
@@ -583,21 +611,32 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[EncoderParams, AdamState]:
+    """One Adam update. Returns new parameter arrays; ``params`` is left as
+    it was. ``state`` is mutated: its moments are updated in place and its
+    step advanced, and the same object is returned."""
     t = state.step + 1
     new_params = {}
-    new_m = {}
-    new_v = {}
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
     for name, arr in params.blocks():
         g = getattr(grads, name)
-        m = beta1 * getattr(state.m, name) + (1.0 - beta1) * g
-        v = beta2 * getattr(state.v, name) + (1.0 - beta2) * g * g
-        step = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-        new_params[name] = arr - step.astype(arr.dtype)
-        new_m[name] = m
-        new_v[name] = v
-    return EncoderParams(**new_params), AdamState(t, EncoderParams(**new_m), EncoderParams(**new_v))
+        m = getattr(state.m, name)
+        v = getattr(state.v, name)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        g2 = (1.0 - beta2) * g
+        g2 *= g
+        v *= beta2
+        v += g2
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / bias1
+        step *= lr
+        step /= denom
+        new_params[name] = np.subtract(arr, step, out=step)
+    state.step = t
+    return EncoderParams(**new_params), state
 
 
 _CKPT_MAGIC = b"SPTG"

@@ -1,21 +1,63 @@
-"""Per-sentence reference for ``fedspan.encoder.batch_gradients``.
+"""Per-sentence references for ``fedspan.encoder``.
 
 The package runs the backward pass once over the whole packed batch. This
 module keeps the straightforward form, one sentence at a time with
 ``np.add.at`` scatters, as an oracle the packed pass is checked against.
+``reference_forward`` is the forward pass written plainly: fresh arrays,
+no cached layouts and the masked gather tensor spelled out. The package's
+``forward_sentence`` must match it bit for bit.
 """
 
 import numpy as np
 
 from fedspan.encoder import (
+    AdamState,
     BatchReps,
     EncoderParams,
+    ForwardPass,
     LossBreakdown,
     LossWeights,
     TrainingDivergedError,
     _unit_rows,
-    forward_sentence,
 )
+from fedspan.tagging import span_layout
+
+
+def reference_forward(params, tok, l_max):
+    """Same contract as ``forward_sentence``; fresh arrays, no caches."""
+    n = tok.n_words
+    d_e = params.embed.shape[1]
+    sub = params.embed[tok.subword_ids]
+    m = sub.shape[0]
+    x = np.zeros((m, 3 * d_e), dtype=sub.dtype)
+    x[:, d_e : 2 * d_e] = sub
+    x[1:, :d_e] = sub[:-1]
+    x[:-1, 2 * d_e :] = sub[1:]
+    h_sub = x @ params.w_ctx.T + params.b_ctx
+    word_sizes = tok.word_sizes[:, None].astype(sub.dtype)
+    word_vecs = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0) / word_sizes
+
+    starts, ends, _ = span_layout(n, l_max)
+    width = min(l_max, n)
+    pos_raw = starts[:, None] + np.arange(width)
+    mask = pos_raw <= ends[:, None]
+    pos = np.minimum(pos_raw, n - 1)
+
+    scores = word_vecs @ params.w_attn  # (n,)
+    span_scores = np.where(mask, scores[pos], -np.inf)
+    span_scores_max = span_scores.max(axis=1, keepdims=True)
+    exp_scores = np.exp(span_scores - span_scores_max)
+    alpha = exp_scores / exp_scores.sum(axis=1, keepdims=True)
+
+    gathered = word_vecs[pos] * mask[:, :, None]
+    pooled = np.einsum("sl,sld->sd", alpha, gathered)
+    reps = pooled @ params.w_proj.T + params.b_proj
+    logits = reps @ params.w_cls.T + params.b_cls
+    logits_max = logits.max(axis=1, keepdims=True)
+    log_norm = logits_max + np.log(np.exp(logits - logits_max).sum(axis=1, keepdims=True))
+    log_probs = logits - log_norm
+    probs = np.exp(log_probs)
+    return ForwardPass(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
 
 
 def reference_batch_gradients(
@@ -52,7 +94,7 @@ def reference_batch_gradients(
     sel_gold = []
 
     for tok, gold, sel in zip(toks, golds, selections):
-        fp = forward_sentence(params, tok, l_max)
+        fp = reference_forward(params, tok, l_max)
         gathered = fp.word_vecs[fp.pos] * fp.mask[:, :, None]
         n_spans = fp.reps.shape[0]
         gold = np.asarray(gold)
@@ -160,3 +202,23 @@ def reference_batch_gradients(
             np.zeros(0, dtype=np.int64),
         )
     return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
+
+
+def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Same arithmetic as ``adam_step``, returning fresh moments and state."""
+    t = state.step + 1
+    new_params = {}
+    new_m = {}
+    new_v = {}
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name, arr in params.blocks():
+        g = getattr(grads, name)
+        m = beta1 * getattr(state.m, name) + (1.0 - beta1) * g
+        v = beta2 * getattr(state.v, name) + (1.0 - beta2) * g * g
+        step = lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        new_params[name] = arr - step.astype(arr.dtype)
+        new_m[name] = m
+        new_v[name] = v
+    new_state = AdamState(t, EncoderParams(**new_m), EncoderParams(**new_v))
+    return EncoderParams(**new_params), new_state

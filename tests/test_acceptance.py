@@ -17,7 +17,7 @@ import pytest
 import fedspan as fs
 from fedspan.config import ExperimentConfig
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus, read_corpus_dir
-from fedspan.decoding import brute_force_decode, decode_triplets
+from fedspan.decoding import decode_triplets
 from fedspan.encoder import batch_gradients
 from fedspan.prototypes import (
     PrototypeSet,
@@ -28,6 +28,7 @@ from fedspan.prototypes import (
 )
 from fedspan.tagging import derive_gold_tags
 
+from reference_decoding import brute_force_decode
 from test_decoding import random_tags
 from test_gradients import check_case, TOLERANCE as GRAD_TOLERANCE
 

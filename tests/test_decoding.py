@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus
-from fedspan.decoding import brute_force_decode, decode_triplets
+from fedspan.decoding import _candidate_sets, decode_triplets
 from fedspan.tagging import (
     TagMatrix,
     derive_gold_tags,
@@ -12,6 +12,8 @@ from fedspan.tagging import (
     span_position,
     tag_index,
 )
+
+from reference_decoding import brute_force_decode, pairwise_decode, reference_candidate_sets
 
 WORKED_LINE = "I especially like the backlit keyboard .####[([4, 5], [2], 'POS')]"
 
@@ -129,8 +131,8 @@ class TestDecode:
             assert len(decoded) <= n_sentiment
 
 
-def random_tags(rng, max_n=7):
-    n = int(rng.integers(1, max_n + 1))
+def random_tags(rng, max_n=7, min_n=1):
+    n = int(rng.integers(min_n, max_n + 1))
     l_max = int(rng.integers(1, max_n + 1))
     total = span_count(n, l_max)
     classes = np.where(
@@ -158,6 +160,35 @@ class TestBruteForceEquivalence:
         for _ in range(1000):
             tags = random_tags(rng)
             assert decode_triplets(tags) == brute_force_decode(tags)
+
+
+class TestScalarReferenceOnLongSentences:
+    """Sentences of predict-time length, beyond the brute-force guard."""
+
+    def test_candidate_sets_match_scalar_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            tags = random_tags(rng, max_n=35, min_n=25)
+            assert _candidate_sets(tags) == reference_candidate_sets(tags)
+
+    def test_decode_matches_pairwise_reference(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            tags = random_tags(rng, max_n=35, min_n=25)
+            assert decode_triplets(tags) == pairwise_decode(tags)
+
+    def test_shipped_l_max_and_int64_classes(self):
+        rng = np.random.default_rng(33)
+        for n in range(25, 36):
+            total = span_count(n, 10)
+            classes = np.where(rng.random(total) < 0.9, 0, rng.integers(1, 16, total))
+            tags = TagMatrix(n, 10, classes.astype(np.int64))
+            assert _candidate_sets(tags) == reference_candidate_sets(tags)
+            assert decode_triplets(tags) == pairwise_decode(tags)
+
+    def test_misaligned_classes_rejected(self):
+        with pytest.raises(ValueError):
+            decode_triplets(TagMatrix(4, 4, np.zeros(span_count(4, 4) - 1, dtype=np.int16)))
 
 
 class TestGoldRoundTrip:

@@ -1,5 +1,7 @@
 """Encoder forward pass, losses, optimizers and the checkpoint format."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +30,8 @@ from fedspan.encoder import (
     word_representations,
 )
 from fedspan.tagging import NUM_CLASSES, span_count
+
+from reference_gradients import reference_adam_step, reference_forward
 
 
 class TestSplitSubwords:
@@ -68,6 +72,42 @@ class TestTokenizer:
             Tokenizer(64, 4).tokenize([])
         with pytest.raises(ValueError):
             Tokenizer(64, 4).tokenize(["ok", ""])
+
+    @pytest.mark.parametrize("chunk_size,hash_seed", [(1, 0), (3, 5), (4, 0), (4, 11), (7, 2)])
+    def test_word_cache_matches_chunk_hashing(self, chunk_size, hash_seed):
+        vocab = 97
+        key = hash_seed.to_bytes(8, "little")
+
+        def chunk_id(chunk):
+            digest = hashlib.blake2b(chunk.encode("utf-8"), digest_size=8, key=key).digest()
+            return int.from_bytes(digest, "little") % vocab
+
+        tokenizer = Tokenizer(vocab, chunk_size, hash_seed)
+        sentences = [
+            ["the", "keyboard", "is", "gorgeous", "."],
+            ["gorgeous", "keyboard", ",", "the", "keyboard", "wins"],
+            ["naïve", "café", "battery-life", "x"],
+        ]
+        for _ in range(2):  # the second pass reads every word from the cache
+            for words in sentences:
+                tok = tokenizer.tokenize(words)
+                chunks = [split_subwords(w, chunk_size) for w in words]
+                expected = [chunk_id(c) for word_chunks in chunks for c in word_chunks]
+                assert tok.n_words == len(words)
+                assert tok.subword_ids.dtype == np.int64
+                assert tok.subword_ids.tolist() == expected
+                assert tok.word_offsets.tolist() == [0, *np.cumsum([len(c) for c in chunks])]
+                assert tok.word_sizes.tolist() == [len(c) for c in chunks]
+
+    def test_empty_token_rejected_after_words_cached(self):
+        tokenizer = Tokenizer(64, 4)
+        first = tokenizer.tokenize(["ok", "fine"])
+        with pytest.raises(ValueError):
+            tokenizer.tokenize(["ok", "", "fine"])
+        with pytest.raises(ValueError):
+            tokenizer.tokenize([""])
+        again = tokenizer.tokenize(["ok", "fine"])
+        assert again.subword_ids.tolist() == first.subword_ids.tolist()
 
 
 def tiny_params():
@@ -232,6 +272,51 @@ class TestForwardDeterminism:
         assert np.all(fp.probs > 0)
 
 
+class TestForwardReference:
+    """forward_sentence against the plain per-sentence reference, bit for bit."""
+
+    L_MAX = 6
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [1, L_MAX, L_MAX + 1, 35])
+    def test_every_field_equal(self, n, precision):
+        config = EncoderConfig(
+            vocab_size=97, embed_dim=5, hidden_dim=6, rep_dim=4, chunk_size=3, precision=precision
+        )
+        params = EncoderParams.initialize(config, n)
+        rng = np.random.default_rng(n)
+        # Non-zero attention and biases, so every stage of the pass matters.
+        for name in ("b_ctx", "w_attn", "b_proj", "b_cls"):
+            block = getattr(params, name)
+            block[:] = rng.normal(0.0, 1.0, block.shape)
+        letters = list("abcdefgh")
+        words = ["".join(rng.choice(letters, int(rng.integers(1, 8)))) for _ in range(n)]
+        tok = Tokenizer(config.vocab_size, config.chunk_size).tokenize(words)
+        fp = forward_sentence(params, tok, self.L_MAX)
+        ref = reference_forward(params, tok, self.L_MAX)
+        assert fp.tok is tok
+        for field in dataclasses.fields(fp):
+            if field.name == "tok":
+                continue
+            got, want = getattr(fp, field.name), getattr(ref, field.name)
+            assert got.dtype == want.dtype, field.name
+            assert got.shape == want.shape, field.name
+            assert np.array_equal(got, want), field.name
+            assert got.tobytes() == want.tobytes(), field.name  # signed zeros too
+
+    def test_cached_layout_is_read_only(self):
+        config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
+        params = EncoderParams.initialize(config, 7)
+        tok = Tokenizer(64, 3).tokenize(["the", "screen", "cracked", "twice"])
+        fp = forward_sentence(params, tok, 3)
+        with pytest.raises(ValueError):
+            fp.pos[0, 0] = 1
+        with pytest.raises(ValueError):
+            fp.mask[0, 0] = False
+        again = forward_sentence(params, tok, 3)
+        assert np.array_equal(again.pos, reference_forward(params, tok, 3).pos)
+
+
 class TestOptimizers:
     def make(self):
         config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2, precision="float64")
@@ -267,6 +352,42 @@ class TestOptimizers:
         # First Adam step moves by ~lr regardless of gradient scale.
         assert stepped.b_cls[0] == pytest.approx(params.b_cls[0] - 0.1, abs=1e-6)
         assert state.step == 1
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_adam_matches_functional_form(self, precision):
+        config = EncoderConfig(
+            vocab_size=50, embed_dim=4, hidden_dim=5, rep_dim=3, precision=precision
+        )
+        params = EncoderParams.initialize(config, 3)
+        ref_params = params.copy()
+        state = AdamState.zeros(params)
+        ref_state = AdamState.zeros(params)
+        rng = np.random.default_rng(4)
+        for step in range(20):
+            grads = EncoderParams(
+                **{
+                    name: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), arr.shape).astype(arr.dtype)
+                    for name, arr in params.blocks()
+                }
+            )
+            grads.embed[rng.random(len(grads.embed)) < 0.5] = 0.0  # untouched rows
+            old, snapshot = params, params.copy()
+            lr = 0.01 / (1.0 + step / 7)
+            params, new_state = adam_step(params, grads, state, lr)
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
+            assert new_state is state
+            assert state.step == ref_state.step == step + 1
+            pairs = ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v))
+            for holder, ref_holder in pairs:
+                for (name, got), (_, want) in zip(holder.blocks(), ref_holder.blocks()):
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), name
+            # New parameter arrays; the ones passed in are left as they were.
+            for (name, arr), (_, kept), (_, new) in zip(
+                old.blocks(), snapshot.blocks(), params.blocks()
+            ):
+                assert arr is not new, name
+                assert arr.tobytes() == kept.tobytes(), name
 
     def test_adam_deterministic(self):
         params = self.make()
