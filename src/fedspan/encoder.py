@@ -148,6 +148,7 @@ class EncoderParams:
     b_cls: np.ndarray  # (NUM_CLASSES,)
 
     BLOCKS = ("embed", "w_ctx", "b_ctx", "w_attn", "w_proj", "b_proj", "w_cls", "b_cls")
+    DENSE = BLOCKS[1:]  # every block but the embedding table
 
     def blocks(self):
         for name in self.BLOCKS:
@@ -199,13 +200,33 @@ class EncoderParams:
         return EncoderParams(**out)
 
     def check_finite(self, what: str = "parameter") -> None:
-        for name, arr in self.blocks():
-            if not np.all(np.isfinite(arr)):
-                raise TrainingDivergedError(f"non-finite {what} in block {name!r}")
+        _check_finite(self.blocks(), what)
 
 
-# Gradients reuse the parameter container: identical block names and shapes.
-GradientBundle = EncoderParams
+def _check_finite(blocks, what: str) -> None:
+    for name, arr in blocks:
+        if not np.all(np.isfinite(arr)):
+            raise TrainingDivergedError(f"non-finite {what} in block {name!r}")
+
+
+@dataclass(eq=False)
+class GradientBundle(EncoderParams):
+    """Gradients: the parameter blocks plus the embedding rows they touch.
+
+    ``embed`` stays dense and is exactly zero outside ``embed_rows``, the
+    sorted unique subword ids of the batch. Left out, ``embed_rows`` means
+    every row, as does a plain ``EncoderParams`` given in place of a bundle.
+    """
+
+    embed_rows: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.embed_rows is None:
+            self.embed_rows = np.arange(len(self.embed))
+
+    def check_finite(self, what: str = "gradient") -> None:
+        rows = ("embed", self.embed.take(self.embed_rows, axis=0))
+        _check_finite([rows, *((name, getattr(self, name)) for name in self.DENSE)], what)
 
 
 def word_representations(params: EncoderParams, tok: Tokenization) -> np.ndarray:
@@ -390,6 +411,14 @@ def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, word_starts
 
 
+def _scatter_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, ids, rows)`` for a C-contiguous 2-D ``table``, as
+    one scatter over elements. Each element takes the same additions in the
+    same order, so the bytes are the same, at about half the cost."""
+    width = table.shape[1]
+    np.add.at(table.reshape(-1), (ids[:, None] * width + np.arange(width)).ravel(), rows.ravel())
+
+
 def _offsets(sizes: Sequence[int]) -> list[int]:
     """Start of each part in a concatenation of parts with these sizes."""
     return list(accumulate(sizes[:-1], initial=0))
@@ -543,10 +572,11 @@ def batch_gradients(
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]
+    ids = np.concatenate([tok.subword_ids for tok in toks])
     grads_embed = np.zeros_like(params.embed)
-    np.add.at(grads_embed, np.concatenate([tok.subword_ids for tok in toks]), d_sub)
+    _scatter_rows(grads_embed, ids, d_sub)
 
-    grads = EncoderParams(
+    grads = GradientBundle(
         embed=grads_embed,
         w_ctx=grads_ctx,
         b_ctx=grads_b_ctx,
@@ -555,6 +585,7 @@ def batch_gradients(
         b_proj=grads_b_proj,
         w_cls=grads_cls,
         b_cls=grads_b_cls,
+        embed_rows=np.unique(ids),
     )
     proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
     total = tag_mean + weights.proto_weight * proto_mean
@@ -593,13 +624,44 @@ def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> Encoder
 
 @dataclass(eq=False)
 class AdamState:
+    """Adam moments, step count and the embedding rows seen so far.
+
+    ``m`` and ``v`` hold one array per block. Their dense blocks are views of
+    the flat ``m_dense``/``v_dense``, so one pass updates all of them.
+    ``seen_rows`` marks the embedding rows that have ever had a gradient.
+    """
+
     step: int
     m: EncoderParams
     v: EncoderParams
+    m_dense: np.ndarray
+    v_dense: np.ndarray
+    seen_rows: np.ndarray  # (V,) bool
 
     @classmethod
     def zeros(cls, params: EncoderParams) -> "AdamState":
-        return cls(0, EncoderParams.zeros_like(params), EncoderParams.zeros_like(params))
+        size = sum(getattr(params, name).size for name in EncoderParams.DENSE)
+        m_dense = np.zeros(size, dtype=params.w_proj.dtype)
+        v_dense = np.zeros_like(m_dense)
+        m = EncoderParams(embed=np.zeros_like(params.embed), **_dense_views(m_dense, params))
+        v = EncoderParams(embed=np.zeros_like(params.embed), **_dense_views(v_dense, params))
+        return cls(0, m, v, m_dense, v_dense, np.zeros(len(params.embed), dtype=bool))
+
+
+def _dense_flat(holder: EncoderParams) -> np.ndarray:
+    """The dense blocks of ``holder`` end to end, in ``DENSE`` order."""
+    return np.concatenate([getattr(holder, name).ravel() for name in EncoderParams.DENSE])
+
+
+def _dense_views(flat: np.ndarray, like: EncoderParams) -> dict[str, np.ndarray]:
+    """The dense blocks of ``like``, shaped as views of one flat array."""
+    views = {}
+    pos = 0
+    for name in EncoderParams.DENSE:
+        block = getattr(like, name)
+        views[name] = flat[pos : pos + block.size].reshape(block.shape)
+        pos += block.size
+    return views
 
 
 def adam_step(
@@ -613,15 +675,18 @@ def adam_step(
 ) -> tuple[EncoderParams, AdamState]:
     """One Adam update. Returns new parameter arrays; ``params`` is left as
     it was. ``state`` is mutated: its moments are updated in place and its
-    step advanced, and the same object is returned."""
+    step advanced, and the same object is returned.
+
+    The dense blocks take one update over their flat moments. The embedding
+    takes the same update only on the rows that have ever had a gradient: on
+    any other row m = v = +0, so its step is +0 and the row keeps its bits.
+    A seen row stays seen, since its v keeps decaying after m underflows.
+    """
     t = state.step + 1
-    new_params = {}
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
-    for name, arr in params.blocks():
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
+
+    def update(p, g, m, v):
         m *= beta1
         m += (1.0 - beta1) * g
         g2 = (1.0 - beta2) * g
@@ -634,9 +699,21 @@ def adam_step(
         step = m / bias1
         step *= lr
         step /= denom
-        new_params[name] = np.subtract(arr, step, out=step)
+        return np.subtract(p, step, out=step)
+
+    state.seen_rows[getattr(grads, "embed_rows", slice(None))] = True
+    rows = np.flatnonzero(state.seen_rows)
+    m_rows = state.m.embed.take(rows, axis=0)
+    v_rows = state.v.embed.take(rows, axis=0)
+    embed = params.embed.copy()
+    embed[rows] = update(
+        params.embed.take(rows, axis=0), grads.embed.take(rows, axis=0), m_rows, v_rows
+    )
+    state.m.embed[rows] = m_rows
+    state.v.embed[rows] = v_rows
+    flat = update(_dense_flat(params), _dense_flat(grads), state.m_dense, state.v_dense)
     state.step = t
-    return EncoderParams(**new_params), state
+    return EncoderParams(embed=embed, **_dense_views(flat, params)), state
 
 
 _CKPT_MAGIC = b"SPTG"

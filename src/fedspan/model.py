@@ -52,14 +52,24 @@ def validate_sentences(sentences: Sequence[Sentence]) -> None:
             raise ValueError(f"sentence {i}: {exc}") from exc
 
 
+def _check_epochs(epochs: int) -> None:
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+
+
+def split_spans(gold_classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the labeled spans and of the background (class 0) spans."""
+    gold_classes = np.asarray(gold_classes)
+    return np.flatnonzero(gold_classes != 0), np.flatnonzero(gold_classes == 0)
+
+
 def select_proto_spans(
-    gold_classes: np.ndarray, rng: np.random.Generator, null_ratio: float
+    split: tuple[np.ndarray, np.ndarray], rng: np.random.Generator, null_ratio: float
 ) -> np.ndarray:
     """Spans feeding the prototype term: all labeled spans plus a sample of
-    background spans capped at ``null_ratio`` times the labeled count."""
-    gold_classes = np.asarray(gold_classes)
-    labeled = np.flatnonzero(gold_classes != 0)
-    nulls = np.flatnonzero(gold_classes == 0)
+    background spans capped at ``null_ratio`` times the labeled count.
+    ``split`` is ``split_spans`` of the sentence's gold classes."""
+    labeled, nulls = split
     n_null = min(len(nulls), int(round(null_ratio * len(labeled))))
     if n_null > 0:
         sampled = rng.choice(nulls, size=n_null, replace=False)
@@ -151,7 +161,7 @@ class SpanTagger:
         self.last_fit_metrics_: dict | None = None
         self._rng = None
         self._tokenizer = None
-        self._train_inputs: dict[Sentence, tuple[Tokenization, np.ndarray]] = {}
+        self._train_inputs: dict[Sentence, tuple[Tokenization, np.ndarray, tuple]] = {}
 
     @property
     def is_fitted(self) -> bool:
@@ -193,6 +203,7 @@ class SpanTagger:
         global_prototypes: PrototypeSet | None = None,
     ) -> "SpanTagger":
         """Reinitialize and train; see partial_fit for the incremental variant."""
+        _check_epochs(epochs)
         self._reset_state()
         return self.partial_fit(sentences, epochs=epochs, global_prototypes=global_prototypes)
 
@@ -209,10 +220,11 @@ class SpanTagger:
         are rebuilt every batch from the selected spans and smoothed with the
         configured momentum.
         """
+        _check_epochs(epochs)
         validate_sentences(sentences)
         if not self.is_fitted:
             self._initialize()
-        toks, golds = zip(*map(self._training_inputs, sentences))
+        toks, golds, splits = zip(*map(self._training_inputs, sentences))
         if global_prototypes is not None and global_prototypes.dim != self.rep_dim:
             raise ValueError(
                 f"global prototypes have dim {global_prototypes.dim}, model uses {self.rep_dim}"
@@ -232,6 +244,7 @@ class SpanTagger:
                 breakdown = self._train_batch(
                     [toks[i] for i in batch_ids],
                     [golds[i] for i in batch_ids],
+                    [splits[i] for i in batch_ids],
                     proto_vecs,
                     proto_present,
                     weights,
@@ -246,20 +259,21 @@ class SpanTagger:
         }
         return self
 
-    def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray]:
-        """Tokenization and gold classes of a training sentence, cached."""
+    def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray, tuple]:
+        """Tokenization, gold classes and ``split_spans`` of a training
+        sentence, cached."""
         cached = self._train_inputs.get(sentence)
         if cached is None:
             gold = derive_gold_tags(sentence, self.l_max).classes
-            gold.setflags(write=False)
-            cached = self._tokenizer.tokenize(sentence.tokens), gold
+            split = split_spans(gold)
+            for arr in (gold, *split):
+                arr.setflags(write=False)
+            cached = self._tokenizer.tokenize(sentence.tokens), gold, split
             self._train_inputs[sentence] = cached
         return cached
 
-    def _train_batch(self, toks, golds, proto_vecs, proto_present, weights):
-        selections = [
-            select_proto_spans(gold, self._rng, self.null_span_ratio) for gold in golds
-        ]
+    def _train_batch(self, toks, golds, splits, proto_vecs, proto_present, weights):
+        selections = [select_proto_spans(split, self._rng, self.null_span_ratio) for split in splits]
         breakdown, grads, batch_reps = batch_gradients(
             self.params_,
             toks,

@@ -5,13 +5,15 @@ module keeps the straightforward form, one sentence at a time with
 ``np.add.at`` scatters, as an oracle the packed pass is checked against.
 ``reference_forward`` is the forward pass written plainly: fresh arrays,
 no cached layouts and the masked gather tensor spelled out. The package's
-``forward_sentence`` must match it bit for bit.
+``forward_sentence`` must match it bit for bit. ``reference_adam_step`` is
+dense Adam: every row of every block, every step.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from fedspan.encoder import (
-    AdamState,
     BatchReps,
     EncoderParams,
     ForwardPass,
@@ -204,8 +206,16 @@ def reference_batch_gradients(
     return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
 
 
+@dataclass(eq=False)
+class ReferenceAdamState:
+    step: int
+    m: EncoderParams
+    v: EncoderParams
+
+
 def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Same arithmetic as ``adam_step``, returning fresh moments and state."""
+    """Same arithmetic as ``adam_step`` on all rows, returning fresh moments
+    and state. ``state`` may be an ``AdamState`` or a ``ReferenceAdamState``."""
     t = state.step + 1
     new_params = {}
     new_m = {}
@@ -220,5 +230,5 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
         new_params[name] = arr - step.astype(arr.dtype)
         new_m[name] = m
         new_v[name] = v
-    new_state = AdamState(t, EncoderParams(**new_m), EncoderParams(**new_v))
+    new_state = ReferenceAdamState(t, EncoderParams(**new_m), EncoderParams(**new_v))
     return EncoderParams(**new_params), new_state

@@ -13,9 +13,11 @@ from fedspan.encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderParams,
+    GradientBundle,
     LossWeights,
     Tokenization,
     Tokenizer,
+    TrainingDivergedError,
     adam_step,
     attention_weights,
     batch_gradients,
@@ -389,6 +391,72 @@ class TestOptimizers:
                 assert arr is not new, name
                 assert arr.tobytes() == kept.tobytes(), name
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_adam_touched_rows_match_dense_reference(self, precision):
+        """Sparse bundles step only the rows seen so far, yet every byte of
+        params, m and v equals dense Adam over all rows."""
+        config = EncoderConfig(
+            vocab_size=40, embed_dim=4, hidden_dim=5, rep_dim=3, precision=precision
+        )
+        dtype = config.dtype
+        params = EncoderParams.initialize(config, 8)
+        params.embed[7] = -0.0  # never touched: the signed zeros must survive
+        ref_params = params.copy()
+        state = AdamState.zeros(params)
+        ref_state = AdamState.zeros(params)
+        rng = np.random.default_rng(9)
+        seen = np.zeros(config.vocab_size, dtype=bool)
+        for step in range(30):
+            blocks = {
+                name: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), arr.shape).astype(dtype)
+                for name, arr in params.blocks()
+            }
+            if step in (20, 25):  # hand-built dense bundle: all rows
+                grads = GradientBundle(**blocks)
+            elif step == 27:  # plain parameter container: all rows
+                grads = EncoderParams(**blocks)
+            else:
+                rows = np.unique(rng.integers(8, 20, 6))
+                if step == 3:
+                    rows = np.union1d(rows, [30, 31])  # touched once, never again
+                if step == 5:
+                    rows = np.union1d(rows, [25])
+                embed = np.zeros_like(params.embed)
+                embed[rows] = blocks["embed"][rows]
+                if step == 5:  # a touched row whose gradient is all zeros
+                    embed[25] = np.array([0.0, -0.0, -0.0, 0.0], dtype=dtype)
+                blocks["embed"] = embed
+                grads = GradientBundle(**blocks, embed_rows=rows)
+            if step == 4:
+                # m of a seen row underflows to zero while v is still decaying.
+                state.m.embed[30] = 0.0
+                ref_state.m.embed[30] = 0.0
+            seen[grads.embed_rows if hasattr(grads, "embed_rows") else slice(None)] = True
+            lr = 0.01 / (1.0 + step / 7)
+            params, _ = adam_step(params, grads, state, lr)
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
+            assert state.step == ref_state.step == step + 1
+            assert np.array_equal(state.seen_rows, seen)
+            pairs = ((params, ref_params), (state.m, ref_state.m), (state.v, ref_state.v))
+            for holder, ref_holder in pairs:
+                for (name, got), (_, want) in zip(holder.blocks(), ref_holder.blocks()):
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), (step, name)
+            if not seen[7]:
+                assert params.embed[7].tobytes() == np.full(4, -0.0, dtype).tobytes()
+        assert seen.all()
+
+    def test_adam_dense_moments_share_one_buffer(self):
+        params = self.make()
+        state = AdamState.zeros(params)
+        grads = GradientBundle(**{name: np.ones_like(arr) for name, arr in params.blocks()})
+        adam_step(params, grads, state, 0.1)
+        for flat, holder in ((state.m_dense, state.m), (state.v_dense, state.v)):
+            assert flat.size == sum(getattr(holder, name).size for name in EncoderParams.DENSE)
+            assert flat.all()
+            for name in EncoderParams.DENSE:
+                assert np.shares_memory(getattr(holder, name), flat), name
+
     def test_adam_deterministic(self):
         params = self.make()
         grads = EncoderParams.zeros_like(params)
@@ -397,6 +465,35 @@ class TestOptimizers:
         a2, _ = adam_step(params, grads, AdamState.zeros(params), 0.01)
         for (_, x), (_, y) in zip(a1.blocks(), a2.blocks()):
             assert np.array_equal(x, y)
+
+
+class TestGradientBundleFinite:
+    def bundle(self):
+        config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
+        params = EncoderParams.initialize(config, 0)
+        return GradientBundle(
+            **{name: np.zeros_like(arr) for name, arr in params.blocks()},
+            embed_rows=np.array([2, 5]),
+        )
+
+    def test_default_rows_are_all_rows(self):
+        grads = GradientBundle(**{name: arr for name, arr in tiny_params().blocks()})
+        assert np.array_equal(grads.embed_rows, np.arange(len(grads.embed)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_touched_embedding_row_names_embed(self, bad):
+        grads = self.bundle()
+        grads.check_finite()
+        grads.embed[5, 1] = bad
+        with pytest.raises(TrainingDivergedError, match="'embed'"):
+            grads.check_finite()
+
+    @pytest.mark.parametrize("name", EncoderParams.DENSE)
+    def test_dense_block_names_that_block(self, name):
+        grads = self.bundle()
+        getattr(grads, name).reshape(-1)[-1] = np.nan
+        with pytest.raises(TrainingDivergedError, match=f"'{name}'"):
+            grads.check_finite()
 
 
 class TestParamBookkeeping:

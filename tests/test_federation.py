@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import fedspan.model as model_module
 from fedspan.config import ExperimentConfig
 from fedspan.corpus import Corpus, parse_corpus
 from fedspan.encoder import EncoderConfig
@@ -26,6 +27,7 @@ from fedspan.prototypes import PrototypeSet, encode_payload, make_payload
 from fedspan.synth import default_synth_config, generate_synthetic
 
 from conftest import OVERFIT_FIXTURE
+from reference_gradients import reference_adam_step
 
 
 def payload(client_id, f1, mapping, dim=2, round_index=1):
@@ -328,6 +330,21 @@ class TestRunFederated:
         a = run_federated(small_corpora, config)
         b = run_federated(small_corpora, config)
         assert json.dumps(a) == json.dumps(b)
+
+    def test_records_match_dense_reference_adam(self, small_corpora, monkeypatch):
+        """Stepping only the embedding rows seen so far changes no record."""
+        config = tiny_config(rounds=2, track_test_matrix=True)
+        touched = run_federated(small_corpora, config)
+        calls = []
+
+        def dense_adam(*args, **kwargs):
+            calls.append(1)
+            return reference_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "adam_step", dense_adam)
+        dense = run_federated(small_corpora, config)
+        assert calls
+        assert json.dumps(touched) == json.dumps(dense)
 
     def test_outputs_persisted(self, small_corpora, tmp_path):
         config = tiny_config(rounds=2)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import fedspan.encoder as encoder_module
 from fedspan.encoder import (
     EncoderConfig,
     EncoderParams,
     LossWeights,
     Tokenizer,
+    _scatter_rows,
     batch_gradients,
     batch_loss,
 )
@@ -226,3 +228,49 @@ class TestPackedMatchesPerSentence:
         params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], protos=False)
         assert_matches_reference(params, args)
         assert batch_gradients(params, *args)[0].proto == 0.0
+
+
+class TestEmbeddingRows:
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("case_seed", range(50))
+    def test_rows_and_scatter(self, case_seed, precision, monkeypatch):
+        """embed_rows is the batch's unique ids, grads.embed is +0 elsewhere,
+        and it has the bytes of a row-wise np.add.at of the same values."""
+        config, params, toks, golds, selections, protos, present, weights = random_case(case_seed)
+        params = params.astype(precision)
+        scattered = []
+
+        def recording(table, ids, rows):
+            scattered.append((ids.copy(), rows.copy()))
+            _scatter_rows(table, ids, rows)
+
+        monkeypatch.setattr(encoder_module, "_scatter_rows", recording)
+        _, grads, _ = batch_gradients(
+            params, toks, golds, selections, config.l_max, protos, present, weights
+        )
+        ids = np.concatenate([tok.subword_ids for tok in toks])
+        assert np.array_equal(grads.embed_rows, np.unique(ids))
+        untouched = np.ones(len(grads.embed), dtype=bool)
+        untouched[grads.embed_rows] = False
+        assert grads.embed[untouched].tobytes() == bytes(grads.embed[untouched].nbytes)
+
+        [(got_ids, rows)] = scattered
+        assert np.array_equal(got_ids, ids)
+        want = np.zeros_like(grads.embed)
+        np.add.at(want, got_ids, rows)
+        assert grads.embed.dtype == want.dtype == np.dtype(precision)
+        assert grads.embed.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_element_scatter_matches_row_scatter(self, dtype):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            vocab, width = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            table = rng.normal(size=(vocab, width)).astype(dtype)
+            ids = rng.integers(0, vocab, int(rng.integers(0, 300)))
+            scale = 10.0 ** rng.integers(-8, 8, (len(ids), 1))
+            rows = (rng.normal(size=(len(ids), width)) * scale).astype(dtype)
+            want = table.copy()
+            np.add.at(want, ids, rows)
+            _scatter_rows(table, ids, rows)
+            assert table.tobytes() == want.tobytes()

@@ -5,7 +5,13 @@ import pytest
 
 import fedspan.model as model_module
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
-from fedspan.model import NotFittedError, SpanTagger, select_proto_spans, validate_sentences
+from fedspan.model import (
+    NotFittedError,
+    SpanTagger,
+    select_proto_spans,
+    split_spans,
+    validate_sentences,
+)
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
 
@@ -14,6 +20,17 @@ from fedspan.synth import default_synth_config, generate_synthetic
 def tiny_corpus():
     corpora = generate_synthetic(default_synth_config(), 19)
     return corpora[0]
+
+
+def uncached_select_proto_spans(gold_classes, rng, null_ratio):
+    """The selection with the span split done on every call."""
+    labeled = np.flatnonzero(gold_classes != 0)
+    nulls = np.flatnonzero(gold_classes == 0)
+    n_null = min(len(nulls), int(round(null_ratio * len(labeled))))
+    if n_null > 0:
+        sampled = rng.choice(nulls, size=n_null, replace=False)
+        return np.sort(np.concatenate([labeled, sampled]))
+    return labeled
 
 
 def small_tagger(**kw):
@@ -65,27 +82,46 @@ class TestProtoSpanSelection:
     def test_all_labeled_plus_capped_nulls(self):
         gold = np.array([0, 3, 0, 0, 9, 0, 0, 0])
         rng = np.random.default_rng(0)
-        sel = select_proto_spans(gold, rng, null_ratio=1.0)
+        sel = select_proto_spans(split_spans(gold), rng, null_ratio=1.0)
         labels = gold[sel]
         assert {1, 4} <= set(sel)  # labeled spans always kept
         assert (labels != 0).sum() == 2
         assert (labels == 0).sum() == 2  # capped at the labeled count
 
     def test_no_labeled_spans_selects_nothing(self):
-        sel = select_proto_spans(np.zeros(6, dtype=int), np.random.default_rng(0), 1.0)
+        sel = select_proto_spans(split_spans(np.zeros(6, dtype=int)), np.random.default_rng(0), 1.0)
         assert len(sel) == 0
 
     def test_zero_ratio_keeps_only_labeled(self):
         gold = np.array([0, 3, 0, 9])
-        sel = select_proto_spans(gold, np.random.default_rng(0), 0.0)
+        sel = select_proto_spans(split_spans(gold), np.random.default_rng(0), 0.0)
         assert list(sel) == [1, 3]
 
     def test_selection_sorted_and_unique(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             gold = rng.integers(0, 3, 30)
-            sel = select_proto_spans(gold, rng, 1.0)
+            sel = select_proto_spans(split_spans(gold), rng, 1.0)
             assert list(sel) == sorted(set(int(i) for i in sel))
+
+    @pytest.mark.parametrize("null_ratio", [0.0, 0.5, 1.0, 3.0])
+    def test_cached_split_matches_uncached(self, null_ratio):
+        """A split computed once gives the selection and the RNG stream of
+        splitting the gold classes on every call."""
+        rng = np.random.default_rng(11)
+        uncached, cached = np.random.default_rng(4), np.random.default_rng(4)
+        golds = []
+        for _ in range(10):
+            gold = rng.integers(0, 16, int(rng.integers(1, 60))) * (rng.random() < 0.8)
+            gold[rng.random(len(gold)) < rng.random()] = 0
+            golds.append(gold)
+        splits = [split_spans(gold) for gold in golds]
+        for _ in range(4):
+            for gold, split in zip(golds, splits):
+                want = uncached_select_proto_spans(gold, uncached, null_ratio)
+                got = select_proto_spans(split, cached, null_ratio)
+                assert np.array_equal(got, want)
+                assert cached.bit_generator.state == uncached.bit_generator.state
 
 
 class TestTraining:
@@ -150,6 +186,20 @@ class TestTraining:
         metrics = tagger.last_fit_metrics_
         assert {"train_loss", "tag_loss", "proto_loss", "batches"} == set(metrics)
         assert metrics["proto_loss"] == 0.0
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_no_epochs_rejected_before_any_state(self, tiny_corpus, epochs):
+        sentences = tiny_corpus.train[:4]
+        tagger = small_tagger()
+        with pytest.raises(ValueError, match="epochs"):
+            tagger.partial_fit(sentences, epochs=epochs)
+        assert not tagger.is_fitted and tagger.last_fit_metrics_ is None
+        tagger.fit(sentences, epochs=1)
+        params, metrics = tagger.params_, tagger.last_fit_metrics_
+        for call in (tagger.fit, tagger.partial_fit):
+            with pytest.raises(ValueError, match="epochs"):
+                call(sentences, epochs=epochs)
+            assert tagger.params_ is params and tagger.last_fit_metrics_ is metrics
 
     def test_training_inputs_derived_once_per_sentence(self, tiny_corpus, monkeypatch):
         calls = []
