@@ -9,6 +9,10 @@ The network stands in for a pretrained transformer at desk scale:
   to a low-dimensional representation used both for the 16-way span-tag
   softmax and for prototype construction/regularization
 
+The word vectors are computed one sentence at a time (``forward_sentence``);
+the spans of a whole batch of sentences are scored in one packed pass
+(``score_spans``).
+
 Everything is plain numpy. The backward pass is exact and is checked against
 central finite differences in the test suite; training runs in float32,
 gradient checks in float64.
@@ -27,7 +31,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Span
 from .tagging import NUM_CLASSES, span_layout
 
 logger = logging.getLogger(__name__)
@@ -86,7 +89,7 @@ class Tokenization:
     word_sizes: np.ndarray = field(init=False)  # (n_words,) chunks per word
 
     def __post_init__(self) -> None:
-        self.word_sizes = np.diff(self.word_offsets)
+        self.word_sizes = self.word_offsets[1:] - self.word_offsets[:-1]
 
 
 class Tokenizer:
@@ -229,81 +232,22 @@ class GradientBundle(EncoderParams):
         _check_finite([rows, *((name, getattr(self, name)) for name in self.DENSE)], what)
 
 
-def word_representations(params: EncoderParams, tok: Tokenization) -> np.ndarray:
-    """(n_words, hidden_dim) contextual word vectors.
-
-    Chunk embeddings pass through the window-3 linear layer (zero padding at
-    sentence boundaries); each word vector is the mean over its chunks.
-    """
-    if tok.n_words < 1:
-        raise ValueError("empty sentence")
-    d_e = params.embed.shape[1]
-    sub = params.embed[tok.subword_ids]  # (m, d_e)
-    m = sub.shape[0]
-    x = np.zeros((m, 3 * d_e), dtype=sub.dtype)
-    x[:, d_e : 2 * d_e] = sub
-    x[1:, :d_e] = sub[:-1]
-    x[:-1, 2 * d_e :] = sub[1:]
-    h_sub = x @ params.w_ctx.T + params.b_ctx
-    sums = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0)
-    return sums / tok.word_sizes[:, None].astype(sub.dtype)
-
-
-def attention_weights(word_vecs: np.ndarray, span: Span, w_attn: np.ndarray) -> np.ndarray:
-    """Softmax over the span's per-word attention scores."""
-    scores = word_vecs[span.start : span.end + 1] @ w_attn
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
-
-
-def span_representation(word_vecs: np.ndarray, span: Span, params: EncoderParams) -> np.ndarray:
-    """(rep_dim,) projected attention-pooled vector for one span."""
-    alpha = attention_weights(word_vecs, span, params.w_attn)
-    pooled = alpha @ word_vecs[span.start : span.end + 1]
-    return params.w_proj @ pooled + params.b_proj
-
-
-def classify_span(rep: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Probability over the 16 composite tags for one span representation."""
-    logits = params.w_cls @ rep + params.b_cls
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def tag_loss(probs: np.ndarray, gold_classes: np.ndarray) -> float:
-    """Mean cross-entropy, one probability row per enumerated span."""
-    probs = np.asarray(probs)
-    gold_classes = np.asarray(gold_classes)
-    if probs.ndim != 2 or probs.shape[0] != gold_classes.shape[0]:
-        raise ValueError(
-            f"need one probability row per span: {probs.shape} vs {gold_classes.shape}"
-        )
-    picked = probs[np.arange(len(gold_classes)), gold_classes]
-    return float(-np.log(picked).mean())
-
-
 @dataclass(eq=False)
 class ForwardPass:
-    """Per-sentence activations kept for the backward pass."""
+    """Per-sentence word encoding, kept for the backward pass."""
 
     tok: Tokenization
     x: np.ndarray  # (m, 3*embed_dim) windowed chunk embeddings
     word_vecs: np.ndarray  # (n, hidden_dim)
-    pos: np.ndarray  # (S, L) gathered word indices (clipped), shared and read-only
-    mask: np.ndarray  # (S, L), shared and read-only
-    alpha: np.ndarray  # (S, L) attention, zero outside mask
-    pooled: np.ndarray  # (S, hidden_dim)
-    reps: np.ndarray  # (S, rep_dim)
-    probs: np.ndarray  # (S, NUM_CLASSES)
-    log_probs: np.ndarray  # (S, NUM_CLASSES)
 
 
 @lru_cache(maxsize=1024)
 def _gather_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S, L) word index of each span's slots, clipped to the sentence, and
-    the mask of the slots inside the span. Cached and read-only."""
+    """(S, l_max) word index of each span's slots, clipped to the sentence,
+    and the mask of the slots inside the span. Slots past the sentence pad
+    every row to ``l_max``. Cached and read-only."""
     starts, ends, _ = span_layout(n, l_max)
-    pos = starts[:, None] + np.arange(min(l_max, n))
+    pos = starts[:, None] + np.arange(l_max)
     mask = pos <= ends[:, None]
     np.minimum(pos, n - 1, out=pos)
     pos.setflags(write=False)
@@ -322,6 +266,10 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def forward_sentence(params: EncoderParams, tok: Tokenization, l_max: int) -> ForwardPass:
+    """Word vectors of one sentence: chunk embeddings through the window-3
+    layer (zero padding at the sentence boundaries), then the mean over each
+    word's chunks. ``l_max`` is unused here; the spans are scored packed, by
+    ``score_spans``."""
     d_e = params.embed.shape[1]
     sub = params.embed.take(tok.subword_ids, axis=0)
     m = sub.shape[0]
@@ -333,27 +281,74 @@ def forward_sentence(params: EncoderParams, tok: Tokenization, l_max: int) -> Fo
     h_sub += params.b_ctx
     word_vecs = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0)
     word_vecs /= tok.word_sizes[:, None].astype(sub.dtype)
+    return ForwardPass(tok, x, word_vecs)
 
-    pos, mask = _gather_layout(tok.n_words, l_max)
-    scores = word_vecs @ params.w_attn  # (n,)
+
+@dataclass(eq=False)
+class SpanScores:
+    """Span-level activations of a batch of sentences, packed end to end.
+
+    Spans follow each other in sentence order, each sentence in
+    ``enumerate_spans`` order. Every span has ``width`` attention slots: the
+    longest span of the batch, the rest masked out.
+    """
+
+    word_counts: list[int]  # words per sentence
+    span_counts: list[int]  # spans per sentence
+    word_vecs: np.ndarray  # (N, hidden_dim) the sentences' word vectors
+    word_reps: np.ndarray  # (N, rep_dim) word_vecs @ w_proj.T
+    pos: np.ndarray  # (S, width) batch word index of each slot, clipped to its sentence
+    mask: np.ndarray  # (S, width)
+    alpha: np.ndarray  # (S, width) attention, zero outside mask
+    reps: np.ndarray  # (S, rep_dim)
+    logits: np.ndarray  # (S, NUM_CLASSES)
+
+    @property
+    def width(self) -> int:
+        return self.pos.shape[1]
+
+
+def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], l_max: int) -> SpanScores:
+    """Attention pooling, projection and classifier logits for every span of
+    the given sentences, in one pass over the batch.
+
+    Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
+    same linear map applied before the attention-weighted sum instead of
+    after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
+    """
+    word_counts = [fp.tok.n_words for fp in fps]
+    width = min(l_max, max(word_counts))
+    layouts = [_gather_layout(n, l_max) for n in word_counts]
+    span_counts = [len(pos) for pos, _ in layouts]
+    pos = np.concatenate([pos[:, :width] for pos, _ in layouts])
+    pos += np.repeat(_offsets(word_counts), span_counts)[:, None]
+    mask = np.concatenate([mask[:, :width] for _, mask in layouts])
+    word_vecs = np.concatenate([fp.word_vecs for fp in fps])
+
+    scores = word_vecs @ params.w_attn  # (N,)
     alpha = np.where(mask, scores.take(pos), -np.inf)
     alpha -= _row_max(alpha)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
+    # A matrix-vector product sums the short rows faster than sum(axis=1).
+    alpha /= (alpha @ np.ones(width, dtype=alpha.dtype))[:, None]
 
     # alpha is exactly 0 outside the mask, so the clipped slots add nothing.
-    pooled = np.einsum("sl,sld->sd", alpha, word_vecs.take(pos, axis=0))
-    reps = pooled @ params.w_proj.T
+    word_reps = word_vecs @ params.w_proj.T
+    reps = np.matmul(alpha[:, None, :], word_reps.take(pos, axis=0))[:, 0]
     reps += params.b_proj
     logits = reps @ params.w_cls.T
     logits += params.b_cls
+    return SpanScores(word_counts, span_counts, word_vecs, word_reps, pos, mask, alpha, reps, logits)
+
+
+def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log-probabilities and probabilities; overwrites ``logits``."""
     logits_max = _row_max(logits)
     log_norm = np.exp(logits - logits_max).sum(axis=1, keepdims=True)
     np.log(log_norm, out=log_norm)
     log_norm += logits_max
     log_probs = np.subtract(logits, log_norm, out=logits)
-    probs = np.exp(log_probs)
-    return ForwardPass(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
+    return log_probs, np.exp(log_probs)
 
 
 @dataclass(frozen=True)
@@ -394,17 +389,16 @@ def _unit_rows(matrix: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.
 def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The (span, word) pairs of attention pooling in one sentence, by word.
 
-    Returns a (3, P) array whose rows hold each pair's index into the
-    sentence's raveled (S, L) attention, its span and its word, and the
-    index of each word's first pair. Every word is in at least one span, so
-    the words split the pairs into non-empty runs.
+    Returns a (3, P) array whose rows hold each pair's attention slot, its
+    span and its word, and the index of each word's first pair. Every word
+    is in at least one span, so the words split the pairs into non-empty
+    runs.
     """
     pos, mask = _gather_layout(n, l_max)
-    width = pos.shape[1]
-    flat = np.flatnonzero(mask)
-    order = np.argsort(pos.ravel()[flat], kind="stable")
-    flat = flat[order]
-    pairs = np.stack([flat, flat // width, pos.ravel()[flat]])
+    spans, slots = np.nonzero(mask)
+    words = pos[spans, slots]
+    order = np.argsort(words, kind="stable")
+    pairs = np.stack([slots[order], spans[order], words[order]])
     word_starts = np.searchsorted(pairs[2], np.arange(n))
     pairs.setflags(write=False)
     word_starts.setflags(write=False)
@@ -443,9 +437,10 @@ def batch_gradients(
     cross-entropy; the prototype term averages over all selected spans of
     the batch and is active only when global prototypes are given.
 
-    Each sentence runs its own forward pass; the backward pass then runs
-    once over the whole batch, with spans, words and chunks concatenated
-    and per-sentence sums done as segment reductions.
+    Each sentence runs its own word encoder (``forward_sentence``); the
+    spans of the whole batch are then scored in one pass, and the backward
+    pass runs once over the batch, with spans, words and chunks packed end
+    to end and per-sentence sums done as segment reductions.
     """
     if not (len(toks) == len(golds) == len(selections)):
         raise ValueError("toks, golds and selections must be aligned")
@@ -456,20 +451,16 @@ def batch_gradients(
     dtype = params.w_proj.dtype
 
     fps = [forward_sentence(params, tok, l_max) for tok in toks]
-    span_counts = [fp.reps.shape[0] for fp in fps]
+    spans = score_spans(params, fps, l_max)
+    x = np.concatenate([fp.x for fp in fps])
+    del fps  # the packed copies are all the backward pass reads
+    span_counts = spans.span_counts
     for gold, n_spans in zip(golds, span_counts):
         if len(gold) != n_spans:
             raise ValueError(f"gold classes misaligned: {len(gold)} vs {n_spans} spans")
-
-    # Pack the batch: spans, words and chunks of all sentences end to end.
+    reps = spans.reps
+    log_probs, probs = log_softmax(spans.logits)
     span_starts = _offsets(span_counts)
-    alpha_sizes = [fp.alpha.size for fp in fps]
-    alpha = np.concatenate([fp.alpha.ravel() for fp in fps])
-    reps, pooled, probs, log_probs, word_vecs, x = (
-        np.concatenate([getattr(fp, name) for fp in fps])
-        for name in ("reps", "pooled", "probs", "log_probs", "word_vecs", "x")
-    )
-    del fps  # the packed copies are all the backward pass reads
     gold = np.concatenate(golds).astype(np.int64, copy=False)
     sel = np.concatenate(selections).astype(np.int64, copy=False)
     sel += np.repeat(span_starts, [len(s) for s in selections])
@@ -480,9 +471,10 @@ def batch_gradients(
     span_weight = np.repeat(1.0 / (np.array(span_counts) * n_sentences), span_counts)
     tag_mean = float(span_weight @ -log_probs[rows, gold])
     batch_reps = BatchReps(reps[sel], probs[sel].argmax(axis=1), gold[sel])
-    dlogits = probs.copy()
+    dlogits = probs
     dlogits[rows, gold] -= 1.0
     dlogits *= span_weight[:, None].astype(dtype)
+    del log_probs
 
     # Classifier block.
     grads_cls = dlogits.T @ reps
@@ -529,34 +521,34 @@ def batch_gradients(
         scale = weights.proto_weight / n_selected
         dreps[sel] += scale * (weights.align_weight * d_align + weights.sep_weight * d_sep)
 
-    # Projection block.
-    grads_proj = dreps.T @ pooled
+    # Projection and attention pooling. Pooling ran in projected space, over
+    # (span, word) pairs; ordered by word, the per-word gradients are segment
+    # sums. grads.w_proj is the alpha-weighted dreps summed per word, against
+    # the word vectors.
     grads_b_proj = dreps.sum(axis=0)
-    del reps, pooled, probs, log_probs, dlogits  # lowers the peak on long sentences
-
-    # Attention pooling over (span, word) pairs, ordered by word so that the
-    # per-word gradient is a segment sum. The pooled gradient is dreps @ w_proj;
-    # the pairs carry dreps, which is narrower at the default sizes (rep_dim 16
-    # against hidden_dim 32), and w_proj is applied once per word instead.
-    word_counts = [tok.n_words for tok in toks]
+    del reps, probs, dlogits  # lowers the peak on long sentences
+    word_counts = spans.word_counts
     layouts = [_pair_layout(n, l_max) for n in word_counts]
     pair_counts = [pairs.shape[1] for pairs, _ in layouts]
-    pair_offsets = [_offsets(alpha_sizes), span_starts, _offsets(word_counts)]
-    alpha_idx, span_idx, word_idx = np.concatenate(
-        [pairs for pairs, _ in layouts], axis=1
-    ) + np.repeat(pair_offsets, pair_counts, axis=1)
+    pairs = np.concatenate([pairs for pairs, _ in layouts], axis=1)
+    span_idx, word_idx = pairs[1:] + np.repeat(
+        [span_starts, _offsets(word_counts)], pair_counts, axis=1
+    )
     word_starts = np.concatenate([starts for _, starts in layouts])
     word_starts += np.repeat(_offsets(pair_counts), word_counts)
-    alpha = alpha.take(alpha_idx)
+    alpha = spans.alpha.take(span_idx * spans.width + pairs[0])
     dreps_pairs = dreps.take(span_idx, axis=0)
-    word_reps = (word_vecs @ params.w_proj.T).take(word_idx, axis=0)
-    dalpha = np.einsum("pz,pz->p", dreps_pairs, word_reps)
+    dalpha = np.einsum("pz,pz->p", dreps_pairs, spans.word_reps.take(word_idx, axis=0))
     inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(gold))
     dscore = alpha * (dalpha - inner.astype(dtype).take(span_idx))
     dscore_words = np.add.reduceat(dscore, word_starts)
+    word_vecs = spans.word_vecs
+    del spans
     grads_attn = dscore_words @ word_vecs
     dreps_pairs *= alpha[:, None]
-    dword = np.add.reduceat(dreps_pairs, word_starts, axis=0) @ params.w_proj
+    dword_reps = np.add.reduceat(dreps_pairs, word_starts, axis=0)
+    grads_proj = dword_reps.T @ word_vecs
+    dword = dword_reps @ params.w_proj
     dword += dscore_words[:, None] * params.w_attn
 
     # Word mean over chunks, then the window-3 context layer. The window's
@@ -594,26 +586,6 @@ def batch_gradients(
     grads.check_finite("gradient")
 
     return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
-
-
-def batch_loss(
-    params: EncoderParams,
-    toks: Sequence[Tokenization],
-    golds: Sequence[np.ndarray],
-    selections: Sequence[np.ndarray],
-    l_max: int,
-    proto_vecs: np.ndarray | None = None,
-    proto_present: np.ndarray | None = None,
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
-    """Loss breakdown of batch_gradients alone, for finite-difference probes.
-
-    It runs the full backward pass and discards the gradients.
-    """
-    breakdown, _, _ = batch_gradients(
-        params, toks, golds, selections, l_max, proto_vecs, proto_present, weights
-    )
-    return breakdown
 
 
 def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> EncoderParams:

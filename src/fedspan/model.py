@@ -29,6 +29,7 @@ from .encoder import (
     forward_sentence,
     load_params,
     save_params,
+    score_spans,
     sgd_step,
 )
 from .prototypes import PrototypeSet, build_local_prototypes, momentum_update
@@ -58,9 +59,14 @@ def _check_epochs(epochs: int) -> None:
 
 
 def split_spans(gold_classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the labeled spans and of the background (class 0) spans."""
+    """Indices of the labeled spans and of the background (class 0) spans,
+    as int32: half the memory of a cache of int64 indices, and ``rng.choice``
+    draws the same stream for any index dtype."""
     gold_classes = np.asarray(gold_classes)
-    return np.flatnonzero(gold_classes != 0), np.flatnonzero(gold_classes == 0)
+    return (
+        np.flatnonzero(gold_classes != 0).astype(np.int32),
+        np.flatnonzero(gold_classes == 0).astype(np.int32),
+    )
 
 
 def select_proto_spans(
@@ -310,12 +316,23 @@ class SpanTagger:
     def predict_tags(self, sentences: Sequence[Sentence]) -> list[TagMatrix]:
         self._require_fitted()
         validate_sentences(sentences)
+        # Spans are scored batch_size sentences at a time, in call order: in
+        # float32 a sentence's scores can depend on its batch-mates in the
+        # last bits, so the grouping must not depend on anything else.
         out = []
-        for sentence in sentences:
-            tok = self._tokenizer.tokenize(sentence.tokens)
-            fp = forward_sentence(self.params_, tok, self.l_max)
-            classes = fp.probs.argmax(axis=1).astype(np.int16)
-            out.append(TagMatrix(len(sentence.tokens), self.l_max, classes))
+        for lo in range(0, len(sentences), self.batch_size):
+            group = sentences[lo : lo + self.batch_size]
+            fps = [
+                forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens), self.l_max)
+                for s in group
+            ]
+            spans = score_spans(self.params_, fps, self.l_max)
+            classes = spans.logits.argmax(axis=1).astype(np.int16)
+            lo_span = 0
+            for sentence, n_spans in zip(group, spans.span_counts):
+                part = classes[lo_span : lo_span + n_spans]
+                out.append(TagMatrix(len(sentence.tokens), self.l_max, part))
+                lo_span += n_spans
         return out
 
     def predict(self, sentences: Sequence[Sentence]) -> list[list[Triplet]]:

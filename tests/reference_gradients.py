@@ -1,12 +1,19 @@
 """Per-sentence references for ``fedspan.encoder``.
 
-The package runs the backward pass once over the whole packed batch. This
-module keeps the straightforward form, one sentence at a time with
-``np.add.at`` scatters, as an oracle the packed pass is checked against.
-``reference_forward`` is the forward pass written plainly: fresh arrays,
-no cached layouts and the masked gather tensor spelled out. The package's
-``forward_sentence`` must match it bit for bit. ``reference_adam_step`` is
-dense Adam: every row of every block, every step.
+The package scores the spans and runs the backward pass once over the whole
+packed batch. This module keeps the straightforward form, one sentence at a
+time with ``np.add.at`` scatters, as an oracle the packed pass is checked
+against. ``reference_forward`` is the forward pass written plainly: fresh
+arrays, no cached layouts, the masked gather tensor spelled out and pooling
+before the projection. The package's ``forward_sentence`` must match its
+word vectors bit for bit; ``score_spans`` matches its span fields to
+rounding. ``reference_adam_step`` is dense Adam: every row of every block,
+every step.
+
+The scalar helpers (``word_representations``, ``attention_weights``,
+``span_representation``, ``classify_span``, ``tag_loss``) spell out one
+stage for one sentence or span, and ``batch_loss`` is the loss alone, for
+finite-difference probes.
 """
 
 from dataclasses import dataclass
@@ -16,17 +23,107 @@ import numpy as np
 from fedspan.encoder import (
     BatchReps,
     EncoderParams,
-    ForwardPass,
     LossBreakdown,
     LossWeights,
+    Tokenization,
     TrainingDivergedError,
     _unit_rows,
+    batch_gradients,
 )
+from fedspan.corpus import Span
 from fedspan.tagging import span_layout
 
 
+def word_representations(params: EncoderParams, tok: Tokenization) -> np.ndarray:
+    """(n_words, hidden_dim) contextual word vectors.
+
+    Chunk embeddings pass through the window-3 linear layer (zero padding at
+    sentence boundaries); each word vector is the mean over its chunks.
+    """
+    if tok.n_words < 1:
+        raise ValueError("empty sentence")
+    d_e = params.embed.shape[1]
+    sub = params.embed[tok.subword_ids]  # (m, d_e)
+    m = sub.shape[0]
+    x = np.zeros((m, 3 * d_e), dtype=sub.dtype)
+    x[:, d_e : 2 * d_e] = sub
+    x[1:, :d_e] = sub[:-1]
+    x[:-1, 2 * d_e :] = sub[1:]
+    h_sub = x @ params.w_ctx.T + params.b_ctx
+    sums = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0)
+    return sums / tok.word_sizes[:, None].astype(sub.dtype)
+
+
+def attention_weights(word_vecs: np.ndarray, span: Span, w_attn: np.ndarray) -> np.ndarray:
+    """Softmax over the span's per-word attention scores."""
+    scores = word_vecs[span.start : span.end + 1] @ w_attn
+    shifted = np.exp(scores - scores.max())
+    return shifted / shifted.sum()
+
+
+def span_representation(word_vecs: np.ndarray, span: Span, params: EncoderParams) -> np.ndarray:
+    """(rep_dim,) projected attention-pooled vector for one span."""
+    alpha = attention_weights(word_vecs, span, params.w_attn)
+    pooled = alpha @ word_vecs[span.start : span.end + 1]
+    return params.w_proj @ pooled + params.b_proj
+
+
+def classify_span(rep: np.ndarray, params: EncoderParams) -> np.ndarray:
+    """Probability over the 16 composite tags for one span representation."""
+    logits = params.w_cls @ rep + params.b_cls
+    shifted = np.exp(logits - logits.max())
+    return shifted / shifted.sum()
+
+
+def tag_loss(probs: np.ndarray, gold_classes: np.ndarray) -> float:
+    """Mean cross-entropy, one probability row per enumerated span."""
+    probs = np.asarray(probs)
+    gold_classes = np.asarray(gold_classes)
+    if probs.ndim != 2 or probs.shape[0] != gold_classes.shape[0]:
+        raise ValueError(
+            f"need one probability row per span: {probs.shape} vs {gold_classes.shape}"
+        )
+    picked = probs[np.arange(len(gold_classes)), gold_classes]
+    return float(-np.log(picked).mean())
+
+
+def batch_loss(
+    params,
+    toks,
+    golds,
+    selections,
+    l_max,
+    proto_vecs=None,
+    proto_present=None,
+    weights=LossWeights(),
+):
+    """Loss breakdown of ``batch_gradients`` alone, for finite-difference
+    probes. It runs the full backward pass and discards the gradients."""
+    breakdown, _, _ = batch_gradients(
+        params, toks, golds, selections, l_max, proto_vecs, proto_present, weights
+    )
+    return breakdown
+
+
+@dataclass(eq=False)
+class ReferenceForward:
+    """Every activation of one sentence's forward pass."""
+
+    tok: Tokenization
+    x: np.ndarray  # (m, 3*embed_dim) windowed chunk embeddings
+    word_vecs: np.ndarray  # (n, hidden_dim)
+    pos: np.ndarray  # (S, L) gathered word indices (clipped), L = min(l_max, n)
+    mask: np.ndarray  # (S, L)
+    alpha: np.ndarray  # (S, L) attention, zero outside mask
+    pooled: np.ndarray  # (S, hidden_dim)
+    reps: np.ndarray  # (S, rep_dim)
+    probs: np.ndarray  # (S, NUM_CLASSES)
+    log_probs: np.ndarray  # (S, NUM_CLASSES)
+
+
 def reference_forward(params, tok, l_max):
-    """Same contract as ``forward_sentence``; fresh arrays, no caches."""
+    """``forward_sentence`` and one sentence's share of ``score_spans`` and
+    the log-softmax, with fresh arrays and no caches."""
     n = tok.n_words
     d_e = params.embed.shape[1]
     sub = params.embed[tok.subword_ids]
@@ -59,7 +156,7 @@ def reference_forward(params, tok, l_max):
     log_norm = logits_max + np.log(np.exp(logits - logits_max).sum(axis=1, keepdims=True))
     log_probs = logits - log_norm
     probs = np.exp(log_probs)
-    return ForwardPass(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
+    return ReferenceForward(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
 
 
 def reference_batch_gradients(

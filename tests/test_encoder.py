@@ -18,22 +18,28 @@ from fedspan.encoder import (
     Tokenization,
     Tokenizer,
     TrainingDivergedError,
+    _gather_layout,
     adam_step,
-    attention_weights,
     batch_gradients,
-    classify_span,
     forward_sentence,
     load_params,
+    log_softmax,
     save_params,
+    score_spans,
     sgd_step,
-    span_representation,
     split_subwords,
-    tag_loss,
-    word_representations,
 )
 from fedspan.tagging import NUM_CLASSES, span_count
 
-from reference_gradients import reference_adam_step, reference_forward
+from reference_gradients import (
+    attention_weights,
+    classify_span,
+    reference_adam_step,
+    reference_forward,
+    span_representation,
+    tag_loss,
+    word_representations,
+)
 
 
 class TestSplitSubwords:
@@ -254,69 +260,145 @@ class TestTagLoss:
             tag_loss(np.full((2, 16), 1.0 / 16), np.zeros(3, dtype=int))
 
 
+def forward_batch(params, toks, l_max):
+    """The packed forward of a batch: forward_sentence per sentence, then
+    score_spans once, and the log-softmax training applies on top."""
+    spans = score_spans(params, [forward_sentence(params, tok, l_max) for tok in toks], l_max)
+    log_probs, probs = log_softmax(spans.logits.copy())
+    return spans, log_probs, probs
+
+
+def random_words(rng, n):
+    letters = list("abcdefgh")
+    return ["".join(rng.choice(letters, int(rng.integers(1, 8)))) for _ in range(n)]
+
+
 class TestForwardDeterminism:
     def test_identical_inputs_bitwise_equal(self):
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["the", "screen", "cracked"])
-        a = forward_sentence(params, tok, 5)
-        b = forward_sentence(params, tok, 5)
-        assert np.array_equal(a.probs, b.probs)
-        assert np.array_equal(a.reps, b.reps)
+        a_spans, _, a_probs = forward_batch(params, [tok], 5)
+        b_spans, _, b_probs = forward_batch(params, [tok], 5)
+        assert np.array_equal(a_probs, b_probs)
+        assert np.array_equal(a_spans.reps, b_spans.reps)
 
     def test_attention_rows_sum_to_one(self):
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3, precision="float64")
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["a", "bb", "ccc", "dddd", "e"])
-        fp = forward_sentence(params, tok, 3)
-        assert fp.alpha.sum(axis=1) == pytest.approx(np.ones(len(fp.alpha)), abs=1e-6)
-        assert fp.probs.sum(axis=1) == pytest.approx(np.ones(len(fp.probs)), abs=1e-6)
-        assert np.all(fp.probs > 0)
+        spans, _, probs = forward_batch(params, [tok], 3)
+        assert spans.alpha.sum(axis=1) == pytest.approx(np.ones(len(spans.alpha)), abs=1e-6)
+        assert probs.sum(axis=1) == pytest.approx(np.ones(len(probs)), abs=1e-6)
+        assert np.all(probs > 0)
 
 
 class TestForwardReference:
-    """forward_sentence against the plain per-sentence reference, bit for bit."""
+    """forward_sentence against the plain per-sentence reference, bit for bit;
+    the packed span stage against it to rounding."""
 
     L_MAX = 6
+    LENGTHS = [1, L_MAX, L_MAX + 1, 35]
 
-    @pytest.mark.parametrize("precision", ["float32", "float64"])
-    @pytest.mark.parametrize("n", [1, L_MAX, L_MAX + 1, 35])
-    def test_every_field_equal(self, n, precision):
+    def make(self, seed, precision):
         config = EncoderConfig(
             vocab_size=97, embed_dim=5, hidden_dim=6, rep_dim=4, chunk_size=3, precision=precision
         )
-        params = EncoderParams.initialize(config, n)
-        rng = np.random.default_rng(n)
+        params = EncoderParams.initialize(config, seed)
+        rng = np.random.default_rng(seed)
         # Non-zero attention and biases, so every stage of the pass matters.
         for name in ("b_ctx", "w_attn", "b_proj", "b_cls"):
             block = getattr(params, name)
             block[:] = rng.normal(0.0, 1.0, block.shape)
-        letters = list("abcdefgh")
-        words = ["".join(rng.choice(letters, int(rng.integers(1, 8)))) for _ in range(n)]
-        tok = Tokenizer(config.vocab_size, config.chunk_size).tokenize(words)
+        return config, params, rng
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_every_field_equal(self, n, precision):
+        config, params, rng = self.make(n, precision)
+        tok = Tokenizer(config.vocab_size, config.chunk_size).tokenize(random_words(rng, n))
         fp = forward_sentence(params, tok, self.L_MAX)
         ref = reference_forward(params, tok, self.L_MAX)
         assert fp.tok is tok
-        for field in dataclasses.fields(fp):
-            if field.name == "tok":
-                continue
-            got, want = getattr(fp, field.name), getattr(ref, field.name)
-            assert got.dtype == want.dtype, field.name
-            assert got.shape == want.shape, field.name
-            assert np.array_equal(got, want), field.name
-            assert got.tobytes() == want.tobytes(), field.name  # signed zeros too
+        assert [field.name for field in dataclasses.fields(fp)] == ["tok", "x", "word_vecs"]
+        for name in ("x", "word_vecs"):
+            got, want = getattr(fp, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+            assert got.tobytes() == want.tobytes(), name  # signed zeros too
+
+    @pytest.mark.parametrize("order", [LENGTHS, LENGTHS[::-1], [L_MAX + 1, 1, 35, L_MAX]])
+    def test_packed_span_fields_match_reference(self, order):
+        """In float64, each packed span field equals the per-sentence
+        reference within 1e-12 of the block's largest entry. The bits differ:
+        a matmul over the packed batch picks other BLAS kernels, and pooling
+        runs after the projection instead of before it."""
+        config, params, rng = self.make(sum(order), "float64")
+        tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
+        toks = [tokenizer.tokenize(random_words(rng, n)) for n in order]
+        spans, log_probs, probs = forward_batch(params, toks, self.L_MAX)
+        refs = [reference_forward(params, tok, self.L_MAX) for tok in toks]
+        assert spans.word_counts == order
+        assert spans.span_counts == [span_count(n, self.L_MAX) for n in order]
+        assert spans.width == self.L_MAX
+        packed = {"reps": spans.reps, "log_probs": log_probs, "probs": probs}
+        for name, got in packed.items():
+            want = np.concatenate([getattr(ref, name) for ref in refs])
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        # Each sentence's slots are its reference slots, then masked padding.
+        span_lo = word_lo = 0
+        alpha_scale = max(np.abs(ref.alpha).max() for ref in refs)
+        for ref in refs:
+            rows = slice(span_lo, span_lo + len(ref.alpha))
+            width = ref.alpha.shape[1]
+            assert np.array_equal(spans.pos[rows, :width] - word_lo, ref.pos)
+            assert np.array_equal(spans.mask[rows, :width], ref.mask)
+            assert not spans.mask[rows, width:].any()
+            assert np.abs(spans.alpha[rows, :width] - ref.alpha).max() <= 1e-12 * alpha_scale
+            assert spans.alpha[rows, width:].tobytes() == bytes(spans.alpha[rows, width:].nbytes)
+            span_lo += len(ref.alpha)
+            word_lo += ref.tok.n_words
+        ref_probs = np.concatenate([ref.probs for ref in refs])
+        assert np.array_equal(probs.argmax(axis=1), ref_probs.argmax(axis=1))
+        assert np.array_equal(spans.logits.argmax(axis=1), ref_probs.argmax(axis=1))
+
+    def test_logits_argmax_matches_reference_probs(self):
+        """Inference takes the argmax of the logits, skipping the softmax; on
+        random parameters and mixed-length batches it picks the class the
+        reference probabilities pick."""
+        for seed in range(20):
+            config, params, rng = self.make(100 + seed, "float64")
+            for name, block in params.blocks():
+                block[:] = rng.normal(0.0, 2.0, block.shape)
+            tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
+            lengths = rng.integers(1, 36, int(rng.integers(1, 9)))
+            toks = [tokenizer.tokenize(random_words(rng, int(n))) for n in lengths]
+            spans = score_spans(
+                params, [forward_sentence(params, tok, self.L_MAX) for tok in toks], self.L_MAX
+            )
+            ref_probs = np.concatenate(
+                [reference_forward(params, tok, self.L_MAX).probs for tok in toks]
+            )
+            assert np.array_equal(spans.logits.argmax(axis=1), ref_probs.argmax(axis=1))
 
     def test_cached_layout_is_read_only(self):
+        for n, l_max in ((4, 3), (2, 5), (7, 7)):
+            pos, mask = _gather_layout(n, l_max)
+            assert pos.shape == mask.shape == (span_count(n, l_max), l_max)
+            with pytest.raises(ValueError):
+                pos[0, 0] = 1
+            with pytest.raises(ValueError):
+                mask[0, 0] = False
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["the", "screen", "cracked", "twice"])
-        fp = forward_sentence(params, tok, 3)
-        with pytest.raises(ValueError):
-            fp.pos[0, 0] = 1
-        with pytest.raises(ValueError):
-            fp.mask[0, 0] = False
-        again = forward_sentence(params, tok, 3)
-        assert np.array_equal(again.pos, reference_forward(params, tok, 3).pos)
+        spans, _, _ = forward_batch(params, [tok], 3)
+        again, _, _ = forward_batch(params, [tok], 3)
+        ref = reference_forward(params, tok, 3)
+        assert np.array_equal(spans.pos, ref.pos) and np.array_equal(again.pos, ref.pos)
+        assert np.array_equal(again.mask, ref.mask)
 
 
 class TestOptimizers:

@@ -11,11 +11,10 @@ from fedspan.encoder import (
     Tokenizer,
     _scatter_rows,
     batch_gradients,
-    batch_loss,
 )
 from fedspan.tagging import span_count
 
-from reference_gradients import reference_batch_gradients
+from reference_gradients import batch_loss, reference_batch_gradients
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4

@@ -123,6 +123,28 @@ class TestProtoSpanSelection:
                 assert np.array_equal(got, want)
                 assert cached.bit_generator.state == uncached.bit_generator.state
 
+    def test_split_indices_are_int32(self):
+        labeled, nulls = split_spans(np.array([0, 3, 0, 0, 9, 0]))
+        assert labeled.dtype == nulls.dtype == np.int32
+        assert labeled.tolist() == [1, 4] and nulls.tolist() == [0, 2, 3, 5]
+
+    @pytest.mark.parametrize("null_ratio", [0.0, 0.5, 1.0, 3.0])
+    def test_int32_split_matches_int64(self, null_ratio):
+        """The int32 split gives the selections and the RNG stream of the
+        same split in int64."""
+        rng = np.random.default_rng(12)
+        narrow, wide = np.random.default_rng(6), np.random.default_rng(6)
+        golds = [rng.integers(0, 16, int(rng.integers(1, 60))) * (rng.random() < 0.8) for _ in range(10)]
+        for gold in golds:
+            gold[rng.random(len(gold)) < rng.random()] = 0
+        splits = [split_spans(gold) for gold in golds]
+        for _ in range(4):
+            for split in splits:
+                want = select_proto_spans(tuple(a.astype(np.int64) for a in split), wide, null_ratio)
+                got = select_proto_spans(split, narrow, null_ratio)
+                assert np.array_equal(got, want)
+                assert narrow.bit_generator.state == wide.bit_generator.state
+
 
 class TestTraining:
     def test_fit_resets_partial_fit_continues(self, tiny_corpus):
@@ -228,6 +250,34 @@ class TestInference:
     def test_score_matches_evaluate(self, tiny_corpus):
         tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
         assert tagger.score(tiny_corpus.val[:5]) == tagger.evaluate(tiny_corpus.val[:5]).f1
+
+    def test_spans_scored_batch_size_sentences_at_a_time(self, tiny_corpus, monkeypatch):
+        tagger = small_tagger(batch_size=8).fit(tiny_corpus.train[:10], epochs=1)
+        groups = []
+        score = model_module.score_spans
+        monkeypatch.setattr(
+            model_module,
+            "score_spans",
+            lambda params, fps, l_max: groups.append([fp.tok.n_words for fp in fps])
+            or score(params, fps, l_max),
+        )
+        sentences = tiny_corpus.train[:41]
+        tags = tagger.predict_tags(sentences)
+        assert [len(g) for g in groups] == [8, 8, 8, 8, 8, 1]
+        assert sum(groups, []) == [len(s.tokens) for s in sentences]
+        assert [t.n for t in tags] == [len(s.tokens) for s in sentences]
+
+    def test_classes_do_not_depend_on_batch_mates(self, tiny_corpus):
+        """In float64, a sentence gets the same classes scored alone as among
+        40 others of other lengths."""
+        tagger = small_tagger(precision="float64").fit(tiny_corpus.train[:10], epochs=2)
+        others = list(tiny_corpus.train[10:50])
+        assert len(others) == 40 and len({len(s.tokens) for s in others}) > 3
+        for i, sentence in enumerate(tiny_corpus.val[:6]):
+            [alone] = tagger.predict_tags([sentence])
+            mixed = tagger.predict_tags(others[: 7 * i] + [sentence] + others[7 * i :])
+            assert mixed[7 * i].classes.dtype == alone.classes.dtype == np.int16
+            assert np.array_equal(mixed[7 * i].classes, alone.classes)
 
     def test_overfit_small_fixture_reaches_perfect_f1(self):
         from fedspan.corpus import parse_corpus
