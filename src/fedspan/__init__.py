@@ -26,7 +26,6 @@ from .federation import (
     client_round,
     comm_ledger,
     prototype_similarity,
-    run_baselines,
     run_federated,
 )
 from .model import SpanTagger
@@ -34,14 +33,11 @@ from .prototypes import (
     PayloadError,
     PrototypePayload,
     PrototypeSet,
-    align_loss,
     build_local_prototypes,
     decode_payload,
     encode_payload,
     make_payload,
     momentum_update,
-    proto_loss,
-    sep_loss,
 )
 from .synth import SynthConfig, default_synth_config, generate_synthetic
 from .tagging import TagMatrix, derive_gold_tags, enumerate_spans, tag_components, tag_index
@@ -68,7 +64,6 @@ __all__ = [
     "TripletMetrics",
     "aggregate_global",
     "aggregation_weights",
-    "align_loss",
     "build_local_prototypes",
     "client_round",
     "comm_ledger",
@@ -84,12 +79,9 @@ __all__ = [
     "make_payload",
     "momentum_update",
     "parse_corpus",
-    "proto_loss",
     "prototype_similarity",
     "read_corpus_dir",
-    "run_baselines",
     "run_federated",
-    "sep_loss",
     "serialize_corpus",
     "serialize_sentence",
     "tag_components",

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import AGGREGATIONS, MODES, ConfigError, ExperimentConfig
 from .corpus import Corpus, dedup_report_json, deduplicate, read_corpus_dir, write_corpus_dir
-from .federation import comm_ledger, prototype_similarity, run_baselines, run_federated
+from .federation import comm_ledger, prototype_similarity, run_federated
 from .model import SpanTagger
 from .prototypes import decode_payload
 from .synth import SynthConfig, default_synth_config, generate_synthetic
@@ -84,10 +86,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json(), encoding="utf-8")
     (out / "dedup_report.json").write_text(dedup_report_json(report), encoding="utf-8")
-    if config.mode == "federated":
-        records = run_federated(corpora, config, out)
-    else:
-        records = run_baselines(corpora, config, config.mode, out)
+    records = run_federated(corpora, config, out)
     print(f"wrote {len(records)} records to {out / 'records.jsonl'}")
     return 0
 
@@ -105,14 +104,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for corpus in corpora:
             metrics = model.evaluate(corpus.split(args.split))
             row.append(metrics.f1)
-            detailed[f"{name}:{corpus.name}"] = {
-                "precision": metrics.precision,
-                "recall": metrics.recall,
-                "f1": metrics.f1,
-                "tp": metrics.tp,
-                "fp": metrics.fp,
-                "fn": metrics.fn,
-            }
+            detailed[f"{name}:{corpus.name}"] = dataclasses.asdict(metrics)
         matrix.append(row)
     result = {
         "checkpoints": [name for name, _ in models],
@@ -217,24 +209,38 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
+# ExperimentConfig fields settable by flag: --rounds sets `rounds`, and so on.
+CONFIG_FLAGS = (
+    "mode",
+    "aggregation",
+    "rounds",
+    "local_epochs",
+    "seed",
+    "params_seed",
+    "corpus_seed",
+    "output_dir",
+    "align_weight",
+    "sep_weight",
+    "proto_weight",
+    "prototype_momentum",
+    "learning_rate",
+    "rep_dim",
+    "l_max",
+    "synth_config",
+)
+_FLAG_CHOICES = {"mode": MODES, "aggregation": AGGREGATIONS}
+
+
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--mode", choices=["single", "merged", "federated"], dest="mode")
-    parser.add_argument("--aggregation", choices=["uniform", "f1_weighted"], dest="aggregation")
-    parser.add_argument("--rounds", type=int, dest="rounds")
-    parser.add_argument("--local-epochs", type=int, dest="local_epochs")
-    parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--params-seed", type=int, dest="params_seed")
-    parser.add_argument("--corpus-seed", type=int, dest="corpus_seed")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--align-weight", type=float, dest="align_weight")
-    parser.add_argument("--sep-weight", type=float, dest="sep_weight")
-    parser.add_argument("--proto-weight", type=float, dest="proto_weight")
-    parser.add_argument("--prototype-momentum", type=float, dest="prototype_momentum")
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--rep-dim", type=int, dest="rep_dim")
-    parser.add_argument("--l-max", type=int, dest="l_max")
-    parser.add_argument("--synth-config", dest="synth_config")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for name in CONFIG_FLAGS:
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=hints[name] if hints[name] in (int, float) else None,
+            choices=_FLAG_CHOICES.get(name),
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

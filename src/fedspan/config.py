@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .model import SpanTagger
 from .synth import DEFAULT_CORPUS_SEED
 
 MODES = ("single", "merged", "federated")
@@ -19,6 +22,19 @@ AGGREGATIONS = ("uniform", "f1_weighted")
 
 class ConfigError(ValueError):
     pass
+
+
+def _has_type(value, kind) -> bool:
+    """``isinstance`` against a field annotation; an int is a valid float,
+    a bool is not an int."""
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -64,6 +80,11 @@ class ExperimentConfig:
     output_dir: str = "runs/exp"
 
     def validate(self) -> None:
+        for name, kind in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                kind_name = getattr(kind, "__name__", kind)
+                raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.aggregation not in AGGREGATIONS:
@@ -131,24 +152,10 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2)
 
     def model_kwargs(self, data_seed) -> dict:
-        """Constructor arguments for the SpanTagger trained on one client."""
-        return {
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "rep_dim": self.rep_dim,
-            "vocab_size": self.vocab_size,
-            "chunk_size": self.chunk_size,
-            "l_max": self.l_max,
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "lr_decay_steps": self.lr_decay_steps,
-            "batch_size": self.batch_size,
-            "proto_weight": self.proto_weight,
-            "align_weight": self.align_weight,
-            "sep_weight": self.sep_weight,
-            "prototype_momentum": self.prototype_momentum,
-            "null_span_ratio": self.null_span_ratio,
-            "prototype_assignment": self.prototype_assignment,
-            "seed": data_seed,
-            "params_seed": self.params_seed,
-        }
+        """Constructor arguments for the SpanTagger trained on one client:
+        every ``SpanTagger`` parameter this config names, with ``seed``
+        replaced by the client's data seed."""
+        fields = set(self.field_names())
+        kwargs = {name: getattr(self, name) for name in SpanTagger._PARAM_NAMES if name in fields}
+        kwargs["seed"] = data_seed
+        return kwargs

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -54,6 +54,15 @@ class EncoderConfig:
     hash_seed: int = 0
     l_max: int = 10
     precision: str = "float32"
+
+    @classmethod
+    def from_attributes(cls, source) -> "EncoderConfig":
+        """The config named by ``source``'s same-named attributes (a
+        ``SpanTagger`` or an ``ExperimentConfig``); fields ``source`` lacks
+        keep their defaults."""
+        return cls(
+            **{f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
+        )
 
     @property
     def dtype(self) -> np.dtype:

@@ -10,12 +10,13 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ class ClientState:
     client_id: int
     corpus: Corpus
     model: SpanTagger
-    last_val_f1: float = 0.0
 
 
 def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
@@ -136,7 +136,6 @@ class Server:
     def __init__(self, aggregation: str):
         self.aggregation = aggregation
         self.global_prototypes: PrototypeSet | None = None
-        self.history: list[PrototypeSet] = []
         self.payload_log: list[dict] = []
         self.last_weights: list[float] = []
         self.last_class_weights: dict[int, list[tuple[int, float]]] = {}
@@ -155,7 +154,6 @@ class Server:
             )
         aggregated, base_weights, class_weights = _aggregate(payloads, self.aggregation)
         self.global_prototypes = aggregated
-        self.history.append(aggregated)
         self.last_weights = base_weights
         self.last_class_weights = class_weights
         self._mean_val_f1 = float(np.mean([p.val_f1 for p in payloads]))
@@ -188,7 +186,6 @@ def client_round(
             f"client {state.client_id} ({state.corpus.name}) round {round_index}: {exc}"
         ) from exc
     val = state.model.evaluate(state.corpus.val)
-    state.last_val_f1 = val.f1
     payload = make_payload(state.client_id, round_index, val.f1, state.model.prototypes_)
     stats = state.model.last_fit_metrics_
     metrics = {
@@ -200,26 +197,6 @@ def client_round(
         "val_f1": val.f1,
     }
     return payload, metrics
-
-
-class _RecordWriter:
-    """Appends one JSON object per line, flushed immediately."""
-
-    def __init__(self, out_dir: Path | None):
-        self._fh: IO[str] | None = None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            self._fh = open(out_dir / "records.jsonl", "w", encoding="utf-8")
-
-    def write(self, record: dict) -> None:
-        if self._fh is not None:
-            self._fh.write(json.dumps(record) + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 def _check_splits(corpora: Sequence[Corpus]) -> None:
@@ -262,41 +239,65 @@ def _record(
     }
 
 
+def _clients(corpora: Sequence[Corpus], config: ExperimentConfig) -> list[ClientState]:
+    """One client per corpus, or in ``merged`` mode one client on the
+    concatenated train/val splits with its own data seed."""
+    if config.mode == "merged":
+        merged = Corpus(
+            "merged",
+            [s for corpus in corpora for s in corpus.train],
+            [s for corpus in corpora for s in corpus.val],
+            [],
+        )
+        model = SpanTagger(**config.model_kwargs((config.seed, len(corpora))))
+        return [ClientState(0, merged, model)]
+    return [
+        ClientState(i, corpus, SpanTagger(**config.model_kwargs((config.seed, i))))
+        for i, corpus in enumerate(corpora)
+    ]
+
+
 def run_federated(
     corpora: Sequence[Corpus], config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> list[dict]:
-    """Full federated run: local training, upload, aggregation, broadcast.
+    """The round loop of every mode: local training, then in ``federated``
+    mode upload, aggregation and broadcast.
 
-    Returns one record per (round, client); with ``out_dir`` set, records are
-    streamed to ``records.jsonl`` after every round and final checkpoints and
-    payloads are persisted. A diverging client halts the run with everything
-    recorded so far already flushed.
+    ``config.mode`` picks the clients and whether they exchange prototypes:
+    ``federated`` trains one client per corpus and exchanges them through a
+    ``Server``; ``single`` trains the same clients in isolation; ``merged``
+    trains one client on the concatenated train/val splits. Every mode uses
+    the same per-round epoch schedule and evaluates on every test split.
+
+    Returns one record per (round, client); the baselines record zero
+    uploaded/downloaded floats and no weights. With ``out_dir`` set, records
+    are streamed to ``records.jsonl`` after every round and final checkpoints
+    are persisted (``client_XX_<corpus>.ckpt`` federated, ``model_XX_<name>.ckpt``
+    otherwise), plus the final payloads in ``federated`` mode. A diverging
+    client halts the run with everything recorded so far already flushed.
     """
     _check_splits(corpora)
     config.validate()
     out_path = Path(out_dir) if out_dir is not None else None
-    clients = [
-        ClientState(i, corpus, SpanTagger(**config.model_kwargs((config.seed, i))))
-        for i, corpus in enumerate(corpora)
-    ]
-    server = Server(config.aggregation)
+    clients = _clients(corpora, config)
+    server = Server(config.aggregation) if config.mode == "federated" else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
     records: list[dict] = []
-    writer = _RecordWriter(out_path)
     incoming: PrototypeSet | None = None
     downloaded = 0
     final_blobs: list[bytes] = []
-    try:
+    with (
+        open(out_path / "records.jsonl", "w", encoding="utf-8")
+        if out_path is not None
+        else contextlib.nullcontext()
+    ) as records_file:
         for round_index in range(1, config.rounds + 1):
-            blobs = []
-            payloads = []
-            metrics_list = []
-            for client in clients:
-                payload, metrics = client_round(client, incoming, round_index, config)
-                payloads.append(payload)
-                blobs.append(encode_payload(payload))
-                metrics_list.append(metrics)
-            server.receive_and_aggregate(blobs, round_index)
-            for client, payload, metrics in zip(clients, payloads, metrics_list):
+            outcomes = [client_round(client, incoming, round_index, config) for client in clients]
+            if server is not None:
+                blobs = [encode_payload(payload) for payload, _ in outcomes]
+                server.receive_and_aggregate(blobs, round_index)
+            for client, (payload, metrics) in zip(clients, outcomes):
                 test_matrix = (
                     _test_matrix(client.model, corpora) if config.track_test_matrix else {}
                 )
@@ -306,25 +307,26 @@ def run_federated(
                     client.corpus.name,
                     metrics,
                     test_matrix,
-                    payload.float_count(),
+                    payload.float_count() if server is not None else 0,
                     downloaded,
-                    server.last_weights,
+                    server.last_weights if server is not None else [],
                 )
                 records.append(record)
-                writer.write(record)
-            broadcast_blob = server.broadcast(round_index)
-            incoming = decode_payload(broadcast_blob).prototypes
-            downloaded = incoming.float_count()
-            final_blobs = blobs
-    finally:
-        writer.close()
+                if records_file is not None:
+                    records_file.write(json.dumps(record) + "\n")
+                    records_file.flush()
+            if server is not None:
+                incoming = decode_payload(server.broadcast(round_index)).prototypes
+                downloaded = incoming.float_count()
+                final_blobs = blobs
     if out_path is not None:
+        prefix = "client" if server is not None else "model"
         ckpt_dir = out_path / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for client in clients:
             if client.model.is_fitted:
                 client.model.save(
-                    ckpt_dir / f"client_{client.client_id:02d}_{client.corpus.name}.ckpt"
+                    ckpt_dir / f"{prefix}_{client.client_id:02d}_{client.corpus.name}.ckpt"
                 )
         if final_blobs:
             payload_dir = out_path / "payloads"
@@ -332,69 +334,6 @@ def run_federated(
             for client, blob in zip(clients, final_blobs):
                 (payload_dir / f"client_{client.client_id:02d}_{client.corpus.name}.bin").write_bytes(blob)
             (payload_dir / "global.bin").write_bytes(server.broadcast(config.rounds))
-    return records
-
-
-def run_baselines(
-    corpora: Sequence[Corpus],
-    config: ExperimentConfig,
-    mode: str | None = None,
-    out_dir: str | Path | None = None,
-) -> list[dict]:
-    """Non-federated reference runs on the same record schema.
-
-    ``merged`` trains one model on the concatenated train/val splits;
-    ``single`` trains one isolated model per corpus. Both evaluate on every
-    test split, use the same per-round epoch schedule as the federated run,
-    and never exchange prototypes.
-    """
-    mode = mode or config.mode
-    if mode not in ("single", "merged"):
-        raise ValueError(f"baseline mode must be 'single' or 'merged', got {mode!r}")
-    _check_splits(corpora)
-    config.validate()
-    out_path = Path(out_dir) if out_dir is not None else None
-
-    if mode == "merged":
-        train = [s for corpus in corpora for s in corpus.train]
-        val = [s for corpus in corpora for s in corpus.val]
-        units = [
-            (0, "merged", SpanTagger(**config.model_kwargs((config.seed, len(corpora)))), train, val)
-        ]
-    else:
-        units = [
-            (i, corpus.name, SpanTagger(**config.model_kwargs((config.seed, i))), corpus.train, corpus.val)
-            for i, corpus in enumerate(corpora)
-        ]
-
-    records: list[dict] = []
-    writer = _RecordWriter(out_path)
-    try:
-        for round_index in range(1, config.rounds + 1):
-            for unit_id, name, model, train, val in units:
-                model.partial_fit(train, epochs=config.local_epochs)
-                val_metrics = model.evaluate(val)
-                stats = model.last_fit_metrics_
-                metrics = {
-                    "train_loss": stats["train_loss"],
-                    "tag_loss": stats["tag_loss"],
-                    "proto_loss": stats["proto_loss"],
-                    "val_p": val_metrics.precision,
-                    "val_r": val_metrics.recall,
-                    "val_f1": val_metrics.f1,
-                }
-                test_matrix = _test_matrix(model, corpora) if config.track_test_matrix else {}
-                record = _record(round_index, unit_id, name, metrics, test_matrix, 0, 0, [])
-                records.append(record)
-                writer.write(record)
-    finally:
-        writer.close()
-    if out_path is not None:
-        ckpt_dir = out_path / "checkpoints"
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        for unit_id, name, model, _, _ in units:
-            if model.is_fitted:
-                model.save(ckpt_dir / f"model_{unit_id:02d}_{name}.ckpt")
     return records
 
 
@@ -425,14 +364,7 @@ def prototype_similarity(payloads: Sequence[PrototypePayload]) -> np.ndarray:
 
 def comm_ledger(config: ExperimentConfig, records: Sequence[dict] | None = None) -> dict:
     """Communication accounting: model size vs classifier vs prototype payload."""
-    encoder = EncoderConfig(
-        vocab_size=config.vocab_size,
-        embed_dim=config.embed_dim,
-        hidden_dim=config.hidden_dim,
-        rep_dim=config.rep_dim,
-        chunk_size=config.chunk_size,
-        l_max=config.l_max,
-    )
+    encoder = EncoderConfig.from_attributes(config)
     prototype_floats = NUM_CLASSES * config.rep_dim
     report = {
         "num_classes": NUM_CLASSES,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -116,26 +117,10 @@ class SpanTagger:
         params_seed: int = 0,
         precision: str = "float32",
     ):
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.rep_dim = rep_dim
-        self.vocab_size = vocab_size
-        self.chunk_size = chunk_size
-        self.hash_seed = hash_seed
-        self.l_max = l_max
-        self.optimizer = optimizer
-        self.learning_rate = learning_rate
-        self.lr_decay_steps = lr_decay_steps
-        self.batch_size = batch_size
-        self.proto_weight = proto_weight
-        self.align_weight = align_weight
-        self.sep_weight = sep_weight
-        self.prototype_momentum = prototype_momentum
-        self.null_span_ratio = null_span_ratio
-        self.prototype_assignment = prototype_assignment
-        self.seed = seed
-        self.params_seed = params_seed
-        self.precision = precision
+        # Each argument is kept under its own name, as get_params reads it.
+        args = locals()
+        for name in self._PARAM_NAMES:
+            setattr(self, name, args[name])
         self._reset_state()
 
     _PARAM_NAMES = tuple(
@@ -174,16 +159,7 @@ class SpanTagger:
         return self.params_ is not None
 
     def _encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            vocab_size=self.vocab_size,
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            rep_dim=self.rep_dim,
-            chunk_size=self.chunk_size,
-            hash_seed=self.hash_seed,
-            l_max=self.l_max,
-            precision=self.precision,
-        )
+        return EncoderConfig.from_attributes(self)
 
     def _initialize(self) -> None:
         config = self._encoder_config()
@@ -356,15 +332,7 @@ class SpanTagger:
     @classmethod
     def load(cls, path: str | Path) -> "SpanTagger":
         params, config = load_params(path)
-        tagger = cls(
-            embed_dim=config.embed_dim,
-            hidden_dim=config.hidden_dim,
-            rep_dim=config.rep_dim,
-            vocab_size=config.vocab_size,
-            chunk_size=config.chunk_size,
-            hash_seed=config.hash_seed,
-            l_max=config.l_max,
-        )
+        tagger = cls(**asdict(config))
         tagger._initialize()
         tagger.params_ = params
         return tagger

@@ -10,7 +10,7 @@ pool to make cross-domain evaluation measurable but not trivial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -75,33 +75,14 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
-        known = {
-            "domains",
-            "opinions",
-            "templates",
-            "train_size",
-            "val_size",
-            "test_size",
-            "shared_aspects",
-            "shared_aspect_rate",
-            "max_attempts",
-        }
-        unknown = set(data) - known
+        """Inverse of ``to_dict``; omitted optional keys take the field defaults."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise SynthConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        domains = [DomainSpec(d["name"], list(d["aspects"])) for d in data["domains"]]
-        opinions = [(term, Polarity(pol)) for term, pol in data["opinions"]]
-        config = cls(
-            domains=domains,
-            opinions=opinions,
-            templates=list(data["templates"]),
-            train_size=data.get("train_size", 200),
-            val_size=data.get("val_size", 60),
-            test_size=data.get("test_size", 120),
-            shared_aspects=list(data.get("shared_aspects", [])),
-            shared_aspect_rate=data.get("shared_aspect_rate", 0.1),
-            max_attempts=data.get("max_attempts", 200),
-        )
+        values = dict(data)
+        values["domains"] = [DomainSpec(d["name"], list(d["aspects"])) for d in data["domains"]]
+        values["opinions"] = [(term, Polarity(pol)) for term, pol in data["opinions"]]
+        config = cls(**values)
         config.validate()
         return config
 
@@ -110,17 +91,9 @@ class SynthConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def to_dict(self) -> dict:
-        return {
-            "domains": [{"name": d.name, "aspects": d.aspects} for d in self.domains],
-            "opinions": [[term, pol.value] for term, pol in self.opinions],
-            "templates": self.templates,
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "test_size": self.test_size,
-            "shared_aspects": self.shared_aspects,
-            "shared_aspect_rate": self.shared_aspect_rate,
-            "max_attempts": self.max_attempts,
-        }
+        data = asdict(self)
+        data["opinions"] = [[term, pol.value] for term, pol in self.opinions]
+        return data
 
 
 def default_synth_config() -> SynthConfig:

@@ -19,16 +19,11 @@ from fedspan.config import ExperimentConfig
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus, read_corpus_dir
 from fedspan.decoding import decode_triplets
 from fedspan.encoder import batch_gradients
-from fedspan.prototypes import (
-    PrototypeSet,
-    align_loss,
-    build_local_prototypes,
-    momentum_update,
-    sep_loss,
-)
+from fedspan.prototypes import PrototypeSet, build_local_prototypes, momentum_update
 from fedspan.tagging import derive_gold_tags
 
 from reference_decoding import brute_force_decode
+from reference_prototypes import align_loss, sep_loss
 from test_decoding import random_tags
 from test_gradients import check_case, TOLERANCE as GRAD_TOLERANCE
 
@@ -247,7 +242,7 @@ def experiment_runs():
     start = time.monotonic()
     fed = fs.run_federated(corpora, base)
     uniform = fs.run_federated(corpora, base.override(aggregation="uniform"))
-    single = fs.run_baselines(corpora, base, "single")
+    single = fs.run_federated(corpora, base.override(mode="single"))
     elapsed = time.monotonic() - start
     return {
         "names": names,

@@ -1,11 +1,13 @@
 """CLI subcommands: generate, train, eval, analyze, sweep, ledger."""
 
+import argparse
 import csv
 import json
+import typing
 
 import pytest
 
-from fedspan.cli import main
+from fedspan.cli import CONFIG_FLAGS, _add_config_arguments, build_parser, main
 from fedspan.config import ExperimentConfig
 from fedspan.corpus import parse_corpus, read_corpus_dir, write_corpus_dir, Corpus
 from fedspan.synth import default_synth_config
@@ -107,6 +109,16 @@ class TestTrain:
         data["mode"] = "bogus"
         config.write_text(json.dumps(data))
         assert main(["train", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("bad", [{"rounds": "5"}, {"rounds": 2.5}])
+    def test_wrongly_typed_value_fails_before_writing(self, tmp_path, capsys, bad):
+        config = small_config(tmp_path)
+        data = json.loads(config.read_text())
+        data.update(bad)
+        config.write_text(json.dumps(data))
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: rounds must be of type int")
+        assert not (tmp_path / "run").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         config = small_config(tmp_path)
@@ -232,3 +244,22 @@ class TestLedgerCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["prototype_floats"] == 3200
         assert report["classifier_floats"] == 3216
+
+
+class TestConfigFlags:
+    SAMPLES = {int: "3", float: "0.5", str: "x"}
+
+    def test_each_flag_sets_its_field_with_the_field_type(self):
+        hints = typing.get_type_hints(ExperimentConfig)
+        parser = argparse.ArgumentParser()
+        _add_config_arguments(parser)
+        flags = [a for a in parser._actions if a.dest not in ("help", "config")]
+        assert [a.dest for a in flags] == list(CONFIG_FLAGS)
+        for action in flags:
+            assert action.dest in ExperimentConfig.field_names()
+            kind = {str | None: str}.get(hints[action.dest], hints[action.dest])
+            value = action.choices[0] if action.choices else self.SAMPLES[kind]
+            args = build_parser().parse_args(["train", action.option_strings[0], value])
+            parsed = getattr(args, action.dest)
+            assert type(parsed) is kind, action.dest
+            ExperimentConfig().override(**{action.dest: parsed})

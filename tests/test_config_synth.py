@@ -1,10 +1,15 @@
 """ExperimentConfig schema handling and the synthetic corpus generator."""
 
+import dataclasses
+import inspect
+import itertools
 import json
 
 import pytest
 
 from fedspan.config import ConfigError, ExperimentConfig
+from fedspan.encoder import EncoderConfig
+from fedspan.model import SpanTagger
 from fedspan.corpus import deduplicate, serialize_corpus, parse_corpus
 from fedspan.synth import (
     SynthConfig,
@@ -40,6 +45,48 @@ class TestExperimentConfig:
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"rounds": "5"},
+            {"rounds": 2.5},
+            {"rounds": True},
+            {"learning_rate": "0.01"},
+            {"lr_decay_steps": "600"},
+            {"mode": 1},
+            {"track_test_matrix": 1},
+            {"corpus_dirs": "a"},
+            {"corpus_dirs": [1]},
+            {"synth_config": 3},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be of type"):
+            ExperimentConfig.from_dict(bad)
+
+    def test_int_accepted_where_float_expected(self):
+        config = ExperimentConfig.from_dict({"learning_rate": 1, "lr_decay_steps": None})
+        assert config.learning_rate == 1
+
+    def test_shared_defaults_agree(self):
+        """A hyperparameter named by two of the config, the model and the
+        encoder config defaults to one value. ``seed`` is exempt: the
+        config's is the experiment's data seed, from which each client's
+        model seed is derived."""
+        defaults = [
+            {f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
+            {
+                name: p.default
+                for name, p in inspect.signature(SpanTagger.__init__).parameters.items()
+                if name != "self"
+            },
+            {f.name: f.default for f in dataclasses.fields(EncoderConfig)},
+        ]
+        for a, b in itertools.combinations(defaults, 2):
+            for name in (set(a) & set(b)) - {"seed"}:
+                assert a[name] == b[name], name
+        assert set(defaults[2]) <= set(defaults[1])
 
     def test_file_round_trip(self, tmp_path):
         config = ExperimentConfig(rounds=3, rep_dim=12)

