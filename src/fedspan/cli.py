@@ -124,6 +124,14 @@ def _read_records_file(path: Path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def _in_domain_f1(rec: dict, mode: str) -> float | str:
+    """Test F1 on the record's own corpus, or on all of them for the merged client."""
+    matrix = rec["test_f1_matrix"]
+    if mode == "merged" and matrix:
+        return sum(matrix.values()) / len(matrix)
+    return matrix.get(rec["corpus"], "")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     out = Path(args.out) if args.out else run_dir / "analysis"
@@ -135,7 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(["round", "client", "corpus", "val_f1", "test_in_domain_f1"])
         for rec in records:
-            in_domain = rec["test_f1_matrix"].get(rec["corpus"], "")
+            in_domain = _in_domain_f1(rec, config.mode)
             writer.writerow([rec["round"], rec["client"], rec["corpus"], rec["val_f1"], in_domain])
 
     payload_dir = run_dir / "payloads"
@@ -155,8 +163,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             dim = payloads[0].prototypes.dim
             writer.writerow(["client", "corpus", "class", "label"] + [f"v{i}" for i in range(dim)])
             for name, payload in zip(names, payloads):
-                for cls in payload.prototypes.classes():
-                    vec = payload.prototypes.vectors[cls]
+                for cls in payload.prototypes.present.nonzero()[0]:
+                    vec = payload.prototypes.matrix[cls]
                     writer.writerow(
                         [payload.client_id, name, cls, tag_label(cls)] + [f"{v:.8g}" for v in vec]
                     )
@@ -189,7 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         rec["client"],
                         rec["corpus"],
                         rec["val_f1"],
-                        rec["test_f1_matrix"].get(rec["corpus"], ""),
+                        _in_domain_f1(rec, cell.mode),
                     ]
                 )
     out.mkdir(parents=True, exist_ok=True)

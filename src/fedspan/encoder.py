@@ -201,16 +201,6 @@ class EncoderParams:
     def flatten(self) -> np.ndarray:
         return np.concatenate([arr.ravel() for _, arr in self.blocks()])
 
-    def with_flat(self, flat: np.ndarray) -> "EncoderParams":
-        out = {}
-        pos = 0
-        for name, arr in self.blocks():
-            out[name] = flat[pos : pos + arr.size].reshape(arr.shape).astype(arr.dtype)
-            pos += arr.size
-        if pos != flat.size:
-            raise ValueError("flat vector size does not match parameter shapes")
-        return EncoderParams(**out)
-
     def check_finite(self, what: str = "parameter") -> None:
         _check_finite(self.blocks(), what)
 

@@ -30,7 +30,6 @@ from .prototypes import (
     decode_payload,
     encode_payload,
     make_payload,
-    safe_cosine,
 )
 from .tagging import NUM_CLASSES
 
@@ -85,7 +84,8 @@ def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
 
 def _aggregate(
     payloads: Sequence[PrototypePayload], mode: str
-) -> tuple[PrototypeSet, list[float], dict[int, list[tuple[int, float]]]]:
+) -> tuple[PrototypeSet, list[float], np.ndarray]:
+    """Aggregate, client weights, and the renormalized clients x classes weights."""
     if not payloads:
         raise ValueError("no payloads to aggregate")
     payloads = sorted(payloads, key=lambda p: p.client_id)
@@ -101,24 +101,27 @@ def _aggregate(
                 f"client {p.client_id} payload is for round {p.round_index}, expected {round_index}"
             )
     base_weights = aggregation_weights([p.val_f1 for p in payloads], mode)
-    all_classes = sorted({c for p in payloads for c in p.prototypes.classes()})
-    vectors: dict[int, np.ndarray] = {}
-    class_weights: dict[int, list[tuple[int, float]]] = {}
-    for cls in all_classes:
-        reporters = [i for i, p in enumerate(payloads) if p.prototypes.present(cls)]
-        sub = [base_weights[i] for i in reporters]
-        sub_total = sum(sub)
-        if sub_total == 0.0:
-            logger.info("class %d reported only by zero-weight clients, using uniform", cls)
-            sub = [1.0 / len(reporters)] * len(reporters)
-        else:
-            sub = [w / sub_total for w in sub]
-        vec = np.zeros(dim, dtype=np.float64)
-        for w, i in zip(sub, reporters):
-            vec += w * payloads[i].prototypes.vectors[cls].astype(np.float64)
-        vectors[cls] = vec
-        class_weights[cls] = [(payloads[i].client_id, w) for i, w in zip(reporters, sub)]
-    return PrototypeSet(dim, vectors, round_index), base_weights, class_weights
+    reported = np.array([p.prototypes.present for p in payloads])
+    class_weights = np.where(reported, np.array(base_weights)[:, None], 0.0)
+    # Each per-class float64 sum adds clients one at a time in ascending id,
+    # as a per-class loop would.
+    totals = np.zeros(NUM_CLASSES)
+    for row in class_weights:
+        totals += row
+    zero_total = reported.any(axis=0) & (totals == 0.0)
+    if zero_total.any():
+        fallback = zero_total.nonzero()[0].tolist()
+        logger.info("classes %s reported only by zero-weight clients, using uniform", fallback)
+    class_weights = np.where(
+        zero_total,
+        reported / np.maximum(reported.sum(axis=0), 1),
+        class_weights / np.where(totals == 0.0, 1.0, totals),
+    )
+    matrix = np.zeros((NUM_CLASSES, dim))
+    for weights, p in zip(class_weights, payloads):
+        matrix += weights[:, None] * p.prototypes.matrix.astype(np.float64)
+    aggregated = PrototypeSet.from_arrays(matrix, reported.any(axis=0), round_index)
+    return aggregated, base_weights, class_weights
 
 
 def aggregate_global(payloads: Sequence[PrototypePayload], mode: str) -> PrototypeSet:
@@ -138,7 +141,7 @@ class Server:
         self.global_prototypes: PrototypeSet | None = None
         self.payload_log: list[dict] = []
         self.last_weights: list[float] = []
-        self.last_class_weights: dict[int, list[tuple[int, float]]] = {}
+        self.last_class_weights = np.zeros((0, NUM_CLASSES))
 
     def receive_and_aggregate(self, blobs: Sequence[bytes], round_index: int) -> PrototypeSet:
         payloads = [decode_payload(blob) for blob in blobs]
@@ -338,28 +341,29 @@ def run_federated(
 
 
 def prototype_similarity(payloads: Sequence[PrototypePayload]) -> np.ndarray:
-    """K x K mean cosine similarity between clients' prototypes.
+    """K x K mean cosine similarity between clients' prototypes, in float64.
 
-    Entry (k, l) averages the cosine over the classes both clients report;
-    a pair with no shared class is an error.
+    Entry (k, l) averages the cosine over the classes both clients report, a
+    zero-norm prototype counting as 0; a pair with no shared class is an error.
     """
-    n = len(payloads)
-    if n == 0:
+    if not payloads:
         raise ValueError("no payloads")
-    matrix = np.eye(n, dtype=np.float64)
-    for k in range(n):
-        for l in range(k + 1, n):
-            a, b = payloads[k].prototypes, payloads[l].prototypes
-            shared = sorted(set(a.classes()) & set(b.classes()))
-            if not shared:
-                raise ValueError(
-                    f"clients {payloads[k].client_id} and {payloads[l].client_id} share no classes"
-                )
-            value = float(
-                np.mean([safe_cosine(a.vectors[c], b.vectors[c]) for c in shared])
-            )
-            matrix[k, l] = matrix[l, k] = value
-    return matrix
+    matrices = np.array([p.prototypes.matrix for p in payloads], dtype=np.float64)
+    present = np.array([p.prototypes.present for p in payloads])
+    norms = np.linalg.norm(matrices, axis=2, keepdims=True)
+    unit = np.divide(matrices, norms, out=np.zeros_like(matrices), where=norms > 0.0)
+    shared = present[:, None, :] & present[None, :, :]
+    counts = shared.sum(axis=2)
+    disjoint = np.argwhere(counts + np.eye(len(payloads), dtype=int) == 0)
+    if len(disjoint):
+        k, l = disjoint[0]
+        raise ValueError(
+            f"clients {payloads[k].client_id} and {payloads[l].client_id} share no classes"
+        )
+    cosines = np.einsum("kcd,lcd->klc", unit, unit)
+    similarity = np.where(shared, cosines, 0.0).sum(axis=2) / np.maximum(counts, 1)
+    np.fill_diagonal(similarity, 1.0)
+    return similarity
 
 
 def comm_ledger(config: ExperimentConfig, records: Sequence[dict] | None = None) -> dict:

@@ -34,7 +34,7 @@ from .encoder import (
     sgd_step,
 )
 from .prototypes import PrototypeSet, build_local_prototypes, momentum_update
-from .tagging import TagMatrix, derive_gold_tags
+from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +165,9 @@ class SpanTagger:
         config = self._encoder_config()
         self.params_ = EncoderParams.initialize(config, self.params_seed)
         self.opt_state_ = AdamState.zeros(self.params_) if self.optimizer == "adam" else None
-        self.prototypes_ = PrototypeSet(self.rep_dim)
+        self.prototypes_ = PrototypeSet.from_arrays(
+            np.zeros((NUM_CLASSES, self.rep_dim), config.dtype), np.zeros(NUM_CLASSES, bool)
+        )
         self.n_steps_ = 0
         self._rng = np.random.default_rng(self.seed)
         self._tokenizer = Tokenizer(self.vocab_size, self.chunk_size, self.hash_seed)
@@ -212,8 +214,8 @@ class SpanTagger:
                 f"global prototypes have dim {global_prototypes.dim}, model uses {self.rep_dim}"
             )
         proto_vecs = proto_present = None
-        if global_prototypes is not None and len(global_prototypes.vectors):
-            proto_vecs, proto_present = global_prototypes.as_arrays()
+        if global_prototypes is not None and global_prototypes.present.any():
+            proto_vecs, proto_present = global_prototypes.matrix, global_prototypes.present
         weights = LossWeights(self.proto_weight, self.align_weight, self.sep_weight)
 
         loss_sums = np.zeros(3)

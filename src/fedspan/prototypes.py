@@ -9,56 +9,64 @@ payload instead of model weights.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .tagging import NUM_CLASSES
-
-logger = logging.getLogger(__name__)
 
 
 class PayloadError(ValueError):
     pass
 
 
-@dataclass(eq=False)
 class PrototypeSet:
-    """Per-class vectors; classes never observed carry no vector."""
+    """Class prototypes as one ``(NUM_CLASSES, dim)`` ``matrix`` plus a boolean
+    ``present`` mask; rows of classes never observed are zero.
 
-    dim: int
-    vectors: dict[int, np.ndarray] = field(default_factory=dict)
-    round_index: int = 0
+    ``PrototypeSet(dim, {cls: vector})`` converts a mapping once; everything
+    else builds sets from arrays with ``from_arrays``.
+    """
 
-    def present(self, cls: int) -> bool:
-        return cls in self.vectors
+    def __init__(self, dim: int, vectors: Mapping[int, np.ndarray] = {}, round_index: int = 0):
+        classes = np.fromiter(vectors, dtype=np.intp, count=len(vectors))
+        rows = [np.asarray(v) for v in vectors.values()]
+        if len(classes) and (classes.min() < 0 or classes.max() >= NUM_CLASSES):
+            raise ValueError("class index out of range")
+        self.matrix = np.zeros((NUM_CLASSES, dim), dtype=np.result_type(1.0, *rows))
+        if rows:
+            self.matrix[classes] = rows
+        self.present = np.zeros(NUM_CLASSES, dtype=bool)
+        self.present[classes] = True
+        self.round_index = round_index
 
-    def classes(self) -> list[int]:
-        return sorted(self.vectors)
+    @classmethod
+    def from_arrays(
+        cls, matrix: np.ndarray, present: np.ndarray, round_index: int = 0
+    ) -> "PrototypeSet":
+        if matrix.ndim != 2 or (len(matrix), present.shape) != (NUM_CLASSES, (NUM_CLASSES,)):
+            raise ValueError(f"bad prototype layout {matrix.shape}, mask {present.shape}")
+        out = cls.__new__(cls)
+        out.matrix, out.present, out.round_index = matrix, present, round_index
+        return out
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def float_count(self) -> int:
-        return len(self.vectors) * self.dim
-
-    def copy(self) -> "PrototypeSet":
-        return PrototypeSet(
-            self.dim, {c: v.copy() for c, v in self.vectors.items()}, self.round_index
-        )
-
-    def as_arrays(self, num_classes: int = NUM_CLASSES) -> tuple[np.ndarray, np.ndarray]:
-        """(num_classes, dim) matrix plus a presence mask; absent rows are zero."""
-        matrix = np.zeros((num_classes, self.dim), dtype=np.float64)
-        present = np.zeros(num_classes, dtype=bool)
-        for cls, vec in self.vectors.items():
-            matrix[cls] = vec
-            present[cls] = True
-        return matrix, present
+        return int(self.present.sum()) * self.dim
 
 
 def build_local_prototypes(reps: np.ndarray, classes: np.ndarray) -> PrototypeSet:
-    """Group-by-class mean of span representations."""
+    """Group-by-class mean of span representations, in the dtype of ``reps``.
+
+    Rows are summed in order from +0.0 and divided in float64: bit for bit
+    what ``reps[classes == c].mean(axis=0)`` gives once ``dim >= 2``.
+    """
     reps = np.asarray(reps)
     classes = np.asarray(classes)
     if reps.ndim != 2:
@@ -67,43 +75,28 @@ def build_local_prototypes(reps: np.ndarray, classes: np.ndarray) -> PrototypeSe
         raise ValueError(f"{reps.shape[0]} reps but {classes.shape[0]} class labels")
     if len(classes) and (classes.min() < 0 or classes.max() >= NUM_CLASSES):
         raise ValueError("class index out of range")
-    vectors = {}
-    for cls in np.unique(classes):
-        vectors[int(cls)] = reps[classes == cls].mean(axis=0)
-    return PrototypeSet(reps.shape[1], vectors)
+    sums = np.zeros((NUM_CLASSES, reps.shape[1]), dtype=reps.dtype)
+    np.add.at(sums, classes, reps)
+    counts = np.bincount(classes, minlength=NUM_CLASSES)
+    matrix = (sums / np.maximum(counts, 1.0)[:, None]).astype(reps.dtype)
+    return PrototypeSet.from_arrays(matrix, counts > 0)
 
 
 def momentum_update(previous: PrototypeSet, batch: PrototypeSet, momentum: float) -> PrototypeSet:
     """Blend ``momentum * previous + (1 - momentum) * batch`` per class.
 
     Classes only in the batch are adopted as-is; classes only in the previous
-    set are carried forward unchanged.
+    set are carried forward unchanged. The result has the dtype both sets
+    share, so the empty starting set must already have the model's dtype.
     """
     if previous.dim != batch.dim:
         raise ValueError(f"dimension mismatch: {previous.dim} vs {batch.dim}")
     if not 0.0 <= momentum <= 1.0:
         raise ValueError("momentum must be in [0, 1]")
-    vectors: dict[int, np.ndarray] = {}
-    for cls, prev_vec in previous.vectors.items():
-        batch_vec = batch.vectors.get(cls)
-        if batch_vec is None:
-            vectors[cls] = prev_vec.copy()
-        else:
-            vectors[cls] = momentum * prev_vec + (1.0 - momentum) * batch_vec
-    for cls, batch_vec in batch.vectors.items():
-        if cls not in vectors:
-            vectors[cls] = batch_vec.copy()
-    return PrototypeSet(previous.dim, vectors, batch.round_index)
-
-
-def safe_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, defined as 0 when either vector has zero norm."""
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        logger.debug("cosine against zero-norm vector treated as 0")
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    adopted = np.where(batch.present[:, None], batch.matrix, previous.matrix)
+    both = (previous.present & batch.present)[:, None]
+    matrix = np.where(both, momentum * previous.matrix + (1.0 - momentum) * batch.matrix, adopted)
+    return PrototypeSet.from_arrays(matrix, previous.present | batch.present, batch.round_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +118,8 @@ def make_payload(
     """Build a payload at wire precision (float32) so codec round-trips exactly."""
     if not 0.0 <= val_f1 <= 1.0:
         raise PayloadError(f"validation F1 out of range: {val_f1}")
-    snapped = PrototypeSet(
-        prototypes.dim,
-        {c: np.asarray(v, dtype=np.float32) for c, v in prototypes.vectors.items()},
-        round_index,
+    snapped = PrototypeSet.from_arrays(
+        prototypes.matrix.astype(np.float32), prototypes.present.copy(), round_index
     )
     return PrototypePayload(client_id, round_index, float(np.float32(val_f1)), snapped)
 
@@ -138,30 +129,36 @@ PAYLOAD_VERSION = 1
 _HEADER = struct.Struct("<4sHIIfHH")  # magic, version, client, round, f1, classes, dim
 
 
+def _entry_dtype(dim: int) -> np.dtype:
+    """One wire entry per present class: its index, then its little-endian float32 row."""
+    return np.dtype([("cls", "u1"), ("vec", "<f4", (dim,))])
+
+
+def _first_non_finite(classes: np.ndarray, rows: np.ndarray) -> None:
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise PayloadError(f"class {classes[bad][0]} vector contains non-finite values")
+
+
 def encode_payload(payload: PrototypePayload) -> bytes:
     protos = payload.prototypes
     if not 0.0 <= payload.val_f1 <= 1.0:
         raise PayloadError(f"validation F1 out of range: {payload.val_f1}")
-    parts = [
-        _HEADER.pack(
-            PAYLOAD_MAGIC,
-            PAYLOAD_VERSION,
-            payload.client_id,
-            payload.round_index,
-            payload.val_f1,
-            len(protos.vectors),
-            protos.dim,
-        )
-    ]
-    for cls in protos.classes():
-        vec = np.asarray(protos.vectors[cls])
-        if vec.shape != (protos.dim,):
-            raise PayloadError(f"class {cls} vector has shape {vec.shape}, expected ({protos.dim},)")
-        if not np.all(np.isfinite(vec)):
-            raise PayloadError(f"class {cls} vector contains non-finite values")
-        parts.append(struct.pack("<B", cls))
-        parts.append(np.ascontiguousarray(vec, dtype="<f4").tobytes())
-    return b"".join(parts)
+    classes = np.flatnonzero(protos.present)
+    entries = np.empty(len(classes), dtype=_entry_dtype(protos.dim))
+    entries["cls"] = classes
+    entries["vec"] = protos.matrix[classes]
+    _first_non_finite(classes, entries["vec"])
+    header = _HEADER.pack(
+        PAYLOAD_MAGIC,
+        PAYLOAD_VERSION,
+        payload.client_id,
+        payload.round_index,
+        payload.val_f1,
+        len(classes),
+        protos.dim,
+    )
+    return header + entries.tobytes()
 
 
 def decode_payload(blob: bytes) -> PrototypePayload:
@@ -174,23 +171,19 @@ def decode_payload(blob: bytes) -> PrototypePayload:
         raise PayloadError(f"unsupported payload version {version}")
     if not 0.0 <= val_f1 <= 1.0 or not math.isfinite(val_f1):
         raise PayloadError(f"validation F1 out of range: {val_f1}")
-    entry_size = 1 + 4 * dim
-    expected = _HEADER.size + n_classes * entry_size
+    entry = _entry_dtype(dim)
+    expected = _HEADER.size + n_classes * entry.itemsize
     if len(blob) != expected:
         raise PayloadError(f"payload has {len(blob)} bytes, expected {expected}")
-    vectors: dict[int, np.ndarray] = {}
-    offset = _HEADER.size
-    for _ in range(n_classes):
-        (cls,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset).copy()
-        offset += 4 * dim
-        if cls >= NUM_CLASSES:
-            raise PayloadError(f"class index {cls} out of range")
-        if cls in vectors:
-            raise PayloadError(f"duplicate class {cls} in payload")
-        if not np.all(np.isfinite(vec)):
-            raise PayloadError(f"class {cls} vector contains non-finite values")
-        vectors[cls] = vec
-    protos = PrototypeSet(dim, vectors, round_index)
+    entries = np.frombuffer(blob, dtype=entry, count=n_classes, offset=_HEADER.size)
+    classes = entries["cls"]
+    if n_classes and classes.max() >= NUM_CLASSES:
+        raise PayloadError(f"class index {classes.max()} out of range")
+    counts = np.bincount(classes, minlength=NUM_CLASSES)
+    if counts.max() > 1:
+        raise PayloadError(f"duplicate class {counts.argmax()} in payload")
+    _first_non_finite(classes, entries["vec"])
+    matrix = np.zeros((NUM_CLASSES, dim), dtype=np.float32)
+    matrix[classes] = entries["vec"]
+    protos = PrototypeSet.from_arrays(matrix, counts > 0, round_index)
     return PrototypePayload(client_id, round_index, val_f1, protos)

@@ -13,7 +13,8 @@ every step.
 The scalar helpers (``word_representations``, ``attention_weights``,
 ``span_representation``, ``classify_span``, ``tag_loss``) spell out one
 stage for one sentence or span, and ``batch_loss`` is the loss alone, for
-finite-difference probes.
+finite-difference probes. ``with_flat`` is the inverse of
+``EncoderParams.flatten``, for moving parameters along a flat direction.
 """
 
 from dataclasses import dataclass
@@ -103,6 +104,18 @@ def batch_loss(
         params, toks, golds, selections, l_max, proto_vecs, proto_present, weights
     )
     return breakdown
+
+
+def with_flat(params: EncoderParams, flat: np.ndarray) -> EncoderParams:
+    """``params`` with its blocks refilled, in order, from a flat vector."""
+    out = {}
+    pos = 0
+    for name, arr in params.blocks():
+        out[name] = flat[pos : pos + arr.size].reshape(arr.shape).astype(arr.dtype)
+        pos += arr.size
+    if pos != flat.size:
+        raise ValueError("flat vector size does not match parameter shapes")
+    return EncoderParams(**out)
 
 
 @dataclass(eq=False)

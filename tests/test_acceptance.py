@@ -23,7 +23,7 @@ from fedspan.prototypes import PrototypeSet, build_local_prototypes, momentum_up
 from fedspan.tagging import derive_gold_tags
 
 from reference_decoding import brute_force_decode
-from reference_prototypes import align_loss, sep_loss
+from reference_prototypes import align_loss, classes_of, sep_loss
 from test_decoding import random_tags
 from test_gradients import check_case, TOLERANCE as GRAD_TOLERANCE
 
@@ -143,21 +143,21 @@ def test_aggregation():
         ]
         weighted = fs.aggregate_global(equal, "f1_weighted")
         uniform = fs.aggregate_global(equal, "uniform")
-        assert weighted.classes() == uniform.classes()
-        for c in weighted.classes():
-            assert np.array_equal(weighted.vectors[c], uniform.vectors[c])
+        assert classes_of(weighted) == classes_of(uniform)
+        for c in classes_of(weighted):
+            assert np.array_equal(weighted.matrix[c], uniform.matrix[c])
 
     # (c) convex-combination bounds on 1000 random payload sets
     for trial in range(1000):
         payloads = _random_payloads(rng, int(rng.integers(1, 6)))
         mode = ("uniform", "f1_weighted")[trial % 2]
         out = fs.aggregate_global(payloads, mode)
-        for c in out.classes():
+        for c in classes_of(out):
             contrib = np.array(
-                [p.prototypes.vectors[c] for p in payloads if p.prototypes.present(c)]
+                [p.prototypes.matrix[c] for p in payloads if p.prototypes.present[c]]
             )
-            assert np.all(out.vectors[c] >= contrib.min(axis=0) - 1e-9)
-            assert np.all(out.vectors[c] <= contrib.max(axis=0) + 1e-9)
+            assert np.all(out.matrix[c] >= contrib.min(axis=0) - 1e-9)
+            assert np.all(out.matrix[c] <= contrib.max(axis=0) + 1e-9)
     announce("aggregation", "weights exact, equal-F1 bitwise, 1000 bound checks")
 
 
@@ -187,28 +187,28 @@ def test_prototype_math():
         reps = rng.normal(size=(n, 5))
         classes = rng.integers(0, 16, n)
         protos = build_local_prototypes(reps, classes)
-        for c in protos.classes():
+        for c in classes_of(protos):
             member_sum = np.zeros(5)
             count = 0
             for rep, cls in zip(reps, classes):
                 if cls == c:
                     member_sum += rep
                     count += 1
-            assert np.array_equal(protos.vectors[c], member_sum / count)
+            assert np.array_equal(protos.matrix[c], member_sum / count)
 
     # Momentum endpoints are exact.
     prev = PrototypeSet(3, {0: np.array([1.0, 2.0, 3.0])})
     batch = PrototypeSet(3, {0: np.array([-1.0, 0.5, 9.0])})
-    assert np.array_equal(momentum_update(prev, batch, 1.0).vectors[0], prev.vectors[0])
-    assert np.array_equal(momentum_update(prev, batch, 0.0).vectors[0], batch.vectors[0])
+    assert np.array_equal(momentum_update(prev, batch, 1.0).matrix[0], prev.matrix[0])
+    assert np.array_equal(momentum_update(prev, batch, 0.0).matrix[0], batch.matrix[0])
 
     # Cosine losses are invariant to positive rescaling of the representation.
     protos = PrototypeSet(6, {c: rng.normal(size=6) for c in range(6)})
     for _ in range(20):
         rep = rng.normal(size=6)
         for scale in (0.1, 10.0):
-            assert align_loss(scale * rep, protos.vectors[2]) == pytest.approx(
-                align_loss(rep, protos.vectors[2]), abs=1e-6
+            assert align_loss(scale * rep, protos.matrix[2]) == pytest.approx(
+                align_loss(rep, protos.matrix[2]), abs=1e-6
             )
             assert sep_loss(scale * rep, protos, 2) == pytest.approx(
                 sep_loss(rep, protos, 2), abs=1e-6

@@ -197,7 +197,7 @@ class TestAnalyze:
         from fedspan.prototypes import decode_payload
 
         total_classes = sum(
-            len(decode_payload(p.read_bytes()).prototypes.vectors)
+            int(decode_payload(p.read_bytes()).prototypes.present.sum())
             for p in sorted(payload_dir.glob("client_*.bin"))
         )
         assert len(rows) - 1 == total_classes
@@ -205,6 +205,21 @@ class TestAnalyze:
         ledger = json.loads((out / "ledger.json").read_text())
         assert ledger["prototype_floats"] == 16 * 8
         assert "per_round" in ledger
+
+    def test_merged_in_domain_is_mean_of_test_row(self, tmp_path):
+        config = small_config(tmp_path, mode="merged")
+        main(["train", "--config", str(config)])
+        run_dir = tmp_path / "run"
+        assert main(["analyze", "--run", str(run_dir)]) == 0
+        with open(run_dir / "analysis" / "f1_curves.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        records = [json.loads(line) for line in (run_dir / "records.jsonl").read_text().splitlines()]
+        assert len(rows) == len(records) == 2
+        for row, rec in zip(rows, records):
+            assert row["corpus"] == "merged"
+            matrix = rec["test_f1_matrix"]
+            assert len(matrix) == 4
+            assert float(row["test_in_domain_f1"]) == sum(matrix.values()) / len(matrix)
 
     def test_missing_run_dir_fails(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1
@@ -221,6 +236,14 @@ class TestSweep:
         with open(tmp_path / "run" / "sweep_summary.csv") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 5 * 4
+
+    def test_merged_final_test_f1_is_mean_of_test_row(self, tmp_path):
+        config = small_config(tmp_path, rounds=1, mode="merged")
+        assert main(["sweep", "--config", str(config), "--axis", "align", "--values", "0.0"]) == 0
+        with open(tmp_path / "run" / "sweep_summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["corpus"] for row in rows] == ["merged"]
+        assert 0.0 <= float(rows[0]["final_test_f1"]) <= 1.0
 
     def test_zero_alignment_matches_no_alignment_run(self, tmp_path):
         import fedspan

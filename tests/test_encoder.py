@@ -38,6 +38,7 @@ from reference_gradients import (
     reference_forward,
     span_representation,
     tag_loss,
+    with_flat,
     word_representations,
 )
 
@@ -589,7 +590,7 @@ class TestParamBookkeeping:
     def test_flatten_round_trip(self):
         config = EncoderConfig(vocab_size=10, embed_dim=3, hidden_dim=4, rep_dim=2, precision="float64")
         params = EncoderParams.initialize(config, 5)
-        rebuilt = params.with_flat(params.flatten())
+        rebuilt = with_flat(params, params.flatten())
         for (_, a), (_, b) in zip(params.blocks(), rebuilt.blocks()):
             assert np.array_equal(a, b)
 

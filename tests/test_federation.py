@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fedspan.model as model_module
 from fedspan.config import ExperimentConfig
@@ -24,9 +27,11 @@ from fedspan.federation import (
 from fedspan.model import SpanTagger
 from fedspan.prototypes import PrototypeSet, encode_payload, make_payload
 from fedspan.synth import default_synth_config, generate_synthetic
+from fedspan.tagging import NUM_CLASSES
 
 from conftest import OVERFIT_FIXTURE
 from reference_gradients import reference_adam_step
+from reference_prototypes import classes_of, reference_aggregate, reference_similarity
 
 
 def payload(client_id, f1, mapping, dim=2, round_index=1):
@@ -87,14 +92,14 @@ class TestAggregateGlobal:
     def test_single_client_identity(self):
         p = payload(0, 0.8, {1: [1.0, 2.0], 3: [0.5, 0.5]})
         out = aggregate_global([p], "f1_weighted")
-        assert out.classes() == [1, 3]
-        assert out.vectors[1] == pytest.approx([1.0, 2.0])
+        assert classes_of(out) == [1, 3]
+        assert out.matrix[1] == pytest.approx([1.0, 2.0])
 
     def test_two_clients_equal_weights_average(self):
         a = payload(0, 0.5, {2: [1.0, 0.0]})
         b = payload(1, 0.5, {2: [0.0, 1.0]})
         out = aggregate_global([a, b], "f1_weighted")
-        assert out.vectors[2] == pytest.approx([0.5, 0.5])
+        assert out.matrix[2] == pytest.approx([0.5, 0.5])
 
     def test_three_clients_weighted_sum(self):
         pays = [
@@ -103,7 +108,7 @@ class TestAggregateGlobal:
             payload(2, 0.2, {2: [0.0, 0.0]}),
         ]
         out = aggregate_global(pays, "f1_weighted")
-        assert out.vectors[2] == pytest.approx([0.6, 0.6])
+        assert out.matrix[2] == pytest.approx([0.6, 0.6])
 
     def test_missing_class_renormalizes(self):
         pays = [
@@ -112,8 +117,8 @@ class TestAggregateGlobal:
             payload(2, 0.2, {5: [0.0, 0.0]}),
         ]
         out = aggregate_global(pays, "f1_weighted")
-        assert out.vectors[1] == pytest.approx([0.75, 0.25])  # 0.6/0.8, 0.2/0.8
-        assert out.vectors[5] == pytest.approx([1.0, 1.0])  # equal renormalized halves
+        assert out.matrix[1] == pytest.approx([0.75, 0.25])  # 0.6/0.8, 0.2/0.8
+        assert out.matrix[5] == pytest.approx([1.0, 1.0])  # equal renormalized halves
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -136,9 +141,9 @@ class TestAggregateGlobal:
                 )
             weighted = aggregate_global(pays, "f1_weighted")
             uniform = aggregate_global(pays, "uniform")
-            assert weighted.classes() == uniform.classes()
-            for c in weighted.classes():
-                assert np.array_equal(weighted.vectors[c], uniform.vectors[c])
+            assert classes_of(weighted) == classes_of(uniform)
+            for c in classes_of(weighted):
+                assert np.array_equal(weighted.matrix[c], uniform.matrix[c])
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(2)
@@ -156,13 +161,69 @@ class TestAggregateGlobal:
                 )
             mode = ("uniform", "f1_weighted")[int(rng.integers(2))]
             out = aggregate_global(pays, mode)
-            for c in out.classes():
+            for c in classes_of(out):
                 contrib = np.array(
-                    [p.prototypes.vectors[c] for p in pays if p.prototypes.present(c)]
+                    [p.prototypes.matrix[c] for p in pays if p.prototypes.present[c]]
                 )
                 lo = contrib.min(axis=0) - 1e-9
                 hi = contrib.max(axis=0) + 1e-9
-                assert np.all(out.vectors[c] >= lo) and np.all(out.vectors[c] <= hi)
+                assert np.all(out.matrix[c] >= lo) and np.all(out.matrix[c] <= hi)
+
+
+@st.composite
+def client_payloads(draw, max_clients=5):
+    """Float32 payloads from distinct clients in shuffled order: signed zeros,
+    all-zero rows, absent classes, and F1 0 (zero-weight reporters) included."""
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=max_clients, unique=True))
+    values = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, width=32)
+    # Gaussian rows keep full mantissas, so a changed summation order shows.
+    gaussian = st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).normal(size=dim).astype(np.float32)
+    )
+    rows = (
+        hnp.arrays(np.float32, dim, elements=values)
+        | gaussian
+        | st.just(np.zeros(dim, np.float32))
+    )
+    scores = st.sampled_from([0.0, 0.37, 1.0]) | st.floats(0.0, 1.0)
+    out = []
+    for cid in ids:
+        classes = draw(st.sets(st.integers(0, NUM_CLASSES - 1), max_size=6))
+        protos = PrototypeSet(dim, {c: draw(rows) for c in sorted(classes)})
+        out.append(make_payload(cid, 1, draw(scores), protos))
+    return out
+
+
+class TestMatchesPerClassOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(client_payloads(), st.sampled_from(["uniform", "f1_weighted"]))
+    def test_aggregate_bitwise(self, pays, mode):
+        server = Server(mode)
+        out = server.receive_and_aggregate([encode_payload(p) for p in pays], 1)
+        expected, expected_weights = reference_aggregate(pays, mode)
+        assert out.matrix.dtype == np.float64
+        assert classes_of(out) == sorted(expected)
+        for c, vec in expected.items():
+            assert out.matrix[c].tobytes() == vec.tobytes()
+        assert not out.matrix[~out.present].any()
+        rows = {cid: i for i, cid in enumerate(sorted(p.client_id for p in pays))}
+        weights = np.zeros((len(pays), NUM_CLASSES))
+        for c, entries in expected_weights.items():
+            for cid, w in entries:
+                weights[rows[cid], c] = w
+        assert server.last_class_weights.tobytes() == weights.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(client_payloads(max_clients=4))
+    def test_similarity_within_1e12(self, pays):
+        try:
+            expected = reference_similarity(pays)
+        except ValueError:
+            with pytest.raises(ValueError, match="share no classes"):
+                prototype_similarity(pays)
+            return
+        assert np.abs(prototype_similarity(pays) - expected).max() <= 1e-12
 
 
 class TestPrototypeSimilarity:
@@ -406,7 +467,7 @@ class TestServer:
             encode_payload(payload(1, 0.3, {1: [0.0, 1.0]})),
         ]
         aggregated = server.receive_and_aggregate(blobs, 1)
-        assert aggregated.classes() == [1]
+        assert classes_of(aggregated) == [1]
         assert server.last_weights == pytest.approx([2 / 3, 1 / 3])
         assert len(server.payload_log) == 2
         broadcast = server.broadcast(1)
@@ -418,9 +479,10 @@ class TestServer:
             encode_payload(payload(0, 0.9, {1: [1.0, 0.0], 2: [1.0, 1.0]})),
             encode_payload(payload(1, 0.1, {2: [0.0, 0.0]})),
         ]
-        server.receive_and_aggregate(blobs, 1)
-        for cls, entries in server.last_class_weights.items():
-            assert sum(w for _, w in entries) == pytest.approx(1.0, abs=1e-9)
+        aggregated = server.receive_and_aggregate(blobs, 1)
+        totals = server.last_class_weights.sum(axis=0)
+        assert totals[aggregated.present] == pytest.approx(1.0, abs=1e-9)
+        assert np.all(totals[~aggregated.present] == 0.0)
 
     def test_broadcast_before_aggregate_fails(self):
         with pytest.raises(RuntimeError):

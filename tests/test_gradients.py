@@ -14,7 +14,7 @@ from fedspan.encoder import (
 )
 from fedspan.tagging import span_count
 
-from reference_gradients import batch_loss, reference_batch_gradients
+from reference_gradients import batch_loss, reference_batch_gradients, with_flat
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -74,8 +74,8 @@ def numeric_gradient(params, args):
         plus[i] += FD_STEP
         minus = flat.copy()
         minus[i] -= FD_STEP
-        up = batch_loss(params.with_flat(plus), toks, golds, selections, l_max, proto_vecs, present, weights)
-        down = batch_loss(params.with_flat(minus), toks, golds, selections, l_max, proto_vecs, present, weights)
+        up = batch_loss(with_flat(params, plus), toks, golds, selections, l_max, proto_vecs, present, weights)
+        down = batch_loss(with_flat(params, minus), toks, golds, selections, l_max, proto_vecs, present, weights)
         grad[i] = (up.total - down.total) / (2.0 * FD_STEP)
     return grad
 
@@ -138,7 +138,7 @@ class TestGradientCheck:
         direction = grads.flatten()
         assert np.linalg.norm(direction) > 0
         eps = 1e-6
-        moved = params.with_flat(params.flatten() - eps * direction)
+        moved = with_flat(params, params.flatten() - eps * direction)
         after = batch_loss(moved, *args)
         predicted_drop = eps * float(direction @ direction)
         assert breakdown.total - after.total == pytest.approx(predicted_drop, rel=1e-3)

@@ -174,11 +174,19 @@ class TestTraining:
         tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
         assert isinstance(tagger.prototypes_, PrototypeSet)
         assert tagger.prototypes_.dim == tagger.rep_dim
-        assert len(tagger.prototypes_.vectors) > 0
+        assert int(tagger.prototypes_.present.sum()) > 0
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_prototypes_keep_model_precision(self, tiny_corpus, precision):
+        # The empty starting set has the model's dtype, so momentum never
+        # promotes float32 prototypes to float64.
+        tagger = small_tagger(precision=precision)
+        tagger.partial_fit(tiny_corpus.train[:10], epochs=1)
+        assert tagger.prototypes_.matrix.dtype == np.dtype(precision)
 
     def test_gold_assignment_mode(self, tiny_corpus):
         tagger = small_tagger(prototype_assignment="gold").fit(tiny_corpus.train[:10], epochs=1)
-        assert len(tagger.prototypes_.vectors) > 0
+        assert int(tagger.prototypes_.present.sum()) > 0
 
     def test_global_prototypes_change_training(self, tiny_corpus):
         sentences = tiny_corpus.train[:10]
