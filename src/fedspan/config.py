@@ -8,69 +8,31 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import SpanTagger
+from .encoder import ConfigError  # re-exported: validation raises it
+from .model import TaggerConfig
 from .synth import DEFAULT_CORPUS_SEED
 
 MODES = ("single", "merged", "federated")
 AGGREGATIONS = ("uniform", "f1_weighted")
 
 
-class ConfigError(ValueError):
-    pass
+@dataclass(frozen=True)
+class ExperimentConfig(TaggerConfig):
+    """The model's hyperparameters (``TaggerConfig``) plus orchestration,
+    data and output settings."""
 
-
-def _has_type(value, kind) -> bool:
-    """``isinstance`` against a field annotation; an int is a valid float,
-    a bool is not an int."""
-    if isinstance(kind, types.UnionType):
-        return any(_has_type(value, k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is list:
-        (item,) = typing.get_args(kind)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if isinstance(value, bool) and kind is not bool:
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-@dataclass
-class ExperimentConfig:
     # Orchestration
     mode: str = "federated"
     aggregation: str = "f1_weighted"
     rounds: int = 50
     local_epochs: int = 5
-    batch_size: int = 8
     track_test_matrix: bool = True
-    # Loss weights. align/sep follow the reference recipe; proto_weight is
-    # calibrated up for the 16-dim toy encoder, where a unit overall weight
-    # leaves the regularizer numerically inert.
-    proto_weight: float = 25.0
-    align_weight: float = 0.002
-    sep_weight: float = 0.00025
-    prototype_momentum: float = 0.9
-    null_span_ratio: float = 1.0
-    prototype_assignment: str = "predicted"
-    # Encoder dimensions
-    embed_dim: int = 32
-    hidden_dim: int = 32
-    rep_dim: int = 16
-    vocab_size: int = 2048
-    chunk_size: int = 4
-    l_max: int = 10
-    # Optimizer
-    optimizer: str = "adam"
-    learning_rate: float = 0.01
-    lr_decay_steps: float | None = 600.0  # lr / (1 + steps/decay); None disables
-    # Seeds: `seed` drives data order/sampling (per-client streams are derived
-    # from it), `params_seed` the shared weight initialization, `corpus_seed`
-    # the synthetic corpus draw.
+    # Seeds: `seed` is the experiment's data seed, from which each client's
+    # model seed is derived; `corpus_seed` drives the synthetic corpus draw.
     seed: int = 2
-    params_seed: int = 0
     corpus_seed: int = DEFAULT_CORPUS_SEED
     # Data source: explicit corpus directories, or the synthetic generator.
     corpus_dirs: list[str] = field(default_factory=list)
@@ -80,11 +42,7 @@ class ExperimentConfig:
     output_dir: str = "runs/exp"
 
     def validate(self) -> None:
-        for name, kind in typing.get_type_hints(type(self)).items():
-            value = getattr(self, name)
-            if not _has_type(value, kind):
-                kind_name = getattr(kind, "__name__", kind)
-                raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
+        super().validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.aggregation not in AGGREGATIONS:
@@ -93,24 +51,6 @@ class ExperimentConfig:
             raise ConfigError("rounds must be >= 0")
         if self.local_epochs < 1:
             raise ConfigError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        for name in ("proto_weight", "align_weight", "sep_weight", "null_span_ratio"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not 0.0 <= self.prototype_momentum <= 1.0:
-            raise ConfigError("prototype_momentum must be in [0, 1]")
-        if self.prototype_assignment not in ("predicted", "gold"):
-            raise ConfigError("prototype_assignment must be 'predicted' or 'gold'")
-        for name in ("embed_dim", "hidden_dim", "rep_dim", "vocab_size", "chunk_size", "l_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer must be 'adam' or 'sgd'")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.lr_decay_steps is not None and self.lr_decay_steps <= 0:
-            raise ConfigError("lr_decay_steps must be > 0 or null")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -153,9 +93,8 @@ class ExperimentConfig:
 
     def model_kwargs(self, data_seed) -> dict:
         """Constructor arguments for the SpanTagger trained on one client:
-        every ``SpanTagger`` parameter this config names, with ``seed``
-        replaced by the client's data seed."""
-        fields = set(self.field_names())
-        kwargs = {name: getattr(self, name) for name in SpanTagger._PARAM_NAMES if name in fields}
+        this config's ``TaggerConfig`` fields, with ``seed`` replaced by the
+        client's data seed."""
+        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(TaggerConfig)}
         kwargs["seed"] = data_seed
         return kwargs

@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import struct
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -44,6 +47,23 @@ class CheckpointError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    """A hyperparameter of the wrong type or out of range."""
+
+
+def _has_type(value, kind) -> bool:
+    """``isinstance`` against a field annotation; an int is a valid float,
+    a bool is not an int."""
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int = 2048
@@ -55,30 +75,43 @@ class EncoderConfig:
     l_max: int = 10
     precision: str = "float32"
 
-    @classmethod
-    def from_attributes(cls, source) -> "EncoderConfig":
-        """The config named by ``source``'s same-named attributes (a
-        ``SpanTagger`` or an ``ExperimentConfig``); fields ``source`` lacks
-        keep their defaults."""
-        return cls(
-            **{f.name: getattr(source, f.name) for f in fields(cls) if hasattr(source, f.name)}
-        )
+    def validate(self) -> None:
+        """Check every field against its annotation, subclass fields
+        included, then the encoder's ranges."""
+        for name, kind in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                kind_name = getattr(kind, "__name__", kind)
+                raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
+        for name in ("vocab_size", "embed_dim", "hidden_dim", "rep_dim", "chunk_size", "l_max"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.hash_seed < 2**32:  # checkpoints store it as a uint32
+            raise ConfigError("hash_seed must be in [0, 2**32)")
+        if self.precision not in ("float32", "float64"):
+            raise ConfigError(f"precision must be 'float32' or 'float64', got {self.precision!r}")
 
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(self.precision)
 
+    def block_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of each parameter block, in ``EncoderParams.BLOCKS``
+        order."""
+        d_e, d_h, d_z = self.embed_dim, self.hidden_dim, self.rep_dim
+        return {
+            "embed": (self.vocab_size, d_e),
+            "w_ctx": (d_h, 3 * d_e),
+            "b_ctx": (d_h,),
+            "w_attn": (d_h,),
+            "w_proj": (d_z, d_h),
+            "b_proj": (d_z,),
+            "w_cls": (NUM_CLASSES, d_z),
+            "b_cls": (NUM_CLASSES,),
+        }
+
     def param_count(self) -> int:
-        return (
-            self.vocab_size * self.embed_dim
-            + self.hidden_dim * 3 * self.embed_dim
-            + self.hidden_dim
-            + self.hidden_dim
-            + self.rep_dim * self.hidden_dim
-            + self.rep_dim
-            + NUM_CLASSES * self.rep_dim
-            + NUM_CLASSES
-        )
+        return sum(math.prod(shape) for shape in self.block_shapes().values())
 
 
 def split_subwords(word: str, chunk_size: int) -> list[str]:
@@ -148,16 +181,17 @@ class Tokenizer:
 
 @dataclass(eq=False)
 class EncoderParams:
-    """All trainable arrays; also the container for gradients."""
+    """All trainable arrays; also the container for gradients. Their shapes
+    are ``EncoderConfig.block_shapes``."""
 
-    embed: np.ndarray  # (V, embed_dim)
-    w_ctx: np.ndarray  # (hidden_dim, 3 * embed_dim)
-    b_ctx: np.ndarray  # (hidden_dim,)
-    w_attn: np.ndarray  # (hidden_dim,)
-    w_proj: np.ndarray  # (rep_dim, hidden_dim)
-    b_proj: np.ndarray  # (rep_dim,)
-    w_cls: np.ndarray  # (NUM_CLASSES, rep_dim)
-    b_cls: np.ndarray  # (NUM_CLASSES,)
+    embed: np.ndarray
+    w_ctx: np.ndarray
+    b_ctx: np.ndarray
+    w_attn: np.ndarray
+    w_proj: np.ndarray
+    b_proj: np.ndarray
+    w_cls: np.ndarray
+    b_cls: np.ndarray
 
     BLOCKS = ("embed", "w_ctx", "b_ctx", "w_attn", "w_proj", "b_proj", "w_cls", "b_cls")
     DENSE = BLOCKS[1:]  # every block but the embedding table
@@ -168,22 +202,19 @@ class EncoderParams:
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int) -> "EncoderParams":
+        """Unit-normal embeddings, matrices normal with variance 1/fan-in, and
+        zero vectors. Attention starts at zero (uniform pooling): concentrated
+        attention early on makes wide spans collapse onto their argmax word
+        and the softmax corner is hard to leave once entered."""
         rng = np.random.default_rng(seed)
-        dt = config.dtype
-        d_e, d_h, d_z = config.embed_dim, config.hidden_dim, config.rep_dim
-        # Attention starts at zero (uniform pooling): concentrated attention
-        # early on makes wide spans collapse onto their argmax word and the
-        # softmax corner is hard to leave once entered.
-        return cls(
-            embed=rng.normal(0.0, 1.0, (config.vocab_size, d_e)).astype(dt),
-            w_ctx=rng.normal(0.0, 1.0 / np.sqrt(3 * d_e), (d_h, 3 * d_e)).astype(dt),
-            b_ctx=np.zeros(d_h, dtype=dt),
-            w_attn=np.zeros(d_h, dtype=dt),
-            w_proj=rng.normal(0.0, 1.0 / np.sqrt(d_h), (d_z, d_h)).astype(dt),
-            b_proj=np.zeros(d_z, dtype=dt),
-            w_cls=rng.normal(0.0, 1.0 / np.sqrt(d_z), (NUM_CLASSES, d_z)).astype(dt),
-            b_cls=np.zeros(NUM_CLASSES, dtype=dt),
-        )
+        blocks = {}
+        for name, shape in config.block_shapes().items():
+            if len(shape) == 1:
+                blocks[name] = np.zeros(shape, dtype=config.dtype)
+            else:
+                scale = 1.0 if name == "embed" else 1.0 / np.sqrt(shape[1])
+                blocks[name] = rng.normal(0.0, scale, shape).astype(config.dtype)
+        return cls(**blocks)
 
     @classmethod
     def zeros_like(cls, other: "EncoderParams") -> "EncoderParams":
@@ -735,27 +766,17 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         l_max=l_max,
         precision="float32",
     )
-    shapes = [
-        (vocab, d_e),
-        (d_h, 3 * d_e),
-        (d_h,),
-        (d_h,),
-        (d_z, d_h),
-        (d_z,),
-        (NUM_CLASSES, d_z),
-        (NUM_CLASSES,),
-    ]
     offset = _CKPT_HEADER.size
-    arrays = []
-    for shape in shapes:
-        size = int(np.prod(shape)) * 4
+    blocks = {}
+    for name, shape in config.block_shapes().items():
+        size = math.prod(shape) * 4
         chunk_bytes = blob[offset : offset + size]
         if len(chunk_bytes) != size:
             raise CheckpointError("checkpoint truncated inside parameter blocks")
-        arrays.append(np.frombuffer(chunk_bytes, dtype="<f4").reshape(shape).copy())
+        blocks[name] = np.frombuffer(chunk_bytes, dtype="<f4").reshape(shape).copy()
         offset += size
     if offset != len(blob):
         raise CheckpointError("trailing bytes after parameter blocks")
-    params = EncoderParams(*arrays)
+    params = EncoderParams(**blocks)
     params.check_finite()
     return params, config

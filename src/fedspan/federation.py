@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .corpus import Corpus
-from .encoder import EncoderConfig, TrainingDivergedError
+from .encoder import TrainingDivergedError
 from .model import SpanTagger
 from .prototypes import (
     PrototypePayload,
@@ -368,13 +368,13 @@ def prototype_similarity(payloads: Sequence[PrototypePayload]) -> np.ndarray:
 
 def comm_ledger(config: ExperimentConfig, records: Sequence[dict] | None = None) -> dict:
     """Communication accounting: model size vs classifier vs prototype payload."""
-    encoder = EncoderConfig.from_attributes(config)
+    shapes = config.block_shapes()
     prototype_floats = NUM_CLASSES * config.rep_dim
     report = {
         "num_classes": NUM_CLASSES,
         "rep_dim": config.rep_dim,
-        "full_model_floats": encoder.param_count(),
-        "classifier_floats": NUM_CLASSES * config.rep_dim + NUM_CLASSES,
+        "full_model_floats": config.param_count(),
+        "classifier_floats": math.prod(shapes["w_cls"]) + math.prod(shapes["b_cls"]),
         "prototype_floats": prototype_floats,
         "reference_full_model_floats": REFERENCE_FULL_MODEL_FLOATS,
         "reference_to_prototype_ratio": REFERENCE_FULL_MODEL_FLOATS / prototype_floats,

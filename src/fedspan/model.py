@@ -8,9 +8,8 @@ tooling and serve as the unit trained on each federated client.
 
 from __future__ import annotations
 
-import inspect
+import dataclasses
 import logging
-from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .corpus import Sentence, Triplet, TripletMetrics, evaluate_triplets, valida
 from .decoding import decode_triplets
 from .encoder import (
     AdamState,
+    ConfigError,
     EncoderConfig,
     EncoderParams,
     LossWeights,
@@ -39,8 +39,60 @@ from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
 logger = logging.getLogger(__name__)
 
 
+# Sentences scored per ``score_spans`` call at inference. In float32 a
+# sentence's scores can depend on its batch-mates in the last bits, so the
+# grouping is fixed rather than read from ``batch_size``, which a checkpoint
+# does not store: a loaded model scores as the model that saved it. 8 is the
+# default ``batch_size``.
+SCORE_GROUP = 8
+
+
 class NotFittedError(RuntimeError):
     pass
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggerConfig(EncoderConfig):
+    """Every ``SpanTagger`` hyperparameter: the encoder's, then training's.
+
+    ``seed`` drives data order and span sampling; ``params_seed`` drives
+    weight initialization (kept separate so federated clients can share
+    their starting point while seeing data in different orders).
+    """
+
+    optimizer: str = "adam"
+    learning_rate: float = 0.01
+    lr_decay_steps: float | None = 600.0  # lr / (1 + steps/decay); None disables
+    batch_size: int = 8
+    # Loss weights. align/sep follow the reference recipe; proto_weight is
+    # calibrated up for the 16-dim toy encoder, where a unit overall weight
+    # leaves the regularizer numerically inert.
+    proto_weight: float = 25.0
+    align_weight: float = 0.002
+    sep_weight: float = 0.00025
+    prototype_momentum: float = 0.9
+    null_span_ratio: float = 1.0
+    prototype_assignment: str = "predicted"
+    seed: int | tuple = 0
+    params_seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError("optimizer must be 'adam' or 'sgd'")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
+        if self.lr_decay_steps is not None and self.lr_decay_steps <= 0:
+            raise ConfigError("lr_decay_steps must be > 0 or null")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        for name in ("proto_weight", "align_weight", "sep_weight", "null_span_ratio"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not 0.0 <= self.prototype_momentum <= 1.0:
+            raise ConfigError("prototype_momentum must be in [0, 1]")
+        if self.prototype_assignment not in ("predicted", "gold"):
+            raise ConfigError("prototype_assignment must be 'predicted' or 'gold'")
 
 
 def validate_sentences(sentences: Sequence[Sentence]) -> None:
@@ -87,58 +139,25 @@ def select_proto_spans(
 class SpanTagger:
     """Trainable span tagger + triplet decoder.
 
-    Parameters mirror the experiment configuration: encoder dimensions,
-    optimizer settings and the prototype-regularization weights. ``seed``
-    drives data order and span sampling; ``params_seed`` drives weight
-    initialization (kept separate so federated clients can share their
-    starting point while seeing data in different orders).
+    Takes the ``TaggerConfig`` fields as keyword arguments and keeps them as
+    ``config``; they are validated when training or loading initializes the
+    model.
     """
 
-    def __init__(
-        self,
-        embed_dim: int = 32,
-        hidden_dim: int = 32,
-        rep_dim: int = 16,
-        vocab_size: int = 2048,
-        chunk_size: int = 4,
-        hash_seed: int = 0,
-        l_max: int = 10,
-        optimizer: str = "adam",
-        learning_rate: float = 0.01,
-        lr_decay_steps: float | None = 600.0,
-        batch_size: int = 8,
-        proto_weight: float = 25.0,
-        align_weight: float = 0.002,
-        sep_weight: float = 0.00025,
-        prototype_momentum: float = 0.9,
-        null_span_ratio: float = 1.0,
-        prototype_assignment: str = "predicted",
-        seed: int | tuple = 0,
-        params_seed: int = 0,
-        precision: str = "float32",
-    ):
-        # Each argument is kept under its own name, as get_params reads it.
-        args = locals()
-        for name in self._PARAM_NAMES:
-            setattr(self, name, args[name])
+    def __init__(self, **params):
+        self.config = TaggerConfig(**params)
         self._reset_state()
-
-    _PARAM_NAMES = tuple(
-        name
-        for name in inspect.signature(__init__).parameters
-        if name != "self"
-    )
 
     # -- scikit-learn protocol -------------------------------------------------
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return dataclasses.asdict(self.config)
 
     def set_params(self, **params) -> "SpanTagger":
-        for name, value in params.items():
-            if name not in self._PARAM_NAMES:
-                raise ValueError(f"unknown parameter {name!r} for SpanTagger")
-            setattr(self, name, value)
+        unknown = set(params) - {f.name for f in dataclasses.fields(TaggerConfig)}
+        if unknown:
+            raise ValueError(f"unknown parameters {sorted(unknown)} for SpanTagger")
+        self.config = dataclasses.replace(self.config, **params)
         self._reset_state()
         return self
 
@@ -158,21 +177,17 @@ class SpanTagger:
     def is_fitted(self) -> bool:
         return self.params_ is not None
 
-    def _encoder_config(self) -> EncoderConfig:
-        return EncoderConfig.from_attributes(self)
-
     def _initialize(self) -> None:
-        config = self._encoder_config()
-        self.params_ = EncoderParams.initialize(config, self.params_seed)
-        self.opt_state_ = AdamState.zeros(self.params_) if self.optimizer == "adam" else None
+        config = self.config
+        config.validate()
+        self.params_ = EncoderParams.initialize(config, config.params_seed)
+        self.opt_state_ = AdamState.zeros(self.params_) if config.optimizer == "adam" else None
         self.prototypes_ = PrototypeSet.from_arrays(
-            np.zeros((NUM_CLASSES, self.rep_dim), config.dtype), np.zeros(NUM_CLASSES, bool)
+            np.zeros((NUM_CLASSES, config.rep_dim), config.dtype), np.zeros(NUM_CLASSES, bool)
         )
         self.n_steps_ = 0
-        self._rng = np.random.default_rng(self.seed)
-        self._tokenizer = Tokenizer(self.vocab_size, self.chunk_size, self.hash_seed)
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        self._rng = np.random.default_rng(config.seed)
+        self._tokenizer = Tokenizer(config.vocab_size, config.chunk_size, config.hash_seed)
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:
@@ -208,23 +223,24 @@ class SpanTagger:
         validate_sentences(sentences)
         if not self.is_fitted:
             self._initialize()
+        config = self.config
         toks, golds, splits = zip(*map(self._training_inputs, sentences))
-        if global_prototypes is not None and global_prototypes.dim != self.rep_dim:
+        if global_prototypes is not None and global_prototypes.dim != config.rep_dim:
             raise ValueError(
-                f"global prototypes have dim {global_prototypes.dim}, model uses {self.rep_dim}"
+                f"global prototypes have dim {global_prototypes.dim}, model uses {config.rep_dim}"
             )
         proto_vecs = proto_present = None
         if global_prototypes is not None and global_prototypes.present.any():
             proto_vecs, proto_present = global_prototypes.matrix, global_prototypes.present
-        weights = LossWeights(self.proto_weight, self.align_weight, self.sep_weight)
+        weights = LossWeights(config.proto_weight, config.align_weight, config.sep_weight)
 
         loss_sums = np.zeros(3)
         n_batches = 0
         indices = np.arange(len(sentences))
         for _ in range(epochs):
             order = self._rng.permutation(indices)
-            for lo in range(0, len(order), self.batch_size):
-                batch_ids = order[lo : lo + self.batch_size]
+            for lo in range(0, len(order), config.batch_size):
+                batch_ids = order[lo : lo + config.batch_size]
                 breakdown = self._train_batch(
                     [toks[i] for i in batch_ids],
                     [golds[i] for i in batch_ids],
@@ -248,7 +264,7 @@ class SpanTagger:
         sentence, cached."""
         cached = self._train_inputs.get(sentence)
         if cached is None:
-            gold = derive_gold_tags(sentence, self.l_max).classes
+            gold = derive_gold_tags(sentence, self.config.l_max).classes
             split = split_spans(gold)
             for arr in (gold, *split):
                 arr.setflags(write=False)
@@ -257,21 +273,22 @@ class SpanTagger:
         return cached
 
     def _train_batch(self, toks, golds, splits, proto_vecs, proto_present, weights):
-        selections = [select_proto_spans(split, self._rng, self.null_span_ratio) for split in splits]
+        config = self.config
+        selections = [select_proto_spans(split, self._rng, config.null_span_ratio) for split in splits]
         breakdown, grads, batch_reps = batch_gradients(
             self.params_,
             toks,
             golds,
             selections,
-            self.l_max,
+            config.l_max,
             proto_vecs,
             proto_present,
             weights,
         )
-        lr = self.learning_rate
-        if self.lr_decay_steps:
-            lr = lr / (1.0 + self.n_steps_ / self.lr_decay_steps)
-        if self.optimizer == "adam":
+        lr = config.learning_rate
+        if config.lr_decay_steps:
+            lr = lr / (1.0 + self.n_steps_ / config.lr_decay_steps)
+        if config.optimizer == "adam":
             self.params_, self.opt_state_ = adam_step(self.params_, grads, self.opt_state_, lr)
         else:
             self.params_ = sgd_step(self.params_, grads, lr)
@@ -280,12 +297,12 @@ class SpanTagger:
         if len(batch_reps.reps):
             classes = (
                 batch_reps.pred_classes
-                if self.prototype_assignment == "predicted"
+                if config.prototype_assignment == "predicted"
                 else batch_reps.gold_classes
             )
             batch_protos = build_local_prototypes(batch_reps.reps, classes)
             self.prototypes_ = momentum_update(
-                self.prototypes_, batch_protos, self.prototype_momentum
+                self.prototypes_, batch_protos, config.prototype_momentum
             )
         return breakdown
 
@@ -294,22 +311,21 @@ class SpanTagger:
     def predict_tags(self, sentences: Sequence[Sentence]) -> list[TagMatrix]:
         self._require_fitted()
         validate_sentences(sentences)
-        # Spans are scored batch_size sentences at a time, in call order: in
-        # float32 a sentence's scores can depend on its batch-mates in the
-        # last bits, so the grouping must not depend on anything else.
+        # Spans are scored SCORE_GROUP sentences at a time, in call order.
+        l_max = self.config.l_max
         out = []
-        for lo in range(0, len(sentences), self.batch_size):
-            group = sentences[lo : lo + self.batch_size]
+        for lo in range(0, len(sentences), SCORE_GROUP):
+            group = sentences[lo : lo + SCORE_GROUP]
             fps = [
-                forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens), self.l_max)
+                forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens), l_max)
                 for s in group
             ]
-            spans = score_spans(self.params_, fps, self.l_max)
+            spans = score_spans(self.params_, fps, l_max)
             classes = spans.logits.argmax(axis=1).astype(np.int16)
             lo_span = 0
             for sentence, n_spans in zip(group, spans.span_counts):
                 part = classes[lo_span : lo_span + n_spans]
-                out.append(TagMatrix(len(sentence.tokens), self.l_max, part))
+                out.append(TagMatrix(len(sentence.tokens), l_max, part))
                 lo_span += n_spans
         return out
 
@@ -329,12 +345,12 @@ class SpanTagger:
 
     def save(self, path: str | Path) -> None:
         self._require_fitted()
-        save_params(path, self.params_, self._encoder_config())
+        save_params(path, self.params_, self.config)
 
     @classmethod
     def load(cls, path: str | Path) -> "SpanTagger":
         params, config = load_params(path)
-        tagger = cls(**asdict(config))
+        tagger = cls(**dataclasses.asdict(config))
         tagger._initialize()
         tagger.params_ = params
         return tagger

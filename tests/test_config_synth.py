@@ -1,16 +1,15 @@
 """ExperimentConfig schema handling and the synthetic corpus generator."""
 
 import dataclasses
-import inspect
-import itertools
 import json
 
+import numpy as np
 import pytest
 
 from fedspan.config import ConfigError, ExperimentConfig
 from fedspan.encoder import EncoderConfig
-from fedspan.model import SpanTagger
-from fedspan.corpus import deduplicate, serialize_corpus, parse_corpus
+from fedspan.model import SpanTagger, TaggerConfig
+from fedspan.corpus import Sentence, deduplicate, serialize_corpus, parse_corpus
 from fedspan.synth import (
     SynthConfig,
     SynthConfigError,
@@ -42,6 +41,9 @@ class TestExperimentConfig:
             {"align_weight": -0.1},
             {"learning_rate": 0.0},
             {"lr_decay_steps": -5},
+            {"hash_seed": -1},
+            {"hash_seed": 2**32},
+            {"precision": "float16"},
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(bad)
@@ -70,23 +72,26 @@ class TestExperimentConfig:
         assert config.learning_rate == 1
 
     def test_shared_defaults_agree(self):
-        """A hyperparameter named by two of the config, the model and the
-        encoder config defaults to one value. ``seed`` is exempt: the
-        config's is the experiment's data seed, from which each client's
-        model seed is derived."""
-        defaults = [
-            {f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
-            {
-                name: p.default
-                for name, p in inspect.signature(SpanTagger.__init__).parameters.items()
-                if name != "self"
-            },
-            {f.name: f.default for f in dataclasses.fields(EncoderConfig)},
-        ]
-        for a, b in itertools.combinations(defaults, 2):
-            for name in (set(a) & set(b)) - {"seed"}:
-                assert a[name] == b[name], name
-        assert set(defaults[2]) <= set(defaults[1])
+        """Each model hyperparameter is declared once, in ``EncoderConfig`` or
+        ``TaggerConfig``, and the experiment config and the model default to
+        the same values. ``seed`` is exempt: the config's is the
+        experiment's data seed, from which each client's model seed is
+        derived."""
+        tagger_fields = {f.name for f in dataclasses.fields(TaggerConfig)}
+        assert {f.name for f in dataclasses.fields(EncoderConfig)} <= tagger_fields
+        assert set(ExperimentConfig.__annotations__) & tagger_fields == {"seed"}
+        model_defaults = dataclasses.asdict(TaggerConfig())
+        assert SpanTagger().get_params() == model_defaults
+        config = ExperimentConfig()
+        for name in tagger_fields - {"seed"}:
+            assert getattr(config, name) == model_defaults[name], name
+
+    def test_encoder_fields_reach_the_model(self):
+        config = ExperimentConfig.from_dict({"hash_seed": 3, "precision": "float64"})
+        tagger = SpanTagger(**config.model_kwargs(0))
+        tagger.fit([Sentence(("nice", "view"))], epochs=1)
+        assert all(arr.dtype == np.float64 for _, arr in tagger.params_.blocks())
+        assert tagger._tokenizer.hash_seed == 3
 
     def test_file_round_trip(self, tmp_path):
         config = ExperimentConfig(rounds=3, rep_dim=12)

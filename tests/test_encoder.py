@@ -586,6 +586,9 @@ class TestParamBookkeeping:
         expected = 100 * 5 + 7 * 15 + 7 + 7 + 3 * 7 + 3 + 16 * 3 + 16
         assert config.param_count() == expected
         assert params.param_count() == expected
+        shapes = config.block_shapes()
+        assert tuple(shapes) == EncoderParams.BLOCKS
+        assert all(arr.shape == shapes[name] for name, arr in params.blocks())
 
     def test_flatten_round_trip(self):
         config = EncoderConfig(vocab_size=10, embed_dim=3, hidden_dim=4, rep_dim=2, precision="float64")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fedspan.model as model_module
+from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
 from fedspan.model import (
     NotFittedError,
@@ -51,12 +52,29 @@ class TestParamsProtocol:
         assert tagger.is_fitted
         out = tagger.set_params(rep_dim=4)
         assert out is tagger
-        assert tagger.rep_dim == 4
+        assert tagger.config.rep_dim == 4
         assert not tagger.is_fitted
 
     def test_set_params_unknown_key(self):
         with pytest.raises(ValueError):
             SpanTagger().set_params(bogus=1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"prototype_assignment": "bogus"},
+            {"lr_decay_steps": 0},
+            {"null_span_ratio": -1.0},
+            {"rep_dim": 0},
+            {"precision": "float16"},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_invalid_hyperparameters_rejected_before_training(self, tiny_corpus, bad):
+        tagger = SpanTagger(seed=0, **bad)
+        with pytest.raises(ConfigError):
+            tagger.fit(tiny_corpus.train[:20], epochs=1)
+        assert tagger.params_ is None and tagger.opt_state_ is None
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -173,7 +191,7 @@ class TestTraining:
     def test_prototypes_tracked_during_fit(self, tiny_corpus):
         tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
         assert isinstance(tagger.prototypes_, PrototypeSet)
-        assert tagger.prototypes_.dim == tagger.rep_dim
+        assert tagger.prototypes_.dim == tagger.config.rep_dim
         assert int(tagger.prototypes_.present.sum()) > 0
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -259,8 +277,11 @@ class TestInference:
         tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
         assert tagger.score(tiny_corpus.val[:5]) == tagger.evaluate(tiny_corpus.val[:5]).f1
 
-    def test_spans_scored_batch_size_sentences_at_a_time(self, tiny_corpus, monkeypatch):
-        tagger = small_tagger(batch_size=8).fit(tiny_corpus.train[:10], epochs=1)
+    @pytest.mark.parametrize("batch_size", [8, 3])
+    def test_spans_scored_batch_size_sentences_at_a_time(self, tiny_corpus, monkeypatch, batch_size):
+        """Scoring groups 8 sentences whatever the training batch size, which
+        a checkpoint does not store."""
+        tagger = small_tagger(batch_size=batch_size).fit(tiny_corpus.train[:10], epochs=1)
         groups = []
         score = model_module.score_spans
         monkeypatch.setattr(
@@ -306,7 +327,7 @@ class TestPersistence:
         loaded = SpanTagger.load(path)
         val = tiny_corpus.val[:8]
         assert loaded.predict(val) == tagger.predict(val)
-        assert loaded.get_params()["rep_dim"] == tagger.rep_dim
+        assert loaded.get_params()["rep_dim"] == tagger.config.rep_dim
 
     def test_save_requires_fit(self, tmp_path):
         with pytest.raises(NotFittedError):
