@@ -176,6 +176,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.values and args.axis == "both":
+        # The two axes have default grids 8x apart; one grid cannot serve both.
+        raise ValueError("--values takes a single axis: pass --axis align or --axis sep")
     config = _load_config(args)
     out = _resolve_output(config)
     corpora, _ = _load_corpora(config)
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid over the prototype loss weights")
     _add_config_arguments(p)
     p.add_argument("--axis", choices=["align", "sep", "both"], default="both")
-    p.add_argument("--values", help="comma-separated grid values (single axis)")
+    p.add_argument("--values", help="comma-separated grid values; needs --axis align or sep")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ledger", help="print the communication accounting report")

@@ -26,6 +26,7 @@ import math
 import struct
 import types
 import typing
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -123,7 +124,8 @@ def split_subwords(word: str, chunk_size: int) -> list[str]:
 
 @dataclass(eq=False, slots=True)
 class Tokenization:
-    """Hashed chunk ids plus word boundaries for one sentence."""
+    """Hashed chunk ids plus word boundaries for one sentence. Its arrays
+    are read-only: ``Tokenizer`` hands the same object to every caller."""
 
     n_words: int
     subword_ids: np.ndarray  # (m,) int64
@@ -132,51 +134,81 @@ class Tokenization:
 
     def __post_init__(self) -> None:
         self.word_sizes = self.word_offsets[1:] - self.word_offsets[:-1]
+        for arr in (self.subword_ids, self.word_offsets, self.word_sizes):
+            arr.setflags(write=False)
+
+
+class _TokenCache:
+    """Chunk ids, word ids and sentence tokenizations of one tokenizer
+    setting."""
+
+    __slots__ = ("chunks", "words", "sentences", "__weakref__")
+
+    def __init__(self) -> None:
+        self.chunks: dict[str, int] = {}
+        self.words: dict[str, tuple[int, ...]] = {}
+        self.sentences: dict[tuple[str, ...], Tokenization] = {}
+
+
+# One cache per (vocab_size, chunk_size, hash_seed), shared by the tokenizers
+# alive with that setting: every entry is a pure function of the setting, and
+# federated clients share it, so they score the same sentences from one copy.
+_TOKEN_CACHES: weakref.WeakValueDictionary[tuple[int, int, int], _TokenCache] = (
+    weakref.WeakValueDictionary()
+)
 
 
 class Tokenizer:
     """Deterministic chunking + keyed-hash vocabulary lookup, cached per
-    chunk and per word."""
+    chunk, per word and per sentence."""
 
     def __init__(self, vocab_size: int, chunk_size: int, hash_seed: int = 0):
         self.vocab_size = vocab_size
         self.chunk_size = chunk_size
         self.hash_seed = hash_seed
         self._key = hash_seed.to_bytes(8, "little", signed=False)
-        self._cache: dict[str, int] = {}
-        self._word_cache: dict[str, tuple[int, ...]] = {}
+        self._cache = _TOKEN_CACHES.setdefault((vocab_size, chunk_size, hash_seed), _TokenCache())
 
     def subword_id(self, subword: str) -> int:
-        cached = self._cache.get(subword)
+        cached = self._cache.chunks.get(subword)
         if cached is None:
             digest = hashlib.blake2b(
                 subword.encode("utf-8"), digest_size=8, key=self._key
             ).digest()
             cached = int.from_bytes(digest, "little") % self.vocab_size
-            self._cache[subword] = cached
+            self._cache.chunks[subword] = cached
         return cached
 
     def _hash_word(self, word: str) -> tuple[int, ...]:
         if not word:
             raise ValueError("cannot tokenize an empty token")
         ids = tuple(self.subword_id(sub) for sub in split_subwords(word, self.chunk_size))
-        self._word_cache[word] = ids
+        self._cache.words[word] = ids
         return ids
 
     def tokenize(self, tokens: Sequence[str]) -> Tokenization:
+        """The sentence's ``Tokenization``, built once per distinct token
+        sequence; list and tuple input share it."""
         if not tokens:
             raise ValueError("cannot tokenize an empty sentence")
+        key = tuple(tokens)
+        tok = self._cache.sentences.get(key)
+        if tok is not None:
+            return tok
+        words = self._cache.words
         ids: list[int] = []
         offsets = [0]
-        for word in tokens:
-            word_ids = self._word_cache.get(word)
+        for word in key:
+            word_ids = words.get(word)
             ids.extend(self._hash_word(word) if word_ids is None else word_ids)
             offsets.append(len(ids))
-        return Tokenization(
-            len(tokens),
+        tok = Tokenization(
+            len(key),
             np.asarray(ids, dtype=np.int64),
             np.asarray(offsets, dtype=np.int64),
         )
+        self._cache.sentences[key] = tok
+        return tok
 
 
 @dataclass(eq=False)

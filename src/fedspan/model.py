@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Sentence, Triplet, TripletMetrics, evaluate_triplets, validate_sentence
-from .decoding import decode_triplets
+from .decoding import decode_batch
 from .encoder import (
     AdamState,
     ConfigError,
@@ -261,7 +261,8 @@ class SpanTagger:
 
     def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray, tuple]:
         """Tokenization, gold classes and ``split_spans`` of a training
-        sentence, cached."""
+        sentence, cached. The tokenization is the tokenizer's own cached
+        object, the one scoring the sentence also gets."""
         cached = self._train_inputs.get(sentence)
         if cached is None:
             gold = derive_gold_tags(sentence, self.config.l_max).classes
@@ -330,7 +331,7 @@ class SpanTagger:
         return out
 
     def predict(self, sentences: Sequence[Sentence]) -> list[list[Triplet]]:
-        return [decode_triplets(tags) for tags in self.predict_tags(sentences)]
+        return decode_batch(self.predict_tags(sentences))
 
     def evaluate(self, sentences: Sequence[Sentence]) -> TripletMetrics:
         pred = self.predict(sentences)

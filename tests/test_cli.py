@@ -237,6 +237,20 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 5 * 4
 
+    def test_values_with_both_axes_fail_before_training(self, tmp_path, monkeypatch, capsys):
+        import fedspan.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before rejecting its arguments")
+
+        monkeypatch.setattr(fedspan.cli, "run_federated", no_training)
+        config = small_config(tmp_path, rounds=1)
+        for axis in (["--axis", "both"], []):
+            code = main(["sweep", "--config", str(config), *axis, "--values", "0.0,0.001"])
+            assert code == 1
+            assert "single axis" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_merged_final_test_f1_is_mean_of_test_row(self, tmp_path):
         config = small_config(tmp_path, rounds=1, mode="merged")
         assert main(["sweep", "--config", str(config), "--axis", "align", "--values", "0.0"]) == 0

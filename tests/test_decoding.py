@@ -1,10 +1,16 @@
 """Triplet decoding and its brute-force equivalence oracle."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedspan import decoding
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus
-from fedspan.decoding import _candidate_sets, decode_triplets
+from fedspan.decoding import DECODE_CHUNK, _contained, _covers, decode_batch, decode_triplets
 from fedspan.tagging import (
     TagMatrix,
     derive_gold_tags,
@@ -131,6 +137,41 @@ class TestDecode:
             assert len(decoded) <= n_sentiment
 
 
+def packed_candidates(tags):
+    """The packed candidate steps on one sentence, as (sentiment spans with
+    their polarity, then each one's aspects and opinions inside it)."""
+    covers = _covers([tags], tags.l_max)
+    rel_start, rel_end, classes = _contained(covers, 0, len(covers.start), min(tags.l_max, tags.n))
+    assert not covers.sentence.any()
+    sentiments, inside = [], []
+    for k, s0 in enumerate(covers.start.tolist()):
+        rows = slice(covers.segments[k], covers.segments[k + 1])
+        ends = zip(rel_start[rows].tolist(), rel_end[rows].tolist())
+        spans = [Span(s0 + a, s0 + b) for a, b in ends]
+        cover = Span(s0, max(span.end for span in spans))
+        # Every span inside the cover, once.
+        assert sorted(spans) == [
+            Span(i, j) for i in range(cover.start, cover.end + 1) for j in range(i, cover.end + 1)
+        ]
+        polarity = {1: Polarity.POS, 2: Polarity.NEG, 3: Polarity.NEU}[int(covers.sentiment[k])]
+        sentiments.append((cover, polarity))
+        cls = dict(zip(spans, classes[rows].tolist()))
+        inside.append(
+            (sorted(a for a in spans if cls[a] & A), sorted(o for o in spans if cls[o] & O))
+        )
+    return sentiments, inside
+
+
+def reference_candidates(tags):
+    """The same, from the scalar loop over every enumerated span."""
+    aspects, opinions, sentiments = reference_candidate_sets(tags)
+    inside = [
+        ([a for a in aspects if cover.contains(a)], [o for o in opinions if cover.contains(o)])
+        for cover, _ in sentiments
+    ]
+    return sentiments, inside
+
+
 def random_tags(rng, max_n=7, min_n=1):
     n = int(rng.integers(min_n, max_n + 1))
     l_max = int(rng.integers(1, max_n + 1))
@@ -169,7 +210,7 @@ class TestScalarReferenceOnLongSentences:
         rng = np.random.default_rng(31)
         for _ in range(200):
             tags = random_tags(rng, max_n=35, min_n=25)
-            assert _candidate_sets(tags) == reference_candidate_sets(tags)
+            assert packed_candidates(tags) == reference_candidates(tags)
 
     def test_decode_matches_pairwise_reference(self):
         rng = np.random.default_rng(32)
@@ -183,12 +224,132 @@ class TestScalarReferenceOnLongSentences:
             total = span_count(n, 10)
             classes = np.where(rng.random(total) < 0.9, 0, rng.integers(1, 16, total))
             tags = TagMatrix(n, 10, classes.astype(np.int64))
-            assert _candidate_sets(tags) == reference_candidate_sets(tags)
+            assert packed_candidates(tags) == reference_candidates(tags)
             assert decode_triplets(tags) == pairwise_decode(tags)
 
     def test_misaligned_classes_rejected(self):
         with pytest.raises(ValueError):
             decode_triplets(TagMatrix(4, 4, np.zeros(span_count(4, 4) - 1, dtype=np.int16)))
+
+
+@st.composite
+def tag_batches(draw):
+    """1-8 tag matrices of mixed length, l_max and class dtype. The batch
+    tags no span, every span, or a random share of them."""
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 40))
+        l_max = draw(st.integers(1, 12))
+        total = span_count(n, l_max)
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        tagged = rng.random(total) < density
+        classes = np.where(tagged, rng.integers(1, 16, total), 0)
+        dtype = draw(st.sampled_from([np.int16, np.int64]))
+        batch.append(TagMatrix(n, l_max, classes.astype(dtype)))
+    return batch
+
+
+class TestPackedDecoder:
+    """``decode_batch`` over mixed batches against the per-sentence oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tag_batches())
+    def test_matches_oracles_per_sentence(self, batch):
+        decoded = decode_batch(batch)
+        assert len(decoded) == len(batch)
+        for tags, triplets in zip(batch, decoded):
+            assert triplets == pairwise_decode(tags)
+            if tags.n <= 10:
+                assert triplets == brute_force_decode(tags)
+            assert decode_triplets(tags) == triplets
+
+    @settings(max_examples=50, deadline=None)
+    @given(tag_batches())
+    def test_candidates_match_scalar_loop(self, batch):
+        for tags in batch:
+            assert packed_candidates(tags) == reference_candidates(tags)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tag_batches(), st.integers(1, 60))
+    def test_row_blocks(self, batch, block):
+        """Reducing the spans inside sentiment spans a few rows at a time
+        gives the same triplets."""
+        whole = decode_batch(batch)
+        saved = decoding.ROW_BLOCK
+        decoding.ROW_BLOCK = block
+        try:
+            assert decode_batch(batch) == whole
+        finally:
+            decoding.ROW_BLOCK = saved
+
+    def test_wide_spans(self):
+        """Sentiment spans up to 200 words wide: several row blocks, with
+        thousands of spans inside one sentiment span."""
+        rng = np.random.default_rng(9)
+        for l_max in (182, 200, 260):
+            n = 200
+            total = span_count(n, l_max)
+            classes = np.zeros(total, dtype=np.int16)
+            classes[rng.choice(total, 60, replace=False)] = rng.integers(1, 16, 60)
+            tags = TagMatrix(n, l_max, classes)
+            assert decode_triplets(tags) == pairwise_decode(tags)
+
+    def test_calls_longer_than_a_chunk(self):
+        rng = np.random.default_rng(5)
+        batch = [random_tags(rng, max_n=12) for _ in range(2 * DECODE_CHUNK + 3)]
+        assert decode_batch(batch) == [pairwise_decode(tags) for tags in batch]
+        assert decode_batch([]) == []
+
+    def test_temporaries_bounded_by_the_chunk(self):
+        """With every span tagged, a call of eight chunks needs no more
+        memory beyond the triplets it returns than a call of one."""
+        rng = np.random.default_rng(3)
+
+        def beyond_output(count):
+            batch = [
+                TagMatrix(12, 10, rng.integers(1, 16, span_count(12, 10)).astype(np.int16))
+                for _ in range(count)
+            ]
+            decode_batch(batch[:1])
+            tracemalloc.start()
+            try:
+                triplets = decode_batch(batch)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(triplets) == count
+            return peak - held
+
+        one, eight = beyond_output(DECODE_CHUNK), beyond_output(8 * DECODE_CHUNK)
+        assert 0 < eight < 1.25 * one
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_misaligned_classes_rejected(self, dtype):
+        good = TagMatrix(4, 4, np.zeros(span_count(4, 4), dtype=dtype))
+        for classes in (
+            np.zeros(span_count(4, 4) - 1, dtype=dtype),
+            np.zeros(span_count(4, 4) + 1, dtype=dtype),
+            np.zeros((span_count(4, 4), 1), dtype=dtype),
+        ):
+            with pytest.raises(ValueError):
+                decode_batch([good, TagMatrix(4, 4, classes)])
+
+    def test_diagnostics_logged_once_per_call(self, caplog):
+        interleaved = tags_from(
+            5, 5, {Span(0, 0): A, Span(1, 1): O, Span(2, 2): A, Span(0, 4): sentiment(Polarity.POS)}
+        )
+        coinciding = tags_from(
+            3, 3, {Span(1, 1): tag_index(True, True, None), Span(0, 2): sentiment(Polarity.POS)}
+        )
+        with caplog.at_level(logging.DEBUG, logger="fedspan.decoding"):
+            decode_batch([interleaved, coinciding, interleaved, coinciding])
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        # A span that is both aspect and opinion also counts as interleaved.
+        assert messages[0].startswith("4 ") and "interleaved" in messages[0]
+        assert messages[1].startswith("2 ") and "coincide" in messages[1]
 
 
 class TestGoldRoundTrip:

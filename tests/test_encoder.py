@@ -1,6 +1,7 @@
 """Encoder forward pass, losses, optimizers and the checkpoint format."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 
@@ -111,12 +112,43 @@ class TestTokenizer:
     def test_empty_token_rejected_after_words_cached(self):
         tokenizer = Tokenizer(64, 4)
         first = tokenizer.tokenize(["ok", "fine"])
-        with pytest.raises(ValueError):
-            tokenizer.tokenize(["ok", "", "fine"])
-        with pytest.raises(ValueError):
-            tokenizer.tokenize([""])
+        for _ in range(2):  # a failed sentence is not cached
+            for bad in (["ok", "", "fine"], ("ok", "", "fine"), [""]):
+                with pytest.raises(ValueError):
+                    tokenizer.tokenize(bad)
         again = tokenizer.tokenize(["ok", "fine"])
         assert again.subword_ids.tolist() == first.subword_ids.tolist()
+
+    def test_sentence_cache_list_and_tuple_same_bits_as_fresh(self):
+        """List and tuple input share one cached tokenization, with the bits
+        a tokenizer built after every earlier one is gone computes anew."""
+        words = ["gorgeous", "keyboard", ",", "the", "keyboard"]
+        tokenizer = Tokenizer(97, 3, hash_seed=4242)
+        cached = tokenizer.tokenize(words)
+        assert tokenizer.tokenize(tuple(words)) is cached
+        assert Tokenizer(97, 3, hash_seed=4242).tokenize(words) is cached
+        bits = array_bits(cached)
+        del tokenizer, cached
+        gc.collect()
+        fresh = Tokenizer(97, 3, hash_seed=4242)
+        assert not fresh._cache.sentences
+        for tokens in (words, tuple(words)):
+            tok = fresh.tokenize(tokens)
+            assert tok.n_words == len(words)
+            assert array_bits(tok) == bits
+        # Another setting keeps its own cache.
+        assert Tokenizer(97, 3, hash_seed=4243).tokenize(words) is not fresh.tokenize(words)
+
+    def test_cached_arrays_read_only(self):
+        tok = Tokenizer(64, 4).tokenize(["keyboard", "is", "gorgeous"])
+        for arr in (tok.subword_ids, tok.word_offsets, tok.word_sizes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def array_bits(tok):
+    return [(a.dtype, a.tobytes()) for a in (tok.subword_ids, tok.word_offsets, tok.word_sizes)]
 
 
 def tiny_params():

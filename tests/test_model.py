@@ -263,8 +263,39 @@ class TestTraining:
         tagger.fit(sentences[:2], epochs=1)  # fit starts over, cache included
         assert calls == list(sentences) + list(sentences[:2])
 
+    def test_training_and_scoring_share_tokenizations(self, tiny_corpus, monkeypatch):
+        """A training sentence is scored from the tokenization its training
+        used, and a second model of the same tokenizer setting reads the same
+        object."""
+        sentences = tiny_corpus.train[:4]
+        tagger = small_tagger().fit(sentences, epochs=1)
+        other = small_tagger(seed=1).fit(sentences[2:], epochs=1)
+        scored = []
+        forward = model_module.forward_sentence
+        monkeypatch.setattr(
+            model_module,
+            "forward_sentence",
+            lambda params, tok, l_max: scored.append(tok) or forward(params, tok, l_max),
+        )
+        tagger.predict_tags(sentences)
+        other.predict_tags(sentences)
+        trained = [tagger._train_inputs[s][0] for s in sentences]
+        assert all(a is b for a, b in zip(scored, trained + trained))
+        assert all(other._train_inputs[s][0] is tok for s, tok in zip(sentences[2:], trained[2:]))
+
 
 class TestInference:
+    def test_predict_equals_per_sentence_predict(self, tiny_corpus):
+        """In float64, one call decodes every sentence as a call of its own
+        would, over more sentences than one decode chunk."""
+        from fedspan.decoding import DECODE_CHUNK
+
+        tagger = small_tagger(precision="float64").fit(tiny_corpus.train[:30], epochs=3)
+        sentences = list(tiny_corpus.train[:DECODE_CHUNK + 20])
+        batch = tagger.predict(sentences)
+        assert batch == [tagger.predict([s])[0] for s in sentences]
+        assert sum(map(len, batch)) > 0
+
     def test_predict_shapes(self, tiny_corpus):
         tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
         preds = tagger.predict(tiny_corpus.val[:5])
