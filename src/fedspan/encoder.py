@@ -11,7 +11,9 @@ The network stands in for a pretrained transformer at desk scale:
 
 The word vectors are computed one sentence at a time (``forward_sentence``);
 the spans of a whole batch of sentences are scored in one packed pass
-(``score_spans``).
+(``score_spans``). ``batch_gradients`` reads what does not depend on the
+weights (layouts, targets, chunk ids) from a ``BatchPlan`` and writes the
+dense gradient blocks into one flat buffer.
 
 Everything is plain numpy. The backward pass is exact and is checked against
 central finite differences in the test suite; training runs in float32,
@@ -281,17 +283,21 @@ class GradientBundle(EncoderParams):
     ``embed`` stays dense and is exactly zero outside ``embed_rows``, the
     sorted unique subword ids of the batch. Left out, ``embed_rows`` means
     every row, as does a plain ``EncoderParams`` given in place of a bundle.
+    ``dense``, if given, is the flat buffer the dense blocks are views of.
     """
 
     embed_rows: np.ndarray | None = None
+    dense: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.embed_rows is None:
             self.embed_rows = np.arange(len(self.embed))
 
     def check_finite(self, what: str = "gradient") -> None:
-        rows = ("embed", self.embed.take(self.embed_rows, axis=0))
-        _check_finite([rows, *((name, getattr(self, name)) for name in self.DENSE)], what)
+        """Checks the touched rows and the dense buffer, then finds the block."""
+        rows = self.embed.take(self.embed_rows, axis=0)
+        if not (np.isfinite(rows).all() and np.isfinite(_dense_flat(self)).all()):
+            _check_finite([("embed", rows), *((n, getattr(self, n)) for n in self.DENSE)], what)
 
 
 @dataclass(eq=False)
@@ -370,21 +376,28 @@ class SpanScores:
         return self.pos.shape[1]
 
 
-def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], l_max: int) -> SpanScores:
-    """Attention pooling, projection and classifier logits for every span of
-    the given sentences, in one pass over the batch.
-
-    Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
-    same linear map applied before the attention-weighted sum instead of
-    after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
-    """
-    word_counts = [fp.tok.n_words for fp in fps]
+def _gather_batch(word_counts: Sequence[int], l_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Span counts, ``SpanScores.pos`` and ``mask`` of sentences of these sizes."""
     width = min(l_max, max(word_counts))
     layouts = [_gather_layout(n, l_max) for n in word_counts]
     span_counts = [len(pos) for pos, _ in layouts]
     pos = np.concatenate([pos[:, :width] for pos, _ in layouts])
     pos += np.repeat(_offsets(word_counts), span_counts)[:, None]
     mask = np.concatenate([mask[:, :width] for _, mask in layouts])
+    return span_counts, pos, mask
+
+
+def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], l_max: int, layout=None) -> SpanScores:
+    """Attention pooling, projection and classifier logits for every span of
+    the given sentences, in one pass; ``layout`` is their ``_gather_batch``, if known.
+
+    Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
+    same linear map applied before the attention-weighted sum instead of
+    after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
+    """
+    word_counts = [fp.tok.n_words for fp in fps]
+    span_counts, pos, mask = layout or _gather_batch(word_counts, l_max)
+    width = pos.shape[1]
     word_vecs = np.concatenate([fp.word_vecs for fp in fps])
 
     scores = word_vecs @ params.w_attn  # (N,)
@@ -480,6 +493,48 @@ def _offsets(sizes: Sequence[int]) -> list[int]:
     return list(accumulate(sizes[:-1], initial=0))
 
 
+@dataclass(eq=False)
+class BatchPlan:
+    """The part of a batch's gradient pass that does not depend on the
+    weights. Spans (``gold``, ``sel``), words and chunks are packed end to end."""
+
+    toks: Sequence[Tokenization]
+    layout: tuple  # ``_gather_batch`` of the word counts
+    gold: np.ndarray  # (S,) int64 gold class of each span
+    sel: np.ndarray  # (k,) spans of the prototype term, ascending
+    span_weight: np.ndarray  # (S,) float64 tag-loss weight, 1 / (S_i * n_b)
+    pairs: np.ndarray  # (3, P) alpha flat index, span and word of each (span, word) pair, by word
+    word_starts: np.ndarray  # (N,) first pair of each word
+    word_sizes: np.ndarray  # (N,) chunks per word
+    first_chunks: np.ndarray  # (n_b,) first chunk of each sentence
+    ids: np.ndarray  # (M,) chunk ids
+    embed_rows: np.ndarray  # sorted unique ``ids``
+    unit_protos: np.ndarray | None  # (C, rep_dim) unit global prototypes, zero if absent
+    proto_present: np.ndarray | None  # (C,) bool
+
+    @classmethod
+    def build(cls, toks, gold, sel, l_max, vocab_size, unit_protos, proto_present):
+        word_counts = [tok.n_words for tok in toks]
+        layout = span_counts, pos, _ = _gather_batch(word_counts, l_max)
+        layouts = [_pair_layout(n, l_max) for n in word_counts]
+        pair_counts = [pairs.shape[1] for pairs, _ in layouts]
+        pairs = np.concatenate([pairs for pairs, _ in layouts], axis=1)
+        pairs[1:] += np.repeat([_offsets(span_counts), _offsets(word_counts)], pair_counts, axis=1)
+        pairs[0] += pairs[1] * pos.shape[1]
+        word_starts = np.concatenate([starts for _, starts in layouts])
+        word_starts += np.repeat(_offsets(pair_counts), word_counts)
+        ids = np.concatenate([tok.subword_ids for tok in toks])
+        touched = np.zeros(vocab_size, dtype=bool)
+        touched[ids] = True
+        return cls(
+            toks, layout, gold.astype(np.int64), sel,
+            np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts),
+            pairs, word_starts, np.concatenate([tok.word_sizes for tok in toks]),
+            np.array(_offsets([len(tok.subword_ids) for tok in toks])),
+            ids, np.flatnonzero(touched), unit_protos, proto_present,
+        )
+
+
 def batch_gradients(
     params: EncoderParams,
     toks: Sequence[Tokenization],
@@ -489,6 +544,7 @@ def batch_gradients(
     proto_vecs: np.ndarray | None = None,
     proto_present: np.ndarray | None = None,
     weights: LossWeights = LossWeights(),
+    plan: BatchPlan | None = None,
 ) -> tuple[LossBreakdown, GradientBundle, BatchReps]:
     """Loss and exact gradients for one batch of sentences.
 
@@ -499,56 +555,63 @@ def batch_gradients(
     cross-entropy; the prototype term averages over all selected spans of
     the batch and is active only when global prototypes are given.
 
+    They are packed into a ``BatchPlan``. A caller that has the batch's plan
+    passes it as ``plan``; besides it only ``params``, ``l_max`` and
+    ``weights`` are then read.
+
     Each sentence runs its own word encoder (``forward_sentence``); the
     spans of the whole batch are then scored in one pass, and the backward
     pass runs once over the batch, with spans, words and chunks packed end
     to end and per-sentence sums done as segment reductions.
     """
-    if not (len(toks) == len(golds) == len(selections)):
-        raise ValueError("toks, golds and selections must be aligned")
-    n_sentences = len(toks)
-    if n_sentences == 0:
-        raise ValueError("empty batch")
     d_e = params.embed.shape[1]
     dtype = params.w_proj.dtype
+    if plan is None:
+        if not (len(toks) == len(golds) == len(selections)):
+            raise ValueError("toks, golds and selections must be aligned")
+        if len(toks) == 0:
+            raise ValueError("empty batch")
+        sel = np.concatenate(selections).astype(np.int64, copy=False)
+        sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
+        if proto_vecs is not None:  # from here on, the unit prototypes
+            proto_present = np.asarray(proto_present)
+            proto_vecs, _ = _unit_rows(np.asarray(proto_vecs, dtype=dtype), proto_present)
+        gold = np.concatenate(golds)
+        plan = BatchPlan.build(toks, gold, sel, l_max, len(params.embed), proto_vecs, proto_present)
+        if misaligned := [(len(g), n) for g, n in zip(golds, plan.layout[0]) if len(g) != n]:
+            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
 
-    fps = [forward_sentence(params, tok, l_max) for tok in toks]
-    spans = score_spans(params, fps, l_max)
+    fps = [forward_sentence(params, tok, l_max) for tok in plan.toks]
+    spans = score_spans(params, fps, l_max, plan.layout)
     x = np.concatenate([fp.x for fp in fps])
     del fps  # the packed copies are all the backward pass reads
-    span_counts = spans.span_counts
-    for gold, n_spans in zip(golds, span_counts):
-        if len(gold) != n_spans:
-            raise ValueError(f"gold classes misaligned: {len(gold)} vs {n_spans} spans")
     reps = spans.reps
     log_probs, probs = log_softmax(spans.logits)
-    span_starts = _offsets(span_counts)
-    gold = np.concatenate(golds).astype(np.int64, copy=False)
-    sel = np.concatenate(selections).astype(np.int64, copy=False)
-    sel += np.repeat(span_starts, [len(s) for s in selections])
+    gold, sel = plan.gold, plan.sel
     n_selected = len(sel)
+    flat = np.empty(sum(getattr(params, name).size for name in EncoderParams.DENSE), dtype)
+    grads = _dense_views(flat, params)
 
     # Span-tag cross-entropy, normalized per sentence then per batch.
     rows = np.arange(len(gold))
-    span_weight = np.repeat(1.0 / (np.array(span_counts) * n_sentences), span_counts)
-    tag_mean = float(span_weight @ -log_probs[rows, gold])
+    tag_mean = float(plan.span_weight @ -log_probs[rows, gold])
     batch_reps = BatchReps(reps[sel], probs[sel].argmax(axis=1), gold[sel])
     dlogits = probs
     dlogits[rows, gold] -= 1.0
-    dlogits *= span_weight[:, None].astype(dtype)
+    dlogits *= plan.span_weight[:, None].astype(dtype)
     del log_probs
 
     # Classifier block.
-    grads_cls = dlogits.T @ reps
-    grads_b_cls = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, reps, out=grads["w_cls"])
+    np.sum(dlogits, axis=0, out=grads["b_cls"])
     dreps = dlogits @ params.w_cls
 
     proto_total = 0.0
-    proto_active = proto_vecs is not None and weights.proto_weight != 0.0
+    proto_active = plan.unit_protos is not None and weights.proto_weight != 0.0
     if proto_active and n_selected:
-        unit_prot, _ = _unit_rows(np.asarray(proto_vecs, dtype=dtype), np.asarray(proto_present))
-        y = gold[sel]
-        z = reps[sel]
+        unit_prot = plan.unit_protos
+        y = batch_reps.gold_classes
+        z = batch_reps.reps
         z_norm = np.linalg.norm(z, axis=1)
         valid = z_norm > 0
         if not valid.all():
@@ -565,7 +628,7 @@ def batch_gradients(
         d_align[~valid] = 0.0
 
         # Separation: log-sum-exp of cosines to the other present classes.
-        other = np.asarray(proto_present)[None, :] & (
+        other = plan.proto_present[None, :] & (
             np.arange(unit_prot.shape[0])[None, :] != y[:, None]
         )
         exp_cos = np.where(other, np.exp(cos), 0.0)
@@ -587,67 +650,48 @@ def batch_gradients(
     # (span, word) pairs; ordered by word, the per-word gradients are segment
     # sums. grads.w_proj is the alpha-weighted dreps summed per word, against
     # the word vectors.
-    grads_b_proj = dreps.sum(axis=0)
+    np.sum(dreps, axis=0, out=grads["b_proj"])
     del reps, probs, dlogits  # lowers the peak on long sentences
-    word_counts = spans.word_counts
-    layouts = [_pair_layout(n, l_max) for n in word_counts]
-    pair_counts = [pairs.shape[1] for pairs, _ in layouts]
-    pairs = np.concatenate([pairs for pairs, _ in layouts], axis=1)
-    span_idx, word_idx = pairs[1:] + np.repeat(
-        [span_starts, _offsets(word_counts)], pair_counts, axis=1
-    )
-    word_starts = np.concatenate([starts for _, starts in layouts])
-    word_starts += np.repeat(_offsets(pair_counts), word_counts)
-    alpha = spans.alpha.take(span_idx * spans.width + pairs[0])
+    alpha_idx, span_idx, word_idx = plan.pairs
+    alpha = spans.alpha.take(alpha_idx)
     dreps_pairs = dreps.take(span_idx, axis=0)
     dalpha = np.einsum("pz,pz->p", dreps_pairs, spans.word_reps.take(word_idx, axis=0))
     inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(gold))
     dscore = alpha * (dalpha - inner.astype(dtype).take(span_idx))
-    dscore_words = np.add.reduceat(dscore, word_starts)
+    dscore_words = np.add.reduceat(dscore, plan.word_starts)
     word_vecs = spans.word_vecs
     del spans
-    grads_attn = dscore_words @ word_vecs
+    np.matmul(dscore_words, word_vecs, out=grads["w_attn"])
     dreps_pairs *= alpha[:, None]
-    dword_reps = np.add.reduceat(dreps_pairs, word_starts, axis=0)
-    grads_proj = dword_reps.T @ word_vecs
+    dword_reps = np.add.reduceat(dreps_pairs, plan.word_starts, axis=0)
+    np.matmul(dword_reps.T, word_vecs, out=grads["w_proj"])
     dword = dword_reps @ params.w_proj
     dword += dscore_words[:, None] * params.w_attn
 
     # Word mean over chunks, then the window-3 context layer. The window's
     # zero padding at each sentence boundary takes no gradient.
-    sizes = np.concatenate([tok.word_sizes for tok in toks])
+    sizes = plan.word_sizes
     dh_sub = np.repeat(dword / sizes[:, None].astype(dtype), sizes, axis=0)
-    grads_ctx = dh_sub.T @ x
-    grads_b_ctx = dh_sub.sum(axis=0)
+    np.matmul(dh_sub.T, x, out=grads["w_ctx"])
+    np.sum(dh_sub, axis=0, out=grads["b_ctx"])
     dx = dh_sub @ params.w_ctx
-    first_chunks = np.array(_offsets([len(tok.subword_ids) for tok in toks]))
+    first_chunks = plan.first_chunks
     dx[first_chunks, :d_e] = 0.0
     dx[first_chunks[1:] - 1, 2 * d_e :] = 0.0
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]
-    ids = np.concatenate([tok.subword_ids for tok in toks])
     grads_embed = np.zeros_like(params.embed)
-    _scatter_rows(grads_embed, ids, d_sub)
+    _scatter_rows(grads_embed, plan.ids, d_sub)
 
-    grads = GradientBundle(
-        embed=grads_embed,
-        w_ctx=grads_ctx,
-        b_ctx=grads_b_ctx,
-        w_attn=grads_attn,
-        w_proj=grads_proj,
-        b_proj=grads_b_proj,
-        w_cls=grads_cls,
-        b_cls=grads_b_cls,
-        embed_rows=np.unique(ids),
-    )
+    bundle = GradientBundle(embed=grads_embed, **grads, embed_rows=plan.embed_rows, dense=flat)
     proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
     total = tag_mean + weights.proto_weight * proto_mean
     if not np.isfinite(total):
         raise TrainingDivergedError("non-finite training loss")
-    grads.check_finite("gradient")
+    bundle.check_finite("gradient")
 
-    return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
+    return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), bundle, batch_reps
 
 
 def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> EncoderParams:
@@ -683,7 +727,11 @@ class AdamState:
 
 
 def _dense_flat(holder: EncoderParams) -> np.ndarray:
-    """The dense blocks of ``holder`` end to end, in ``DENSE`` order."""
+    """The dense blocks of ``holder`` end to end, in ``DENSE`` order: the
+    bundle's own ``dense`` buffer where it has one."""
+    flat = getattr(holder, "dense", None)
+    if flat is not None:
+        return flat
     return np.concatenate([getattr(holder, name).ravel() for name in EncoderParams.DENSE])
 
 

@@ -19,12 +19,14 @@ from .corpus import Sentence, Triplet, TripletMetrics, evaluate_triplets, valida
 from .decoding import decode_batch
 from .encoder import (
     AdamState,
+    BatchPlan,
     ConfigError,
     EncoderConfig,
     EncoderParams,
     LossWeights,
     Tokenization,
     Tokenizer,
+    _unit_rows,
     adam_step,
     batch_gradients,
     forward_sentence,
@@ -111,29 +113,53 @@ def _check_epochs(epochs: int) -> None:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
 
-def split_spans(gold_classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the labeled spans and of the background (class 0) spans,
-    as int32: half the memory of a cache of int64 indices, and ``rng.choice``
-    draws the same stream for any index dtype."""
-    gold_classes = np.asarray(gold_classes)
-    return (
-        np.flatnonzero(gold_classes != 0).astype(np.int32),
-        np.flatnonzero(gold_classes == 0).astype(np.int32),
-    )
-
-
-def select_proto_spans(
-    split: tuple[np.ndarray, np.ndarray], rng: np.random.Generator, null_ratio: float
+def select_spans(
+    rng: np.random.Generator, gold: np.ndarray, starts: np.ndarray, null_ratio: float
 ) -> np.ndarray:
-    """Spans feeding the prototype term: all labeled spans plus a sample of
-    background spans capped at ``null_ratio`` times the labeled count.
-    ``split`` is ``split_spans`` of the sentence's gold classes."""
-    labeled, nulls = split
-    n_null = min(len(nulls), int(round(null_ratio * len(labeled))))
-    if n_null > 0:
-        sampled = rng.choice(nulls, size=n_null, replace=False)
-        return np.sort(np.concatenate([labeled, sampled]))
-    return labeled
+    """Mask of the spans feeding the prototype term over an epoch's gold
+    classes, sentence i owning ``starts[i]:starts[i+1]``: its labeled spans
+    and background spans capped at ``null_ratio`` times as many, picked and
+    drawn as by one ``rng.choice(nulls, k, replace=False)`` per sentence.
+    Past 10,000 picks numpy can take another branch, so it is called then.
+    """
+    selected = gold != 0
+    labeled = np.add.reduceat(selected, starts[:-1], dtype=np.int64)
+    n = np.diff(starts) - labeled
+    k = np.minimum(n, np.rint(null_ratio * labeled)).astype(np.int64)
+    picks, lo = [], 0
+    for hi in [*np.flatnonzero(k > 10_000).tolist(), len(k)]:
+        picks.append(_floyd_picks(rng, n[lo:hi], k[lo:hi]))
+        if hi < len(k):
+            picks.append(rng.choice(n[hi], k[hi], replace=False))
+        lo = hi + 1
+    picks = np.concatenate(picks) + np.repeat(np.cumsum(n) - n, k)
+    selected[np.flatnonzero(gold == 0)[picks]] = True
+    return selected
+
+
+def _floyd_picks(rng: np.random.Generator, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``rng.choice(n_i, k_i, replace=False)`` for each i in turn, from one
+    draw, each set in any order. numpy draws in [0, j] for j = n-k ... n-1
+    (Floyd), then in [0, i] for i = k-1 ... 1 to shuffle, which a set
+    ignores. Floyd's rule takes j for a value already picked, which first
+    happens at a repeated draw: only sets with one need the loop."""
+    n_draws = np.maximum(2 * k - 1, 0)
+    step = np.arange(n_draws.sum()) - np.repeat(np.cumsum(n_draws) - n_draws, n_draws)
+    n_rep, k_rep = np.repeat(n, n_draws), np.repeat(k, n_draws)
+    floyd = step < k_rep
+    draws = rng.integers(0, np.where(floyd, n_rep - k_rep + 1 + step, 2 * k_rep - step))
+    picks, js = draws[floyd], (n_rep - k_rep + step)[floyd]
+    ends = np.cumsum(n)
+    keys = np.sort(np.repeat(ends - n, k) + picks)  # distinct across sets
+    repeated = np.unique(ends.searchsorted(keys[1:][keys[1:] == keys[:-1]], side="right"))
+    first, js, values = np.cumsum(k) - k, js.tolist(), picks.tolist()
+    for i in repeated.tolist():
+        lo, hi = int(first[i]), int(first[i] + k[i])
+        chosen: set[int] = set()
+        for j, v in zip(js[lo:hi], values[lo:hi]):
+            chosen.add(j if v in chosen else v)
+        picks[lo:hi] = list(chosen)
+    return picks
 
 
 class SpanTagger:
@@ -171,7 +197,7 @@ class SpanTagger:
         self.last_fit_metrics_: dict | None = None
         self._rng = None
         self._tokenizer = None
-        self._train_inputs: dict[Sentence, tuple[Tokenization, np.ndarray, tuple]] = {}
+        self._train_inputs: dict[Sentence, tuple[Tokenization, np.ndarray]] = {}
 
     @property
     def is_fitted(self) -> bool:
@@ -224,67 +250,53 @@ class SpanTagger:
         if not self.is_fitted:
             self._initialize()
         config = self.config
-        toks, golds, splits = zip(*map(self._training_inputs, sentences))
+        toks, golds = zip(*map(self._training_inputs, sentences))
         if global_prototypes is not None and global_prototypes.dim != config.rep_dim:
             raise ValueError(
                 f"global prototypes have dim {global_prototypes.dim}, model uses {config.rep_dim}"
             )
-        proto_vecs = proto_present = None
+        unit_protos = proto_present = None
         if global_prototypes is not None and global_prototypes.present.any():
-            proto_vecs, proto_present = global_prototypes.matrix, global_prototypes.present
+            proto_present = global_prototypes.present
+            unit_protos, _ = _unit_rows(global_prototypes.matrix.astype(config.dtype), proto_present)
         weights = LossWeights(config.proto_weight, config.align_weight, config.sep_weight)
 
         loss_sums = np.zeros(3)
         n_batches = 0
         indices = np.arange(len(sentences))
         for _ in range(epochs):
+            # Nothing else draws from the generator within an epoch.
             order = self._rng.permutation(indices)
+            gold = np.concatenate([golds[i] for i in order])
+            starts = np.cumsum([0] + [len(golds[i]) for i in order])
+            selected = select_spans(self._rng, gold, starts, config.null_span_ratio)
             for lo in range(0, len(order), config.batch_size):
-                batch_ids = order[lo : lo + config.batch_size]
-                breakdown = self._train_batch(
-                    [toks[i] for i in batch_ids],
-                    [golds[i] for i in batch_ids],
-                    [splits[i] for i in batch_ids],
-                    proto_vecs,
-                    proto_present,
-                    weights,
-                )
+                hi = min(lo + config.batch_size, len(order))
+                spans = slice(starts[lo], starts[hi])
+                batch = [toks[i] for i in order[lo:hi]], gold[spans], np.flatnonzero(selected[spans])
+                plan = BatchPlan.build(*batch, config.l_max, config.vocab_size, unit_protos, proto_present)
+                breakdown = self._train_batch(plan, weights)
                 loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
                 n_batches += 1
-        self.last_fit_metrics_ = {
-            "train_loss": float(loss_sums[0] / n_batches),
-            "tag_loss": float(loss_sums[1] / n_batches),
-            "proto_loss": float(loss_sums[2] / n_batches),
-            "batches": n_batches,
-        }
+        train, tag, proto = (loss_sums / n_batches).tolist()
+        self.last_fit_metrics_ = dict(train_loss=train, tag_loss=tag, proto_loss=proto, batches=n_batches)
         return self
 
-    def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray, tuple]:
-        """Tokenization, gold classes and ``split_spans`` of a training
-        sentence, cached. The tokenization is the tokenizer's own cached
-        object, the one scoring the sentence also gets."""
+    def _training_inputs(self, sentence: Sentence) -> tuple[Tokenization, np.ndarray]:
+        """Tokenization and gold classes of a training sentence, cached. The
+        tokenization is the tokenizer's own, which scoring also gets."""
         cached = self._train_inputs.get(sentence)
         if cached is None:
             gold = derive_gold_tags(sentence, self.config.l_max).classes
-            split = split_spans(gold)
-            for arr in (gold, *split):
-                arr.setflags(write=False)
-            cached = self._tokenizer.tokenize(sentence.tokens), gold, split
+            gold.setflags(write=False)
+            cached = self._tokenizer.tokenize(sentence.tokens), gold
             self._train_inputs[sentence] = cached
         return cached
 
-    def _train_batch(self, toks, golds, splits, proto_vecs, proto_present, weights):
+    def _train_batch(self, plan: BatchPlan, weights: LossWeights):
         config = self.config
-        selections = [select_proto_spans(split, self._rng, config.null_span_ratio) for split in splits]
         breakdown, grads, batch_reps = batch_gradients(
-            self.params_,
-            toks,
-            golds,
-            selections,
-            config.l_max,
-            proto_vecs,
-            proto_present,
-            weights,
+            self.params_, plan.toks, None, None, config.l_max, weights=weights, plan=plan
         )
         lr = config.learning_rate
         if config.lr_decay_steps:

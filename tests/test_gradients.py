@@ -9,6 +9,8 @@ from fedspan.encoder import (
     EncoderParams,
     LossWeights,
     Tokenizer,
+    TrainingDivergedError,
+    _dense_flat,
     _scatter_rows,
     batch_gradients,
 )
@@ -273,3 +275,85 @@ class TestEmbeddingRows:
             np.add.at(want, ids, rows)
             _scatter_rows(table, ids, rows)
             assert table.tobytes() == want.tobytes()
+
+
+class TestFlatGradientBuffer:
+    """The dense gradient blocks live in one flat buffer, which the finite
+    check and Adam read whole."""
+
+    def bundle(self, precision="float32"):
+        config, params, toks, golds, selections, protos, present, weights = random_case(5)
+        _, grads, _ = batch_gradients(
+            params.astype(precision), toks, golds, selections, config.l_max, protos, present, weights
+        )
+        return grads
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_dense_blocks_are_views_of_one_buffer(self, precision):
+        grads = self.bundle(precision)
+        assert _dense_flat(grads) is grads.dense
+        assert grads.dense.dtype == np.dtype(precision)
+        pos = 0
+        for name in EncoderParams.DENSE:
+            block = getattr(grads, name)
+            assert np.shares_memory(block, grads.dense), name
+            assert np.array_equal(block.ravel(), grads.dense[pos : pos + block.size]), name
+            pos += block.size
+        assert pos == grads.dense.size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", EncoderParams.BLOCKS)
+    def test_non_finite_value_names_its_block(self, name, bad):
+        grads = self.bundle()
+        grads.check_finite()
+        if name == "embed":
+            grads.embed[grads.embed_rows[-1], -1] = bad
+        else:
+            getattr(grads, name).reshape(-1)[-1] = bad
+        with pytest.raises(TrainingDivergedError, match=f"non-finite gradient in block '{name}'"):
+            grads.check_finite()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_untouched_embedding_row_ignored(self, bad):
+        grads = self.bundle()
+        untouched = np.setdiff1d(np.arange(len(grads.embed)), grads.embed_rows)
+        assert len(untouched) > 0
+        grads.embed[untouched] = bad
+        grads.check_finite()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("touched", [True, False], ids=["touched", "untouched"])
+    def test_batch_gradients_checks_touched_rows(self, monkeypatch, bad, touched):
+        """A non-finite value scattered into a touched embedding row makes
+        ``batch_gradients`` raise naming 'embed'; in an untouched row it
+        does not."""
+        config, params, toks, golds, selections, protos, present, weights = random_case(5)
+        ids = np.concatenate([tok.subword_ids for tok in toks])
+        row = ids[0] if touched else np.setdiff1d(np.arange(config.vocab_size), ids)[0]
+
+        def poisoned(table, ids, rows):
+            _scatter_rows(table, ids, rows)
+            table[row, 0] = bad
+
+        monkeypatch.setattr(encoder_module, "_scatter_rows", poisoned)
+        args = (params, toks, golds, selections, config.l_max, protos, present, weights)
+        if touched:
+            with pytest.raises(TrainingDivergedError, match="'embed'"):
+                batch_gradients(*args)
+        else:
+            batch_gradients(*args)
+
+
+class TestBatchArguments:
+    def test_misaligned_gold_names_the_counts(self):
+        config, params, toks, golds, selections, protos, present, weights = random_case(5)
+        short = [golds[0][:-1], *golds[1:]]
+        with pytest.raises(ValueError, match=f"misaligned: {len(golds[0]) - 1} vs {len(golds[0])} spans"):
+            batch_gradients(params, toks, short, selections, config.l_max, protos, present, weights)
+
+    def test_unaligned_lists_and_empty_batch_rejected(self):
+        config, params, toks, golds, selections, *_ = random_case(5)
+        with pytest.raises(ValueError, match="aligned"):
+            batch_gradients(params, toks, golds[:-1] if len(golds) > 1 else [], selections, config.l_max)
+        with pytest.raises(ValueError, match="empty batch"):
+            batch_gradients(params, [], [], [], config.l_max)

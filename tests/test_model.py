@@ -1,37 +1,26 @@
 """SpanTagger estimator surface: fit/predict/score, params protocol, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fedspan.model as model_module
 from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
-from fedspan.model import (
-    NotFittedError,
-    SpanTagger,
-    select_proto_spans,
-    split_spans,
-    validate_sentences,
-)
+from fedspan.model import NotFittedError, SpanTagger, select_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
+
+from reference_training import reference_partial_fit, select_proto_spans, split_spans
 
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
     corpora = generate_synthetic(default_synth_config(), 19)
     return corpora[0]
-
-
-def uncached_select_proto_spans(gold_classes, rng, null_ratio):
-    """The selection with the span split done on every call."""
-    labeled = np.flatnonzero(gold_classes != 0)
-    nulls = np.flatnonzero(gold_classes == 0)
-    n_null = min(len(nulls), int(round(null_ratio * len(labeled))))
-    if n_null > 0:
-        sampled = rng.choice(nulls, size=n_null, replace=False)
-        return np.sort(np.concatenate([labeled, sampled]))
-    return labeled
 
 
 def small_tagger(**kw):
@@ -96,72 +85,161 @@ class TestValidation:
             small_tagger().fit([Sentence(())], epochs=1)
 
 
+def epoch_selections(rng, golds, null_ratio):
+    """Each sentence's selected spans, from one ``select_spans`` call over
+    ``golds`` packed end to end."""
+    starts = np.cumsum([0] + [len(gold) for gold in golds])
+    selected = select_spans(rng, np.concatenate(golds), starts, null_ratio)
+    return [np.flatnonzero(selected[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])]
+
+
+def random_golds(rng, count, max_spans=60):
+    """Gold class arrays with a random share of labeled spans, some all
+    background."""
+    golds = []
+    for _ in range(count):
+        gold = rng.integers(0, 16, int(rng.integers(1, max_spans))) * (rng.random() < 0.8)
+        gold[rng.random(len(gold)) < rng.random()] = 0
+        golds.append(gold)
+    return golds
+
+
 class TestProtoSpanSelection:
+    """``select_spans`` against the per-sentence ``select_proto_spans``
+    oracle (``tests/reference_training.py``)."""
+
     def test_all_labeled_plus_capped_nulls(self):
         gold = np.array([0, 3, 0, 0, 9, 0, 0, 0])
         rng = np.random.default_rng(0)
-        sel = select_proto_spans(split_spans(gold), rng, null_ratio=1.0)
+        [sel] = epoch_selections(rng, [gold], null_ratio=1.0)
         labels = gold[sel]
         assert {1, 4} <= set(sel)  # labeled spans always kept
         assert (labels != 0).sum() == 2
         assert (labels == 0).sum() == 2  # capped at the labeled count
 
     def test_no_labeled_spans_selects_nothing(self):
-        sel = select_proto_spans(split_spans(np.zeros(6, dtype=int)), np.random.default_rng(0), 1.0)
+        [sel] = epoch_selections(np.random.default_rng(0), [np.zeros(6, dtype=int)], 1.0)
         assert len(sel) == 0
 
     def test_zero_ratio_keeps_only_labeled(self):
         gold = np.array([0, 3, 0, 9])
-        sel = select_proto_spans(split_spans(gold), np.random.default_rng(0), 0.0)
+        [sel] = epoch_selections(np.random.default_rng(0), [gold], 0.0)
         assert list(sel) == [1, 3]
 
     def test_selection_sorted_and_unique(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             gold = rng.integers(0, 3, 30)
-            sel = select_proto_spans(split_spans(gold), rng, 1.0)
+            [sel] = epoch_selections(rng, [gold], 1.0)
             assert list(sel) == sorted(set(int(i) for i in sel))
 
     @pytest.mark.parametrize("null_ratio", [0.0, 0.5, 1.0, 3.0])
     def test_cached_split_matches_uncached(self, null_ratio):
-        """A split computed once gives the selection and the RNG stream of
-        splitting the gold classes on every call."""
+        """One epoch-wide draw gives each sentence the selection, and the
+        generator the state, of choosing sentence by sentence from gold
+        classes split on every call."""
         rng = np.random.default_rng(11)
-        uncached, cached = np.random.default_rng(4), np.random.default_rng(4)
-        golds = []
-        for _ in range(10):
-            gold = rng.integers(0, 16, int(rng.integers(1, 60))) * (rng.random() < 0.8)
-            gold[rng.random(len(gold)) < rng.random()] = 0
-            golds.append(gold)
-        splits = [split_spans(gold) for gold in golds]
+        oracle, sampler = np.random.default_rng(4), np.random.default_rng(4)
+        golds = random_golds(rng, 10)
         for _ in range(4):
-            for gold, split in zip(golds, splits):
-                want = uncached_select_proto_spans(gold, uncached, null_ratio)
-                got = select_proto_spans(split, cached, null_ratio)
-                assert np.array_equal(got, want)
-                assert cached.bit_generator.state == uncached.bit_generator.state
+            got = epoch_selections(sampler, golds, null_ratio)
+            for gold, sel in zip(golds, got):
+                want = select_proto_spans(split_spans(gold), oracle, null_ratio)
+                assert np.array_equal(sel, want)
+            assert sampler.bit_generator.state == oracle.bit_generator.state
 
-    def test_split_indices_are_int32(self):
-        labeled, nulls = split_spans(np.array([0, 3, 0, 0, 9, 0]))
-        assert labeled.dtype == nulls.dtype == np.int32
-        assert labeled.tolist() == [1, 4] and nulls.tolist() == [0, 2, 3, 5]
+    def test_split_indices_are_int32(self, tiny_corpus):
+        """Training caches 2 bytes of int16 gold class per span and no span
+        indices; the labeled and background spans are read off the classes."""
+        gold = np.array([0, 3, 0, 0, 9, 0])
+        [labeled] = epoch_selections(np.random.default_rng(0), [gold], 0.0)
+        [every] = epoch_selections(np.random.default_rng(0), [gold], 2.0)
+        assert labeled.tolist() == [1, 4]
+        assert sorted(set(every.tolist()) - set(labeled.tolist())) == [0, 2, 3, 5]
+        tagger = small_tagger().fit(tiny_corpus.train[:1], epochs=1)
+        [(tok, cached)] = tagger._train_inputs.values()
+        assert cached.dtype == np.int16 and not cached.flags.writeable
 
     @pytest.mark.parametrize("null_ratio", [0.0, 0.5, 1.0, 3.0])
     def test_int32_split_matches_int64(self, null_ratio):
-        """The int32 split gives the selections and the RNG stream of the
-        same split in int64."""
+        """int16 gold classes, as training caches them, give the selections
+        and the generator state of int64 classes, and of the oracle on an
+        int32 split."""
         rng = np.random.default_rng(12)
-        narrow, wide = np.random.default_rng(6), np.random.default_rng(6)
-        golds = [rng.integers(0, 16, int(rng.integers(1, 60))) * (rng.random() < 0.8) for _ in range(10)]
-        for gold in golds:
-            gold[rng.random(len(gold)) < rng.random()] = 0
-        splits = [split_spans(gold) for gold in golds]
+        narrow, wide, oracle = (np.random.default_rng(6) for _ in range(3))
+        golds = random_golds(rng, 10)
         for _ in range(4):
-            for split in splits:
-                want = select_proto_spans(tuple(a.astype(np.int64) for a in split), wide, null_ratio)
-                got = select_proto_spans(split, narrow, null_ratio)
-                assert np.array_equal(got, want)
-                assert narrow.bit_generator.state == wide.bit_generator.state
+            got = epoch_selections(narrow, [gold.astype(np.int16) for gold in golds], null_ratio)
+            want = epoch_selections(wide, [gold.astype(np.int64) for gold in golds], null_ratio)
+            for gold, a, b in zip(golds, got, want):
+                assert np.array_equal(a, b)
+                assert np.array_equal(a, select_proto_spans(split_spans(gold), oracle, null_ratio))
+            assert narrow.bit_generator.state == wide.bit_generator.state
+            assert narrow.bit_generator.state == oracle.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        null_ratio=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        labeled_share=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        batch_size=st.integers(1, 5),
+        epochs=st.integers(1, 3),
+    )
+    # Every background span taken (k == n), no background spans, no labeled
+    # spans, and a sentence sampling over 10,000 background spans.
+    @example(seed=1, null_ratio=3.0, sizes=[6, 9, 4], labeled_share=0.5, batch_size=2, epochs=2)
+    @example(seed=2, null_ratio=1.0, sizes=[5, 8, 3], labeled_share=1.0, batch_size=2, epochs=1)
+    @example(seed=3, null_ratio=1.0, sizes=[5, 8, 3], labeled_share=0.0, batch_size=2, epochs=1)
+    @example(seed=4, null_ratio=1.0, sizes=[7, 21_000, 5], labeled_share=0.5, batch_size=2, epochs=1)
+    def test_epochs_match_per_batch_oracle(
+        self, seed, null_ratio, sizes, labeled_share, batch_size, epochs
+    ):
+        """Over several epochs, every batch gets the oracle's selections, and
+        after each epoch the generator is where the oracle left it. A labeled
+        share of 0 or 1 gives sentences without labeled spans or without
+        background spans; a ratio of 3 often takes every background span."""
+        data = np.random.default_rng(seed)
+        golds = [data.integers(1, 16, n) * (data.random(n) < labeled_share) for n in sizes]
+        oracle, sampler = np.random.default_rng(seed), np.random.default_rng(seed)
+        indices = np.arange(len(golds))
+        for _ in range(epochs):
+            order = oracle.permutation(indices)
+            assert np.array_equal(sampler.permutation(indices), order)
+            got = epoch_selections(sampler, [golds[i] for i in order], null_ratio)
+            for lo in range(0, len(order), batch_size):
+                batch = order[lo : lo + batch_size]
+                want = [select_proto_spans(split_spans(golds[i]), oracle, null_ratio) for i in batch]
+                assert all(np.array_equal(a, b) for a, b in zip(got[lo : lo + batch_size], want))
+            assert sampler.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("null_ratio", [1.0, 3.0])
+    def test_every_null_taken(self, null_ratio):
+        """k == n: a sentence with no more background spans than the cap
+        selects all of them."""
+        golds = [np.array([0, 5, 0, 7, 2]), np.array([4, 0, 0, 0, 1, 1])]
+        oracle, sampler = np.random.default_rng(8), np.random.default_rng(8)
+        got = epoch_selections(sampler, golds, null_ratio)
+        assert [sel.tolist() for sel in got] == [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5]]
+        for gold, sel in zip(golds, got):
+            assert np.array_equal(sel, select_proto_spans(split_spans(gold), oracle, null_ratio))
+        assert sampler.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("n_nulls", [10_001, 12_000])
+    def test_more_than_ten_thousand_nulls_use_choice(self, n_nulls):
+        """A sentence sampling 10,001 background spans takes numpy's other
+        choice branch; between short sentences it still gets the oracle's
+        selection and stream."""
+        long = np.zeros(10_001 + n_nulls, dtype=np.int16)
+        long[np.random.default_rng(1).permutation(len(long))[:10_001]] = 1
+        data = np.random.default_rng(2)
+        golds = [*random_golds(data, 3), long, *random_golds(data, 3)]
+        oracle, sampler = np.random.default_rng(9), np.random.default_rng(9)
+        got = epoch_selections(sampler, golds, 1.0)
+        assert len(got[3]) == 20_002
+        for gold, sel in zip(golds, got):
+            assert np.array_equal(sel, select_proto_spans(split_spans(gold), oracle, 1.0))
+        assert sampler.bit_generator.state == oracle.bit_generator.state
 
 
 class TestTraining:
@@ -282,6 +360,106 @@ class TestTraining:
         trained = [tagger._train_inputs[s][0] for s in sentences]
         assert all(a is b for a, b in zip(scored, trained + trained))
         assert all(other._train_inputs[s][0] is tok for s, tok in zip(sentences[2:], trained[2:]))
+
+
+def assert_same_training_state(got, want):
+    """Bit-identical parameters, optimizer state, prototypes, step count,
+    fit metrics and generator state."""
+    for (name, a), (_, b) in zip(got.params_.blocks(), want.params_.blocks()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    if want.opt_state_ is None:
+        assert got.opt_state_ is None
+    else:
+        a, b = got.opt_state_, want.opt_state_
+        assert a.step == b.step
+        assert np.array_equal(a.seen_rows, b.seen_rows)
+        assert a.m_dense.tobytes() == b.m_dense.tobytes()
+        assert a.v_dense.tobytes() == b.v_dense.tobytes()
+        for holder, ref_holder in ((a.m, b.m), (a.v, b.v)):
+            for (name, x), (_, y) in zip(holder.blocks(), ref_holder.blocks()):
+                assert x.tobytes() == y.tobytes(), name
+    assert got.prototypes_.matrix.dtype == want.prototypes_.matrix.dtype
+    assert got.prototypes_.matrix.tobytes() == want.prototypes_.matrix.tobytes()
+    assert np.array_equal(got.prototypes_.present, want.prototypes_.present)
+    assert got.n_steps_ == want.n_steps_
+    assert got.last_fit_metrics_ == want.last_fit_metrics_
+    assert got._rng.bit_generator.state == want._rng.bit_generator.state
+
+
+class TestTrainingMatchesReferenceLoop:
+    """``partial_fit`` plans each epoch up front; the per-batch loop it
+    replaced (``tests/reference_training.py``) must leave the same bits."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("with_protos", [False, True], ids=["no_protos", "protos"])
+    def test_bit_identical_to_reference_loop(self, tiny_corpus, precision, optimizer, with_protos):
+        # 13 sentences in batches of 5 leave a short last batch.
+        sentences = tiny_corpus.train[:13]
+        kwargs = dict(
+            precision=precision,
+            optimizer=optimizer,
+            batch_size=5,
+            seed=4,
+            align_weight=0.5,
+            sep_weight=0.1,
+            null_span_ratio=1.5,
+            prototype_assignment="gold" if with_protos else "predicted",
+        )
+        protos = None
+        if with_protos:
+            rng = np.random.default_rng(3)
+            protos = PrototypeSet(8, {c: rng.normal(size=8) for c in (0, 1, 3, 6, 9, 12)})
+        fast, ref = small_tagger(**kwargs), small_tagger(**kwargs)
+        for epochs in (2, 1):
+            fast.partial_fit(sentences, epochs=epochs, global_prototypes=protos)
+            reference_partial_fit(ref, sentences, epochs=epochs, global_prototypes=protos)
+            assert_same_training_state(fast, ref)
+        assert fast.n_steps_ == 9
+        if with_protos:
+            assert fast.last_fit_metrics_["proto_loss"] != 0.0
+
+
+def long_sentences(corpus, count):
+    """``count`` sentences of 25-35 tokens, each joining training sentences
+    of ``corpus`` end to end with their triplets."""
+    pool = iter(corpus.train * 20)
+    out = []
+    while len(out) < count:
+        tokens, triplets = [], []
+        while len(tokens) < 25:
+            part = next(pool)
+            shift = len(tokens)
+            for t in part.triplets:
+                aspect = Span(t.aspect.start + shift, t.aspect.end + shift)
+                opinion = Span(t.opinion.start + shift, t.opinion.end + shift)
+                triplets.append(Triplet(aspect, opinion, t.polarity))
+            tokens += part.tokens
+        if len(tokens) <= 35:
+            out.append(Sentence(tuple(tokens), tuple(triplets)))
+    return out
+
+
+class TestTrainingMemory:
+    def test_epoch_temporaries_do_not_grow_with_the_epoch(self, tiny_corpus):
+        """One epoch on 25-35 token sentences peaks (tracemalloc, beyond what
+        the call keeps) less than 1.5x higher for 128 sentences than for 16:
+        the layouts are built per batch, not per epoch."""
+        sentences = long_sentences(tiny_corpus, 128)
+
+        def beyond_kept(count):
+            tagger = SpanTagger(seed=0)
+            tagger.partial_fit(sentences[:2], epochs=1)
+            tracemalloc.start()
+            try:
+                tagger.partial_fit(sentences[:count], epochs=1)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - kept
+
+        one, many = beyond_kept(16), beyond_kept(128)
+        assert 0 < many < 1.5 * one
 
 
 class TestInference:
