@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .prototypes import PrototypeSet
 from .tagging import NUM_CLASSES, span_layout
 
 logger = logging.getLogger(__name__)
@@ -281,17 +282,12 @@ class GradientBundle(EncoderParams):
     """Gradients: the parameter blocks plus the embedding rows they touch.
 
     ``embed`` stays dense and is exactly zero outside ``embed_rows``, the
-    sorted unique subword ids of the batch. Left out, ``embed_rows`` means
-    every row, as does a plain ``EncoderParams`` given in place of a bundle.
-    ``dense``, if given, is the flat buffer the dense blocks are views of.
+    sorted unique subword ids of the batch. ``dense``, if given, is the flat
+    buffer the dense blocks are views of.
     """
 
-    embed_rows: np.ndarray | None = None
+    embed_rows: np.ndarray
     dense: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.embed_rows is None:
-            self.embed_rows = np.arange(len(self.embed))
 
     def check_finite(self, what: str = "gradient") -> None:
         """Checks the touched rows and the dense buffer, then finds the block."""
@@ -333,11 +329,10 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).max(axis=0)[:, None]
 
 
-def forward_sentence(params: EncoderParams, tok: Tokenization, l_max: int) -> ForwardPass:
+def forward_sentence(params: EncoderParams, tok: Tokenization) -> ForwardPass:
     """Word vectors of one sentence: chunk embeddings through the window-3
     layer (zero padding at the sentence boundaries), then the mean over each
-    word's chunks. ``l_max`` is unused here; the spans are scored packed, by
-    ``score_spans``."""
+    word's chunks. The spans are scored packed, by ``score_spans``."""
     d_e = params.embed.shape[1]
     sub = params.embed.take(tok.subword_ids, axis=0)
     m = sub.shape[0]
@@ -428,11 +423,12 @@ def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Scaling of the prototype regularizer inside the total training loss."""
+    """Scaling of the prototype regularizer inside the total training loss;
+    ``TaggerConfig`` holds the defaults."""
 
-    proto_weight: float = 1.0  # multiplies the whole prototype term
-    align_weight: float = 0.002  # pull toward the gold-class prototype
-    sep_weight: float = 0.00025  # push away from other class prototypes
+    proto_weight: float  # multiplies the whole prototype term
+    align_weight: float  # pull toward the gold-class prototype
+    sep_weight: float  # push away from other class prototypes
 
 
 @dataclass(eq=False)
@@ -451,13 +447,19 @@ class BatchReps:
     gold_classes: np.ndarray  # (N_sel,)
 
 
-def _unit_rows(matrix: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unit_prototypes(prototypes: PrototypeSet | None, dtype) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The global prototypes as the prototype term reads them: the rows
+    cast to ``dtype`` and scaled to unit norm, zero for absent or zero rows,
+    and the presence mask. The term is active only with a set that has a
+    class present; otherwise both are None."""
+    if prototypes is None or not prototypes.present.any():
+        return None, None
+    present = prototypes.present
+    matrix = prototypes.matrix.astype(dtype)
     norms = np.linalg.norm(matrix, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = matrix / safe[:, None]
-    unit[norms == 0] = 0.0
-    unit[~present] = 0.0
-    return unit, norms
+    unit = matrix / np.where(norms > 0, norms, 1.0)[:, None]
+    unit[(norms == 0) | ~present] = 0.0
+    return unit, present
 
 
 @lru_cache(maxsize=1024)
@@ -499,6 +501,7 @@ class BatchPlan:
     weights. Spans (``gold``, ``sel``), words and chunks are packed end to end."""
 
     toks: Sequence[Tokenization]
+    l_max: int
     layout: tuple  # ``_gather_batch`` of the word counts
     gold: np.ndarray  # (S,) int64 gold class of each span
     sel: np.ndarray  # (k,) spans of the prototype term, ascending
@@ -514,6 +517,8 @@ class BatchPlan:
 
     @classmethod
     def build(cls, toks, gold, sel, l_max, vocab_size, unit_protos, proto_present):
+        """The plan of packed inputs: ``gold`` and ``sel`` over the batch's
+        spans, and the global prototypes as ``unit_prototypes`` gives them."""
         word_counts = [tok.n_words for tok in toks]
         layout = span_counts, pos, _ = _gather_batch(word_counts, l_max)
         layouts = [_pair_layout(n, l_max) for n in word_counts]
@@ -527,37 +532,41 @@ class BatchPlan:
         touched = np.zeros(vocab_size, dtype=bool)
         touched[ids] = True
         return cls(
-            toks, layout, gold.astype(np.int64), sel,
+            toks, l_max, layout, gold.astype(np.int64), sel,
             np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts),
             pairs, word_starts, np.concatenate([tok.word_sizes for tok in toks]),
             np.array(_offsets([len(tok.subword_ids) for tok in toks])),
             ids, np.flatnonzero(touched), unit_protos, proto_present,
         )
 
+    @classmethod
+    def from_sentences(cls, toks, golds, selections, l_max, vocab_size, prototypes, dtype):
+        """The plan of a batch given per sentence: one gold class array per
+        sentence (``enumerate_spans`` order) and the indices of its spans in
+        the prototype term. ``prototypes`` is the global ``PrototypeSet`` or
+        None, read as ``unit_prototypes`` in ``dtype``, the model's."""
+        if not (len(toks) == len(golds) == len(selections)):
+            raise ValueError("toks, golds and selections must be aligned")
+        if len(toks) == 0:
+            raise ValueError("empty batch")
+        sel = np.concatenate(selections).astype(np.int64, copy=False)
+        sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
+        plan = cls.build(
+            toks, np.concatenate(golds), sel, l_max, vocab_size, *unit_prototypes(prototypes, dtype)
+        )
+        if misaligned := [(len(g), n) for g, n in zip(golds, plan.layout[0]) if len(g) != n]:
+            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
+        return plan
+
 
 def batch_gradients(
-    params: EncoderParams,
-    toks: Sequence[Tokenization],
-    golds: Sequence[np.ndarray],
-    selections: Sequence[np.ndarray],
-    l_max: int,
-    proto_vecs: np.ndarray | None = None,
-    proto_present: np.ndarray | None = None,
-    weights: LossWeights = LossWeights(),
-    plan: BatchPlan | None = None,
+    params: EncoderParams, plan: BatchPlan, weights: LossWeights
 ) -> tuple[LossBreakdown, GradientBundle, BatchReps]:
-    """Loss and exact gradients for one batch of sentences.
+    """Loss and exact gradients for the batch of sentences ``plan`` describes.
 
-    ``golds`` holds one class-index array per sentence (enumerate_spans
-    order), ``selections`` the span indices participating in the prototype
-    term for that sentence (also harvested for prototype construction).
     The tag loss is the mean over sentences of the per-sentence mean span
     cross-entropy; the prototype term averages over all selected spans of
-    the batch and is active only when global prototypes are given.
-
-    They are packed into a ``BatchPlan``. A caller that has the batch's plan
-    passes it as ``plan``; besides it only ``params``, ``l_max`` and
-    ``weights`` are then read.
+    the batch and is active only when the plan holds global prototypes.
 
     Each sentence runs its own word encoder (``forward_sentence``); the
     spans of the whole batch are then scored in one pass, and the backward
@@ -566,23 +575,8 @@ def batch_gradients(
     """
     d_e = params.embed.shape[1]
     dtype = params.w_proj.dtype
-    if plan is None:
-        if not (len(toks) == len(golds) == len(selections)):
-            raise ValueError("toks, golds and selections must be aligned")
-        if len(toks) == 0:
-            raise ValueError("empty batch")
-        sel = np.concatenate(selections).astype(np.int64, copy=False)
-        sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
-        if proto_vecs is not None:  # from here on, the unit prototypes
-            proto_present = np.asarray(proto_present)
-            proto_vecs, _ = _unit_rows(np.asarray(proto_vecs, dtype=dtype), proto_present)
-        gold = np.concatenate(golds)
-        plan = BatchPlan.build(toks, gold, sel, l_max, len(params.embed), proto_vecs, proto_present)
-        if misaligned := [(len(g), n) for g, n in zip(golds, plan.layout[0]) if len(g) != n]:
-            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
-
-    fps = [forward_sentence(params, tok, l_max) for tok in plan.toks]
-    spans = score_spans(params, fps, l_max, plan.layout)
+    fps = [forward_sentence(params, tok) for tok in plan.toks]
+    spans = score_spans(params, fps, plan.l_max, plan.layout)
     x = np.concatenate([fp.x for fp in fps])
     del fps  # the packed copies are all the backward pass reads
     reps = spans.reps
@@ -783,7 +777,7 @@ def adam_step(
         step /= denom
         return np.subtract(p, step, out=step)
 
-    state.seen_rows[getattr(grads, "embed_rows", slice(None))] = True
+    state.seen_rows[grads.embed_rows] = True
     rows = np.flatnonzero(state.seen_rows)
     m_rows = state.m.embed.take(rows, axis=0)
     v_rows = state.v.embed.take(rows, axis=0)

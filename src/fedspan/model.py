@@ -26,7 +26,6 @@ from .encoder import (
     LossWeights,
     Tokenization,
     Tokenizer,
-    _unit_rows,
     adam_step,
     batch_gradients,
     forward_sentence,
@@ -34,6 +33,7 @@ from .encoder import (
     save_params,
     score_spans,
     sgd_step,
+    unit_prototypes,
 )
 from .prototypes import PrototypeSet, build_local_prototypes, momentum_update
 from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
@@ -241,7 +241,8 @@ class SpanTagger:
         """Run training epochs, keeping parameters and prototypes across calls.
 
         The prototype regularizer is active only when ``global_prototypes``
-        is given (from the second federated round onward). Local prototypes
+        is given with a class present (from the second federated round
+        onward); they are normalized once per call. Local prototypes
         are rebuilt every batch from the selected spans and smoothed with the
         configured momentum.
         """
@@ -255,10 +256,7 @@ class SpanTagger:
             raise ValueError(
                 f"global prototypes have dim {global_prototypes.dim}, model uses {config.rep_dim}"
             )
-        unit_protos = proto_present = None
-        if global_prototypes is not None and global_prototypes.present.any():
-            proto_present = global_prototypes.present
-            unit_protos, _ = _unit_rows(global_prototypes.matrix.astype(config.dtype), proto_present)
+        protos = unit_prototypes(global_prototypes, config.dtype)
         weights = LossWeights(config.proto_weight, config.align_weight, config.sep_weight)
 
         loss_sums = np.zeros(3)
@@ -274,7 +272,7 @@ class SpanTagger:
                 hi = min(lo + config.batch_size, len(order))
                 spans = slice(starts[lo], starts[hi])
                 batch = [toks[i] for i in order[lo:hi]], gold[spans], np.flatnonzero(selected[spans])
-                plan = BatchPlan.build(*batch, config.l_max, config.vocab_size, unit_protos, proto_present)
+                plan = BatchPlan.build(*batch, config.l_max, config.vocab_size, *protos)
                 breakdown = self._train_batch(plan, weights)
                 loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
                 n_batches += 1
@@ -295,9 +293,7 @@ class SpanTagger:
 
     def _train_batch(self, plan: BatchPlan, weights: LossWeights):
         config = self.config
-        breakdown, grads, batch_reps = batch_gradients(
-            self.params_, plan.toks, None, None, config.l_max, weights=weights, plan=plan
-        )
+        breakdown, grads, batch_reps = batch_gradients(self.params_, plan, weights)
         lr = config.learning_rate
         if config.lr_decay_steps:
             lr = lr / (1.0 + self.n_steps_ / config.lr_decay_steps)
@@ -329,10 +325,7 @@ class SpanTagger:
         out = []
         for lo in range(0, len(sentences), SCORE_GROUP):
             group = sentences[lo : lo + SCORE_GROUP]
-            fps = [
-                forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens), l_max)
-                for s in group
-            ]
+            fps = [forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens)) for s in group]
             spans = score_spans(self.params_, fps, l_max)
             classes = spans.logits.argmax(axis=1).astype(np.int16)
             lo_span = 0

@@ -25,11 +25,10 @@ from fedspan.encoder import (
     BatchReps,
     EncoderParams,
     LossBreakdown,
-    LossWeights,
     Tokenization,
     TrainingDivergedError,
-    _unit_rows,
     batch_gradients,
+    unit_prototypes,
 )
 from fedspan.corpus import Span
 from fedspan.tagging import span_layout
@@ -88,21 +87,10 @@ def tag_loss(probs: np.ndarray, gold_classes: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
-def batch_loss(
-    params,
-    toks,
-    golds,
-    selections,
-    l_max,
-    proto_vecs=None,
-    proto_present=None,
-    weights=LossWeights(),
-):
+def batch_loss(params, plan, weights):
     """Loss breakdown of ``batch_gradients`` alone, for finite-difference
     probes. It runs the full backward pass and discards the gradients."""
-    breakdown, _, _ = batch_gradients(
-        params, toks, golds, selections, l_max, proto_vecs, proto_present, weights
-    )
+    breakdown, _, _ = batch_gradients(params, plan, weights)
     return breakdown
 
 
@@ -172,17 +160,10 @@ def reference_forward(params, tok, l_max):
     return ReferenceForward(tok, x, word_vecs, pos, mask, alpha, pooled, reps, probs, log_probs)
 
 
-def reference_batch_gradients(
-    params,
-    toks,
-    golds,
-    selections,
-    l_max,
-    proto_vecs=None,
-    proto_present=None,
-    weights=LossWeights(),
-):
-    """Same contract as ``batch_gradients``; each sentence is its own pass."""
+def reference_batch_gradients(params, toks, golds, selections, l_max, prototypes, weights):
+    """Same contract as ``batch_gradients`` on the plan
+    ``BatchPlan.from_sentences`` makes of these arguments; each sentence is
+    its own pass."""
     if not (len(toks) == len(golds) == len(selections)):
         raise ValueError("toks, golds and selections must be aligned")
     n_sentences = len(toks)
@@ -192,11 +173,8 @@ def reference_batch_gradients(
     d_e = params.embed.shape[1]
 
     dtype = params.w_proj.dtype
-    proto_active = proto_vecs is not None and weights.proto_weight != 0.0
-    if proto_active:
-        unit_prot, _ = _unit_rows(
-            np.asarray(proto_vecs, dtype=dtype), np.asarray(proto_present)
-        )
+    unit_prot, proto_present = unit_prototypes(prototypes, dtype)
+    proto_active = unit_prot is not None and weights.proto_weight != 0.0
 
     n_selected = int(sum(len(sel) for sel in selections))
     tag_total = 0.0
@@ -242,7 +220,7 @@ def reference_batch_gradients(
                 d_align = (cos_y[:, None] * zhat - unit_prot[y]) / safe_norm[:, None]
                 d_align[~valid] = 0.0
 
-                other = np.asarray(proto_present)[None, :] & (
+                other = proto_present[None, :] & (
                     np.arange(unit_prot.shape[0])[None, :] != y[:, None]
                 )
                 exp_cos = np.where(other, np.exp(cos), 0.0)

@@ -8,13 +8,13 @@ the two bit for bit:
 - ``split_spans`` and ``select_proto_spans`` choose one sentence's prototype
   spans with one ``rng.choice`` call, the sampling oracle;
 - ``reference_partial_fit`` is the training loop that calls them batch by
-  batch and hands per-sentence gold classes and selections to the public
-  ``batch_gradients``.
+  batch and plans each batch from per-sentence gold classes and selections
+  with ``BatchPlan.from_sentences``.
 """
 
 import numpy as np
 
-from fedspan.encoder import LossWeights, adam_step, batch_gradients, sgd_step
+from fedspan.encoder import BatchPlan, LossWeights, adam_step, batch_gradients, sgd_step
 from fedspan.prototypes import build_local_prototypes, momentum_update
 from fedspan.tagging import derive_gold_tags
 
@@ -45,16 +45,13 @@ def select_proto_spans(
 
 def reference_partial_fit(tagger, sentences, epochs=1, global_prototypes=None):
     """``tagger.partial_fit`` as a loop that selects spans sentence by
-    sentence, batch by batch, and calls ``batch_gradients`` per batch."""
+    sentence, batch by batch, and plans each batch from those lists."""
     if not tagger.is_fitted:
         tagger._initialize()
     config = tagger.config
     toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences]
     golds = [derive_gold_tags(s, config.l_max).classes for s in sentences]
     splits = [split_spans(gold) for gold in golds]
-    proto_vecs = proto_present = None
-    if global_prototypes is not None and global_prototypes.present.any():
-        proto_vecs, proto_present = global_prototypes.matrix, global_prototypes.present
     weights = LossWeights(config.proto_weight, config.align_weight, config.sep_weight)
 
     loss_sums = np.zeros(3)
@@ -68,16 +65,16 @@ def reference_partial_fit(tagger, sentences, epochs=1, global_prototypes=None):
                 select_proto_spans(splits[i], tagger._rng, config.null_span_ratio)
                 for i in batch_ids
             ]
-            breakdown, grads, batch_reps = batch_gradients(
-                tagger.params_,
+            plan = BatchPlan.from_sentences(
                 [toks[i] for i in batch_ids],
                 [golds[i] for i in batch_ids],
                 selections,
                 config.l_max,
-                proto_vecs,
-                proto_present,
-                weights,
+                config.vocab_size,
+                global_prototypes,
+                config.dtype,
             )
+            breakdown, grads, batch_reps = batch_gradients(tagger.params_, plan, weights)
             lr = config.learning_rate
             if config.lr_decay_steps:
                 lr = lr / (1.0 + tagger.n_steps_ / config.lr_decay_steps)

@@ -15,13 +15,11 @@ from fedspan.encoder import (
     EncoderConfig,
     EncoderParams,
     GradientBundle,
-    LossWeights,
     Tokenization,
     Tokenizer,
     TrainingDivergedError,
     _gather_layout,
     adam_step,
-    batch_gradients,
     forward_sentence,
     load_params,
     log_softmax,
@@ -296,7 +294,7 @@ class TestTagLoss:
 def forward_batch(params, toks, l_max):
     """The packed forward of a batch: forward_sentence per sentence, then
     score_spans once, and the log-softmax training applies on top."""
-    spans = score_spans(params, [forward_sentence(params, tok, l_max) for tok in toks], l_max)
+    spans = score_spans(params, [forward_sentence(params, tok) for tok in toks], l_max)
     log_probs, probs = log_softmax(spans.logits.copy())
     return spans, log_probs, probs
 
@@ -350,7 +348,7 @@ class TestForwardReference:
     def test_every_field_equal(self, n, precision):
         config, params, rng = self.make(n, precision)
         tok = Tokenizer(config.vocab_size, config.chunk_size).tokenize(random_words(rng, n))
-        fp = forward_sentence(params, tok, self.L_MAX)
+        fp = forward_sentence(params, tok)
         ref = reference_forward(params, tok, self.L_MAX)
         assert fp.tok is tok
         assert [field.name for field in dataclasses.fields(fp)] == ["tok", "x", "word_vecs"]
@@ -409,7 +407,7 @@ class TestForwardReference:
             lengths = rng.integers(1, 36, int(rng.integers(1, 9)))
             toks = [tokenizer.tokenize(random_words(rng, int(n))) for n in lengths]
             spans = score_spans(
-                params, [forward_sentence(params, tok, self.L_MAX) for tok in toks], self.L_MAX
+                params, [forward_sentence(params, tok) for tok in toks], self.L_MAX
             )
             ref_probs = np.concatenate(
                 [reference_forward(params, tok, self.L_MAX).probs for tok in toks]
@@ -460,9 +458,15 @@ class TestOptimizers:
         stepped = sgd_step(params, grads, 0.1)
         assert stepped.b_cls[0] == pytest.approx(params.b_cls[0] - 0.2)
 
+    @staticmethod
+    def zero_grads(params):
+        """A zero gradient bundle that names every embedding row."""
+        blocks = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+        return GradientBundle(**blocks, embed_rows=np.arange(len(params.embed)))
+
     def test_adam_first_step_size(self):
         params = self.make()
-        grads = EncoderParams.zeros_like(params)
+        grads = self.zero_grads(params)
         grads.b_cls[0] = 2.0
         state = AdamState.zeros(params)
         stepped, state = adam_step(params, grads, state, lr=0.1)
@@ -481,11 +485,12 @@ class TestOptimizers:
         ref_state = AdamState.zeros(params)
         rng = np.random.default_rng(4)
         for step in range(20):
-            grads = EncoderParams(
+            grads = GradientBundle(
                 **{
                     name: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), arr.shape).astype(arr.dtype)
                     for name, arr in params.blocks()
-                }
+                },
+                embed_rows=np.arange(config.vocab_size),
             )
             grads.embed[rng.random(len(grads.embed)) < 0.5] = 0.0  # untouched rows
             old, snapshot = params, params.copy()
@@ -526,10 +531,8 @@ class TestOptimizers:
                 name: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), arr.shape).astype(dtype)
                 for name, arr in params.blocks()
             }
-            if step in (20, 25):  # hand-built dense bundle: all rows
-                grads = GradientBundle(**blocks)
-            elif step == 27:  # plain parameter container: all rows
-                grads = EncoderParams(**blocks)
+            if step in (20, 25, 27):  # hand-built dense bundle: all rows
+                grads = GradientBundle(**blocks, embed_rows=np.arange(config.vocab_size))
             else:
                 rows = np.unique(rng.integers(8, 20, 6))
                 if step == 3:
@@ -546,7 +549,7 @@ class TestOptimizers:
                 # m of a seen row underflows to zero while v is still decaying.
                 state.m.embed[30] = 0.0
                 ref_state.m.embed[30] = 0.0
-            seen[grads.embed_rows if hasattr(grads, "embed_rows") else slice(None)] = True
+            seen[grads.embed_rows] = True
             lr = 0.01 / (1.0 + step / 7)
             params, _ = adam_step(params, grads, state, lr)
             ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
@@ -564,7 +567,10 @@ class TestOptimizers:
     def test_adam_dense_moments_share_one_buffer(self):
         params = self.make()
         state = AdamState.zeros(params)
-        grads = GradientBundle(**{name: np.ones_like(arr) for name, arr in params.blocks()})
+        grads = GradientBundle(
+            **{name: np.ones_like(arr) for name, arr in params.blocks()},
+            embed_rows=np.arange(len(params.embed)),
+        )
         adam_step(params, grads, state, 0.1)
         for flat, holder in ((state.m_dense, state.m), (state.v_dense, state.v)):
             assert flat.size == sum(getattr(holder, name).size for name in EncoderParams.DENSE)
@@ -574,7 +580,7 @@ class TestOptimizers:
 
     def test_adam_deterministic(self):
         params = self.make()
-        grads = EncoderParams.zeros_like(params)
+        grads = self.zero_grads(params)
         grads.w_proj[:] = 0.3
         a1, _ = adam_step(params, grads, AdamState.zeros(params), 0.01)
         a2, _ = adam_step(params, grads, AdamState.zeros(params), 0.01)
@@ -590,10 +596,6 @@ class TestGradientBundleFinite:
             **{name: np.zeros_like(arr) for name, arr in params.blocks()},
             embed_rows=np.array([2, 5]),
         )
-
-    def test_default_rows_are_all_rows(self):
-        grads = GradientBundle(**{name: arr for name, arr in tiny_params().blocks()})
-        assert np.array_equal(grads.embed_rows, np.arange(len(grads.embed)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_touched_embedding_row_names_embed(self, bad):

@@ -5,6 +5,7 @@ import pytest
 
 import fedspan.encoder as encoder_module
 from fedspan.encoder import (
+    BatchPlan,
     EncoderConfig,
     EncoderParams,
     LossWeights,
@@ -13,7 +14,9 @@ from fedspan.encoder import (
     _dense_flat,
     _scatter_rows,
     batch_gradients,
+    unit_prototypes,
 )
+from fedspan.prototypes import PrototypeSet
 from fedspan.tagging import span_count
 
 from reference_gradients import batch_loss, reference_batch_gradients, with_flat
@@ -25,7 +28,8 @@ WORDS = ["battery", "is", "great", "the", "awful", "lens", "zoom", "keyboard", "
 
 
 def random_case(case_seed):
-    """One random small configuration: params, batch, selection, prototypes."""
+    """One random small configuration: params, batch, selection, prototypes
+    (a ``PrototypeSet`` or None) and loss weights."""
     rng = np.random.default_rng(case_seed)
     config = EncoderConfig(
         vocab_size=int(rng.integers(7, 20)),
@@ -56,19 +60,33 @@ def random_case(case_seed):
         proto_vecs = rng.normal(size=(16, config.rep_dim))
         present = rng.random(16) < rng.uniform(0.2, 0.9)
         proto_vecs[~present] = 0.0
+        protos = PrototypeSet.from_arrays(proto_vecs, present)
         weights = LossWeights(
             proto_weight=float(rng.choice([0.5, 1.0, 2.0])),
             align_weight=float(rng.uniform(0.3, 2.0)),
             sep_weight=float(rng.uniform(0.3, 2.0)),
         )
     else:
-        proto_vecs = present = None
-        weights = LossWeights()
-    return config, params, toks, golds, selections, proto_vecs, present, weights
+        protos = None
+        weights = LossWeights(proto_weight=1.0, align_weight=0.002, sep_weight=0.00025)
+    return config, params, toks, golds, selections, protos, weights
 
 
-def numeric_gradient(params, args):
-    toks, golds, selections, l_max, proto_vecs, present, weights = args
+def plan_of(params, toks, golds, selections, l_max, protos):
+    """``BatchPlan.from_sentences`` for ``params``'s vocabulary and dtype."""
+    return BatchPlan.from_sentences(
+        toks, golds, selections, l_max, len(params.embed), protos, params.w_proj.dtype
+    )
+
+
+def gradients(params, args):
+    """``batch_gradients`` of ``args = (toks, golds, selections, l_max,
+    protos, weights)``, planned with ``plan_of``."""
+    *batch, weights = args
+    return batch_gradients(params, plan_of(params, *batch), weights)
+
+
+def numeric_gradient(params, plan, weights):
     flat = params.flatten()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
@@ -76,8 +94,8 @@ def numeric_gradient(params, args):
         plus[i] += FD_STEP
         minus = flat.copy()
         minus[i] -= FD_STEP
-        up = batch_loss(with_flat(params, plus), toks, golds, selections, l_max, proto_vecs, present, weights)
-        down = batch_loss(with_flat(params, minus), toks, golds, selections, l_max, proto_vecs, present, weights)
+        up = batch_loss(with_flat(params, plus), plan, weights)
+        down = batch_loss(with_flat(params, minus), plan, weights)
         grad[i] = (up.total - down.total) / (2.0 * FD_STEP)
     return grad
 
@@ -90,10 +108,10 @@ def relative_errors(analytic, numeric):
 
 
 def check_case(case_seed):
-    config, params, toks, golds, selections, proto_vecs, present, weights = random_case(case_seed)
-    args = (toks, golds, selections, config.l_max, proto_vecs, present, weights)
-    breakdown, grads, _ = batch_gradients(params, *args)
-    numeric = numeric_gradient(params, args)
+    config, params, toks, golds, selections, protos, weights = random_case(case_seed)
+    plan = plan_of(params, toks, golds, selections, config.l_max, protos)
+    breakdown, grads, _ = batch_gradients(params, plan, weights)
+    numeric = numeric_gradient(params, plan, weights)
     errors = relative_errors(grads.flatten(), numeric)
     # Per-block worst error, for a readable failure message.
     report = {}
@@ -115,33 +133,29 @@ class TestGradientCheck:
         assert worst <= TOLERANCE
 
     def test_zero_proto_weight_matches_tag_only_gradient(self):
-        config, params, toks, golds, selections, proto_vecs, present, _ = random_case(123)
+        config, params, toks, golds, selections, protos, _ = random_case(123)
         lam0 = LossWeights(proto_weight=0.0, align_weight=1.0, sep_weight=1.0)
-        _, with_protos, _ = batch_gradients(
-            params, toks, golds, selections, config.l_max, proto_vecs, present, lam0
-        )
-        _, without, _ = batch_gradients(
-            params, toks, golds, selections, config.l_max, None, None, lam0
-        )
+        _, with_protos, _ = gradients(params, (toks, golds, selections, config.l_max, protos, lam0))
+        _, without, _ = gradients(params, (toks, golds, selections, config.l_max, None, lam0))
         for (_, a), (_, b) in zip(with_protos.blocks(), without.blocks()):
             assert np.array_equal(a, b)
 
     def test_loss_matches_forward_recomputation(self):
-        config, params, toks, golds, selections, proto_vecs, present, weights = random_case(7)
-        args = (toks, golds, selections, config.l_max, proto_vecs, present, weights)
-        breakdown, _, _ = batch_gradients(params, *args)
-        again = batch_loss(params, *args)
+        config, params, toks, golds, selections, protos, weights = random_case(7)
+        plan = plan_of(params, toks, golds, selections, config.l_max, protos)
+        breakdown, _, _ = batch_gradients(params, plan, weights)
+        again = batch_loss(params, plan, weights)
         assert abs(breakdown.total - again.total) <= 1e-10
 
     def test_perturbation_changes_loss_along_gradient(self):
-        config, params, toks, golds, selections, proto_vecs, present, weights = random_case(11)
-        args = (toks, golds, selections, config.l_max, proto_vecs, present, weights)
-        breakdown, grads, _ = batch_gradients(params, *args)
+        config, params, toks, golds, selections, protos, weights = random_case(11)
+        plan = plan_of(params, toks, golds, selections, config.l_max, protos)
+        breakdown, grads, _ = batch_gradients(params, plan, weights)
         direction = grads.flatten()
         assert np.linalg.norm(direction) > 0
         eps = 1e-6
         moved = with_flat(params, params.flatten() - eps * direction)
-        after = batch_loss(moved, *args)
+        after = batch_loss(moved, plan, weights)
         predicted_drop = eps * float(direction @ direction)
         assert breakdown.total - after.total == pytest.approx(predicted_drop, rel=1e-3)
 
@@ -149,7 +163,7 @@ class TestGradientCheck:
 def assert_matches_reference(params, args):
     """Packed gradients, loss breakdown and BatchReps equal the per-sentence
     reference to 1e-10, relative to the largest entry of each block."""
-    breakdown, grads, reps = batch_gradients(params, *args)
+    breakdown, grads, reps = gradients(params, args)
     ref_breakdown, ref_grads, ref_reps = reference_batch_gradients(params, *args)
     for field in ("total", "tag", "proto"):
         got, want = getattr(breakdown, field), getattr(ref_breakdown, field)
@@ -186,23 +200,22 @@ def eight_sentence_case(lengths, l_max=3, empty_selection=False, null_gold=False
         else:
             n_sel = int(rng.integers(1, total + 1))
             selections.append(np.sort(rng.choice(total, size=n_sel, replace=False)))
-    proto_vecs = present = None
+    prototypes = None
     if protos:
         proto_vecs = rng.normal(size=(16, config.rep_dim))
         present = rng.random(16) < 0.6
         present[0] = True
         proto_vecs[~present] = 0.0
+        prototypes = PrototypeSet.from_arrays(proto_vecs, present)
     weights = LossWeights(proto_weight=2.0, align_weight=0.7, sep_weight=1.3)
-    return params, (toks, golds, selections, l_max, proto_vecs, present, weights)
+    return params, (toks, golds, selections, l_max, prototypes, weights)
 
 
 class TestPackedMatchesPerSentence:
     @pytest.mark.parametrize("case_seed", range(50))
     def test_random_configurations(self, case_seed):
-        config, params, toks, golds, selections, protos, present, weights = random_case(case_seed)
-        assert_matches_reference(
-            params, (toks, golds, selections, config.l_max, protos, present, weights)
-        )
+        config, params, toks, golds, selections, protos, weights = random_case(case_seed)
+        assert_matches_reference(params, (toks, golds, selections, config.l_max, protos, weights))
 
     @pytest.mark.parametrize(
         "lengths",
@@ -219,7 +232,7 @@ class TestPackedMatchesPerSentence:
     def test_empty_selection(self):
         params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], empty_selection=True)
         assert_matches_reference(params, args)
-        breakdown, _, reps = batch_gradients(params, *args)
+        breakdown, _, reps = gradients(params, args)
         assert breakdown.proto == 0.0 and reps.reps.shape == (0, 3)
 
     def test_all_null_gold(self):
@@ -228,7 +241,7 @@ class TestPackedMatchesPerSentence:
     def test_no_prototypes(self):
         params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3], protos=False)
         assert_matches_reference(params, args)
-        assert batch_gradients(params, *args)[0].proto == 0.0
+        assert gradients(params, args)[0].proto == 0.0
 
 
 class TestEmbeddingRows:
@@ -237,7 +250,7 @@ class TestEmbeddingRows:
     def test_rows_and_scatter(self, case_seed, precision, monkeypatch):
         """embed_rows is the batch's unique ids, grads.embed is +0 elsewhere,
         and it has the bytes of a row-wise np.add.at of the same values."""
-        config, params, toks, golds, selections, protos, present, weights = random_case(case_seed)
+        config, params, toks, golds, selections, protos, weights = random_case(case_seed)
         params = params.astype(precision)
         scattered = []
 
@@ -246,9 +259,7 @@ class TestEmbeddingRows:
             _scatter_rows(table, ids, rows)
 
         monkeypatch.setattr(encoder_module, "_scatter_rows", recording)
-        _, grads, _ = batch_gradients(
-            params, toks, golds, selections, config.l_max, protos, present, weights
-        )
+        _, grads, _ = gradients(params, (toks, golds, selections, config.l_max, protos, weights))
         ids = np.concatenate([tok.subword_ids for tok in toks])
         assert np.array_equal(grads.embed_rows, np.unique(ids))
         untouched = np.ones(len(grads.embed), dtype=bool)
@@ -282,10 +293,9 @@ class TestFlatGradientBuffer:
     check and Adam read whole."""
 
     def bundle(self, precision="float32"):
-        config, params, toks, golds, selections, protos, present, weights = random_case(5)
-        _, grads, _ = batch_gradients(
-            params.astype(precision), toks, golds, selections, config.l_max, protos, present, weights
-        )
+        config, params, toks, golds, selections, protos, weights = random_case(5)
+        args = (toks, golds, selections, config.l_max, protos, weights)
+        _, grads, _ = gradients(params.astype(precision), args)
         return grads
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -327,7 +337,7 @@ class TestFlatGradientBuffer:
         """A non-finite value scattered into a touched embedding row makes
         ``batch_gradients`` raise naming 'embed'; in an untouched row it
         does not."""
-        config, params, toks, golds, selections, protos, present, weights = random_case(5)
+        config, params, toks, golds, selections, protos, weights = random_case(5)
         ids = np.concatenate([tok.subword_ids for tok in toks])
         row = ids[0] if touched else np.setdiff1d(np.arange(config.vocab_size), ids)[0]
 
@@ -336,7 +346,7 @@ class TestFlatGradientBuffer:
             table[row, 0] = bad
 
         monkeypatch.setattr(encoder_module, "_scatter_rows", poisoned)
-        args = (params, toks, golds, selections, config.l_max, protos, present, weights)
+        args = (params, plan_of(params, toks, golds, selections, config.l_max, protos), weights)
         if touched:
             with pytest.raises(TrainingDivergedError, match="'embed'"):
                 batch_gradients(*args)
@@ -346,14 +356,73 @@ class TestFlatGradientBuffer:
 
 class TestBatchArguments:
     def test_misaligned_gold_names_the_counts(self):
-        config, params, toks, golds, selections, protos, present, weights = random_case(5)
+        config, params, toks, golds, selections, protos, weights = random_case(5)
         short = [golds[0][:-1], *golds[1:]]
         with pytest.raises(ValueError, match=f"misaligned: {len(golds[0]) - 1} vs {len(golds[0])} spans"):
-            batch_gradients(params, toks, short, selections, config.l_max, protos, present, weights)
+            plan_of(params, toks, short, selections, config.l_max, protos)
 
     def test_unaligned_lists_and_empty_batch_rejected(self):
         config, params, toks, golds, selections, *_ = random_case(5)
         with pytest.raises(ValueError, match="aligned"):
-            batch_gradients(params, toks, golds[:-1] if len(golds) > 1 else [], selections, config.l_max)
+            plan_of(params, toks, golds[:-1] if len(golds) > 1 else [], selections, config.l_max, None)
         with pytest.raises(ValueError, match="empty batch"):
-            batch_gradients(params, [], [], [], config.l_max)
+            plan_of(params, [], [], [], config.l_max, None)
+
+
+def assert_same_gradients(got, want):
+    """Two ``batch_gradients`` results with the same bytes."""
+    (breakdown, grads, reps), (want_breakdown, want_grads, want_reps) = got, want
+    for field in ("total", "tag", "proto"):
+        assert getattr(breakdown, field) == getattr(want_breakdown, field), field
+    for (name, a), (_, b) in zip(grads.blocks(), want_grads.blocks()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert np.array_equal(grads.embed_rows, want_grads.embed_rows)
+    for field in ("reps", "pred_classes", "gold_classes"):
+        a, b = getattr(reps, field), getattr(want_reps, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+class TestFromSentences:
+    """``BatchPlan.from_sentences`` packs per-sentence lists into the plan
+    ``BatchPlan.build`` makes of the packed batch."""
+
+    @pytest.mark.parametrize("case_seed", range(50))
+    def test_matches_build_on_packed_batch(self, case_seed):
+        config, params, toks, golds, selections, protos, weights = random_case(case_seed)
+        listed = plan_of(params, toks, golds, selections, config.l_max, protos)
+        starts = np.cumsum([0] + [span_count(tok.n_words, config.l_max) for tok in toks])
+        sel = np.concatenate([s + start for s, start in zip(selections, starts)])
+        packed = BatchPlan.build(
+            toks, np.concatenate(golds), sel, config.l_max, config.vocab_size,
+            *unit_prototypes(protos, params.w_proj.dtype),
+        )
+        assert listed.toks == packed.toks and listed.l_max == packed.l_max
+        (counts, pos, mask), (want_counts, want_pos, want_mask) = listed.layout, packed.layout
+        assert counts == want_counts
+        assert np.array_equal(pos, want_pos) and np.array_equal(mask, want_mask)
+        for name in ("gold", "sel", "span_weight", "pairs", "word_starts", "word_sizes",
+                     "first_chunks", "ids", "embed_rows", "unit_protos", "proto_present"):
+            got, want = getattr(listed, name), getattr(packed, name)
+            if want is None:
+                assert got is None, name
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert_same_gradients(
+            batch_gradients(params, listed, weights), batch_gradients(params, packed, weights)
+        )
+
+    @pytest.mark.parametrize("case_seed", range(10))
+    def test_prototypes_without_a_present_class_are_inactive(self, case_seed):
+        """A set with no class present turns the prototype term off, as no
+        set does, whatever its rows hold."""
+        config, params, toks, golds, selections, _, _ = random_case(case_seed)
+        rng = np.random.default_rng(case_seed)
+        absent = PrototypeSet.from_arrays(rng.normal(size=(16, config.rep_dim)), np.zeros(16, bool))
+        weights = LossWeights(proto_weight=2.0, align_weight=0.7, sep_weight=1.3)
+        plan = plan_of(params, toks, golds, selections, config.l_max, absent)
+        assert plan.unit_protos is None and plan.proto_present is None
+        breakdown, grads, _ = batch_gradients(params, plan, weights)
+        _, without, _ = gradients(params, (toks, golds, selections, config.l_max, None, weights))
+        assert breakdown.proto == 0.0
+        for (name, a), (_, b) in zip(grads.blocks(), without.blocks()):
+            assert np.array_equal(a, b), name
