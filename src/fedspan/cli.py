@@ -152,12 +152,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payloads = [decode_payload(p.read_bytes()) for p in payload_files]
         corpus_by_client = {rec["client"]: rec["corpus"] for rec in records}
         names = [corpus_by_client.get(p.client_id, str(p.client_id)) for p in payloads]
-        similarity = prototype_similarity(payloads)
-        with open(out / "prototype_similarity.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["corpus"] + names)
-            for name, row in zip(names, similarity):
-                writer.writerow([name] + [f"{v:.6f}" for v in row])
+        try:
+            similarity = prototype_similarity(payloads)
+        except ValueError as exc:  # two clients share no class
+            print(f"note: prototype_similarity.csv skipped: {exc}", file=sys.stderr)
+        else:
+            with open(out / "prototype_similarity.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["corpus"] + names)
+                for name, row in zip(names, similarity):
+                    writer.writerow([name] + [f"{v:.6f}" for v in row])
         with open(out / "prototype_vectors.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             dim = payloads[0].prototypes.dim

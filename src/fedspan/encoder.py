@@ -12,8 +12,13 @@ The network stands in for a pretrained transformer at desk scale:
 The word vectors are computed one sentence at a time (``forward_sentence``);
 the spans of a whole batch of sentences are scored in one packed pass
 (``score_spans``). ``batch_gradients`` reads what does not depend on the
-weights (layouts, targets, chunk ids) from a ``BatchPlan`` and writes the
-dense gradient blocks into one flat buffer.
+weights (layouts, targets, chunk ids) from a ``BatchPlan``.
+
+``EncoderParams`` owns the parameter layout, for parameters, gradients and
+Adam moments alike: ``embed`` and ``dense``, one flat array of the other
+blocks in ``DENSE`` order, whose blocks its constructor makes views of.
+The optimizer steps, the finite check and the checkpoint work on ``dense``
+whole.
 
 Everything is plain numpy. The backward pass is exact and is checked against
 central finite differences in the test suite; training runs in float32,
@@ -214,22 +219,34 @@ class Tokenizer:
         return tok
 
 
-@dataclass(eq=False)
 class EncoderParams:
-    """All trainable arrays; also the container for gradients. Their shapes
-    are ``EncoderConfig.block_shapes``."""
+    """All trainable arrays; also the container for gradients and Adam
+    moments. Their shapes are ``EncoderConfig.block_shapes``.
 
-    embed: np.ndarray
-    w_ctx: np.ndarray
-    b_ctx: np.ndarray
-    w_attn: np.ndarray
-    w_proj: np.ndarray
-    b_proj: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
+    ``dense`` holds every block but the embedding table end to end, in
+    ``DENSE`` order and ``dense_shapes``, and the seven dense block
+    attributes are views of it:
+    the constructor makes them, so every instance has them, and a flat
+    operation on ``dense`` updates all seven at once. Write the blocks in
+    place; rebinding one would detach it from ``dense``.
+    """
 
     BLOCKS = ("embed", "w_ctx", "b_ctx", "w_attn", "w_proj", "b_proj", "w_cls", "b_cls")
     DENSE = BLOCKS[1:]  # every block but the embedding table
+    KIND = "parameter"  # what ``check_finite`` calls a value
+    embed_rows = None  # the embedding rows ``check_finite`` reads; None for all
+
+    def __init__(self, embed: np.ndarray, dense: np.ndarray, dense_shapes: tuple):
+        self.embed = embed
+        self.dense = dense
+        self.dense_shapes = dense_shapes
+        pos = 0
+        for name, shape in zip(self.DENSE, dense_shapes, strict=True):
+            size = math.prod(shape)
+            setattr(self, name, dense[pos : pos + size].reshape(shape))
+            pos += size
+        if pos != dense.size:
+            raise ValueError(f"dense buffer has {dense.size} values, the blocks take {pos}")
 
     def blocks(self):
         for name in self.BLOCKS:
@@ -242,58 +259,56 @@ class EncoderParams:
         attention early on makes wide spans collapse onto their argmax word
         and the softmax corner is hard to leave once entered."""
         rng = np.random.default_rng(seed)
-        blocks = {}
-        for name, shape in config.block_shapes().items():
-            if len(shape) == 1:
-                blocks[name] = np.zeros(shape, dtype=config.dtype)
-            else:
-                scale = 1.0 if name == "embed" else 1.0 / np.sqrt(shape[1])
-                blocks[name] = rng.normal(0.0, scale, shape).astype(config.dtype)
-        return cls(**blocks)
+        shapes = config.block_shapes()
+        embed = rng.normal(0.0, 1.0, shapes.pop("embed")).astype(config.dtype)
+        dense = np.zeros(config.param_count() - embed.size, dtype=config.dtype)
+        params = cls(embed, dense, tuple(shapes.values()))
+        for name, shape in shapes.items():
+            if len(shape) == 2:
+                getattr(params, name)[:] = rng.normal(0.0, 1.0 / np.sqrt(shape[1]), shape)
+        return params
 
     @classmethod
     def zeros_like(cls, other: "EncoderParams") -> "EncoderParams":
-        return cls(**{name: np.zeros_like(arr) for name, arr in other.blocks()})
+        return cls(np.zeros_like(other.embed), np.zeros_like(other.dense), other.dense_shapes)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(**{name: arr.copy() for name, arr in self.blocks()})
+        return EncoderParams(self.embed.copy(), self.dense.copy(), self.dense_shapes)
 
     def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(**{name: arr.astype(dtype) for name, arr in self.blocks()})
+        return EncoderParams(self.embed.astype(dtype), self.dense.astype(dtype), self.dense_shapes)
 
     def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.blocks())
+        return self.embed.size + self.dense.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.blocks()])
+        return np.concatenate([self.embed.ravel(), self.dense])
 
-    def check_finite(self, what: str = "parameter") -> None:
-        _check_finite(self.blocks(), what)
-
-
-def _check_finite(blocks, what: str) -> None:
-    for name, arr in blocks:
-        if not np.all(np.isfinite(arr)):
+    def check_finite(self, what: str | None = None) -> None:
+        """Raise ``TrainingDivergedError`` naming the block of a non-finite
+        value. One pass over the embedding rows in ``embed_rows`` and one
+        over ``dense``; the dense block is looked up only on failure."""
+        what = what or self.KIND
+        embed = self.embed if self.embed_rows is None else self.embed.take(self.embed_rows, axis=0)
+        if not np.isfinite(embed).all():
+            raise TrainingDivergedError(f"non-finite {what} in block 'embed'")
+        if not np.isfinite(self.dense).all():
+            name = next(n for n in self.DENSE if not np.isfinite(getattr(self, n)).all())
             raise TrainingDivergedError(f"non-finite {what} in block {name!r}")
 
 
-@dataclass(eq=False)
 class GradientBundle(EncoderParams):
     """Gradients: the parameter blocks plus the embedding rows they touch.
 
     ``embed`` stays dense and is exactly zero outside ``embed_rows``, the
-    sorted unique subword ids of the batch. ``dense``, if given, is the flat
-    buffer the dense blocks are views of.
+    sorted unique subword ids of the batch.
     """
 
-    embed_rows: np.ndarray
-    dense: np.ndarray | None = None
+    KIND = "gradient"
 
-    def check_finite(self, what: str = "gradient") -> None:
-        """Checks the touched rows and the dense buffer, then finds the block."""
-        rows = self.embed.take(self.embed_rows, axis=0)
-        if not (np.isfinite(rows).all() and np.isfinite(_dense_flat(self)).all()):
-            _check_finite([("embed", rows), *((n, getattr(self, n)) for n in self.DENSE)], what)
+    def __init__(self, embed, dense, dense_shapes, embed_rows: np.ndarray):
+        super().__init__(embed, dense, dense_shapes)
+        self.embed_rows = embed_rows
 
 
 @dataclass(eq=False)
@@ -356,7 +371,6 @@ class SpanScores:
     longest span of the batch, the rest masked out.
     """
 
-    word_counts: list[int]  # words per sentence
     span_counts: list[int]  # spans per sentence
     word_vecs: np.ndarray  # (N, hidden_dim) the sentences' word vectors
     word_reps: np.ndarray  # (N, rep_dim) word_vecs @ w_proj.T
@@ -382,16 +396,15 @@ def _gather_batch(word_counts: Sequence[int], l_max: int) -> tuple[list[int], np
     return span_counts, pos, mask
 
 
-def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], l_max: int, layout=None) -> SpanScores:
+def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple) -> SpanScores:
     """Attention pooling, projection and classifier logits for every span of
-    the given sentences, in one pass; ``layout`` is their ``_gather_batch``, if known.
+    the given sentences, in one pass; ``layout`` is their ``_gather_batch``.
 
     Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
     same linear map applied before the attention-weighted sum instead of
     after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
     """
-    word_counts = [fp.tok.n_words for fp in fps]
-    span_counts, pos, mask = layout or _gather_batch(word_counts, l_max)
+    span_counts, pos, mask = layout
     width = pos.shape[1]
     word_vecs = np.concatenate([fp.word_vecs for fp in fps])
 
@@ -408,7 +421,7 @@ def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], l_max: int, l
     reps += params.b_proj
     logits = reps @ params.w_cls.T
     logits += params.b_cls
-    return SpanScores(word_counts, span_counts, word_vecs, word_reps, pos, mask, alpha, reps, logits)
+    return SpanScores(span_counts, word_vecs, word_reps, pos, mask, alpha, reps, logits)
 
 
 def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +514,6 @@ class BatchPlan:
     weights. Spans (``gold``, ``sel``), words and chunks are packed end to end."""
 
     toks: Sequence[Tokenization]
-    l_max: int
     layout: tuple  # ``_gather_batch`` of the word counts
     gold: np.ndarray  # (S,) int64 gold class of each span
     sel: np.ndarray  # (k,) spans of the prototype term, ascending
@@ -532,7 +544,7 @@ class BatchPlan:
         touched = np.zeros(vocab_size, dtype=bool)
         touched[ids] = True
         return cls(
-            toks, l_max, layout, gold.astype(np.int64), sel,
+            toks, layout, gold.astype(np.int64), sel,
             np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts),
             pairs, word_starts, np.concatenate([tok.word_sizes for tok in toks]),
             np.array(_offsets([len(tok.subword_ids) for tok in toks])),
@@ -576,15 +588,16 @@ def batch_gradients(
     d_e = params.embed.shape[1]
     dtype = params.w_proj.dtype
     fps = [forward_sentence(params, tok) for tok in plan.toks]
-    spans = score_spans(params, fps, plan.l_max, plan.layout)
+    spans = score_spans(params, fps, plan.layout)
     x = np.concatenate([fp.x for fp in fps])
     del fps  # the packed copies are all the backward pass reads
     reps = spans.reps
     log_probs, probs = log_softmax(spans.logits)
     gold, sel = plan.gold, plan.sel
     n_selected = len(sel)
-    flat = np.empty(sum(getattr(params, name).size for name in EncoderParams.DENSE), dtype)
-    grads = _dense_views(flat, params)
+    grads = GradientBundle(
+        np.zeros_like(params.embed), np.empty_like(params.dense), params.dense_shapes, plan.embed_rows
+    )
 
     # Span-tag cross-entropy, normalized per sentence then per batch.
     rows = np.arange(len(gold))
@@ -596,8 +609,8 @@ def batch_gradients(
     del log_probs
 
     # Classifier block.
-    np.matmul(dlogits.T, reps, out=grads["w_cls"])
-    np.sum(dlogits, axis=0, out=grads["b_cls"])
+    np.matmul(dlogits.T, reps, out=grads.w_cls)
+    np.sum(dlogits, axis=0, out=grads.b_cls)
     dreps = dlogits @ params.w_cls
 
     proto_total = 0.0
@@ -644,7 +657,7 @@ def batch_gradients(
     # (span, word) pairs; ordered by word, the per-word gradients are segment
     # sums. grads.w_proj is the alpha-weighted dreps summed per word, against
     # the word vectors.
-    np.sum(dreps, axis=0, out=grads["b_proj"])
+    np.sum(dreps, axis=0, out=grads.b_proj)
     del reps, probs, dlogits  # lowers the peak on long sentences
     alpha_idx, span_idx, word_idx = plan.pairs
     alpha = spans.alpha.take(alpha_idx)
@@ -655,10 +668,10 @@ def batch_gradients(
     dscore_words = np.add.reduceat(dscore, plan.word_starts)
     word_vecs = spans.word_vecs
     del spans
-    np.matmul(dscore_words, word_vecs, out=grads["w_attn"])
+    np.matmul(dscore_words, word_vecs, out=grads.w_attn)
     dreps_pairs *= alpha[:, None]
     dword_reps = np.add.reduceat(dreps_pairs, plan.word_starts, axis=0)
-    np.matmul(dword_reps.T, word_vecs, out=grads["w_proj"])
+    np.matmul(dword_reps.T, word_vecs, out=grads.w_proj)
     dword = dword_reps @ params.w_proj
     dword += dscore_words[:, None] * params.w_attn
 
@@ -666,8 +679,8 @@ def batch_gradients(
     # zero padding at each sentence boundary takes no gradient.
     sizes = plan.word_sizes
     dh_sub = np.repeat(dword / sizes[:, None].astype(dtype), sizes, axis=0)
-    np.matmul(dh_sub.T, x, out=grads["w_ctx"])
-    np.sum(dh_sub, axis=0, out=grads["b_ctx"])
+    np.matmul(dh_sub.T, x, out=grads.w_ctx)
+    np.sum(dh_sub, axis=0, out=grads.b_ctx)
     dx = dh_sub @ params.w_ctx
     first_chunks = plan.first_chunks
     dx[first_chunks, :d_e] = 0.0
@@ -675,22 +688,20 @@ def batch_gradients(
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]
-    grads_embed = np.zeros_like(params.embed)
-    _scatter_rows(grads_embed, plan.ids, d_sub)
+    _scatter_rows(grads.embed, plan.ids, d_sub)
 
-    bundle = GradientBundle(embed=grads_embed, **grads, embed_rows=plan.embed_rows, dense=flat)
     proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
     total = tag_mean + weights.proto_weight * proto_mean
     if not np.isfinite(total):
         raise TrainingDivergedError("non-finite training loss")
-    bundle.check_finite("gradient")
+    grads.check_finite()
 
-    return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), bundle, batch_reps
+    return LossBreakdown(float(total), float(tag_mean), float(proto_mean)), grads, batch_reps
 
 
 def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> EncoderParams:
     return EncoderParams(
-        **{name: arr - lr * getattr(grads, name) for name, arr in params.blocks()}
+        params.embed - lr * grads.embed, params.dense - lr * grads.dense, params.dense_shapes
     )
 
 
@@ -698,46 +709,20 @@ def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> Encoder
 class AdamState:
     """Adam moments, step count and the embedding rows seen so far.
 
-    ``m`` and ``v`` hold one array per block. Their dense blocks are views of
-    the flat ``m_dense``/``v_dense``, so one pass updates all of them.
-    ``seen_rows`` marks the embedding rows that have ever had a gradient.
+    ``m`` and ``v`` are laid out as the parameters, so one pass over
+    ``m.dense``/``v.dense`` updates every dense block. ``seen_rows`` marks
+    the embedding rows that have ever had a gradient.
     """
 
     step: int
     m: EncoderParams
     v: EncoderParams
-    m_dense: np.ndarray
-    v_dense: np.ndarray
     seen_rows: np.ndarray  # (V,) bool
 
     @classmethod
     def zeros(cls, params: EncoderParams) -> "AdamState":
-        size = sum(getattr(params, name).size for name in EncoderParams.DENSE)
-        m_dense = np.zeros(size, dtype=params.w_proj.dtype)
-        v_dense = np.zeros_like(m_dense)
-        m = EncoderParams(embed=np.zeros_like(params.embed), **_dense_views(m_dense, params))
-        v = EncoderParams(embed=np.zeros_like(params.embed), **_dense_views(v_dense, params))
-        return cls(0, m, v, m_dense, v_dense, np.zeros(len(params.embed), dtype=bool))
-
-
-def _dense_flat(holder: EncoderParams) -> np.ndarray:
-    """The dense blocks of ``holder`` end to end, in ``DENSE`` order: the
-    bundle's own ``dense`` buffer where it has one."""
-    flat = getattr(holder, "dense", None)
-    if flat is not None:
-        return flat
-    return np.concatenate([getattr(holder, name).ravel() for name in EncoderParams.DENSE])
-
-
-def _dense_views(flat: np.ndarray, like: EncoderParams) -> dict[str, np.ndarray]:
-    """The dense blocks of ``like``, shaped as views of one flat array."""
-    views = {}
-    pos = 0
-    for name in EncoderParams.DENSE:
-        block = getattr(like, name)
-        views[name] = flat[pos : pos + block.size].reshape(block.shape)
-        pos += block.size
-    return views
+        m, v = EncoderParams.zeros_like(params), EncoderParams.zeros_like(params)
+        return cls(0, m, v, np.zeros(len(params.embed), dtype=bool))
 
 
 def adam_step(
@@ -787,9 +772,9 @@ def adam_step(
     )
     state.m.embed[rows] = m_rows
     state.v.embed[rows] = v_rows
-    flat = update(_dense_flat(params), _dense_flat(grads), state.m_dense, state.v_dense)
+    dense = update(params.dense, grads.dense, state.m.dense, state.v.dense)
     state.step = t
-    return EncoderParams(embed=embed, **_dense_views(flat, params)), state
+    return EncoderParams(embed, dense, params.dense_shapes), state
 
 
 _CKPT_MAGIC = b"SPTG"
@@ -798,7 +783,8 @@ _CKPT_HEADER = struct.Struct("<4sHIHHHHHHI")
 
 
 def save_params(path: str | Path, params: EncoderParams, config: EncoderConfig) -> None:
-    """Checkpoint: fixed header then float32 little-endian blocks in order."""
+    """Checkpoint: fixed header then the float32 little-endian blocks in
+    ``BLOCKS`` order, which is ``embed`` followed by ``dense``."""
     header = _CKPT_HEADER.pack(
         _CKPT_MAGIC,
         _CKPT_VERSION,
@@ -813,7 +799,7 @@ def save_params(path: str | Path, params: EncoderParams, config: EncoderConfig) 
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for _, arr in params.blocks():
+        for arr in (params.embed, params.dense):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
@@ -840,17 +826,19 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         l_max=l_max,
         precision="float32",
     )
-    offset = _CKPT_HEADER.size
-    blocks = {}
-    for name, shape in config.block_shapes().items():
-        size = math.prod(shape) * 4
-        chunk_bytes = blob[offset : offset + size]
-        if len(chunk_bytes) != size:
-            raise CheckpointError("checkpoint truncated inside parameter blocks")
-        blocks[name] = np.frombuffer(chunk_bytes, dtype="<f4").reshape(shape).copy()
-        offset += size
-    if offset != len(blob):
+    shapes = config.block_shapes()
+    embed_shape = shapes.pop("embed")
+    size = _CKPT_HEADER.size + 4 * config.param_count()
+    if len(blob) < size:
+        raise CheckpointError("checkpoint truncated inside parameter blocks")
+    if len(blob) > size:
         raise CheckpointError("trailing bytes after parameter blocks")
-    params = EncoderParams(**blocks)
+    values = np.frombuffer(blob, dtype="<f4", offset=_CKPT_HEADER.size)
+    n_embed = math.prod(embed_shape)
+    params = EncoderParams(
+        values[:n_embed].reshape(embed_shape).astype(np.float32),
+        values[n_embed:].astype(np.float32),
+        tuple(shapes.values()),
+    )
     params.check_finite()
     return params, config

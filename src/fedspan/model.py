@@ -26,6 +26,7 @@ from .encoder import (
     LossWeights,
     Tokenization,
     Tokenizer,
+    _gather_batch,
     adam_step,
     batch_gradients,
     forward_sentence,
@@ -326,7 +327,8 @@ class SpanTagger:
         for lo in range(0, len(sentences), SCORE_GROUP):
             group = sentences[lo : lo + SCORE_GROUP]
             fps = [forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens)) for s in group]
-            spans = score_spans(self.params_, fps, l_max)
+            layout = _gather_batch([fp.tok.n_words for fp in fps], l_max)
+            spans = score_spans(self.params_, fps, layout)
             classes = spans.logits.argmax(axis=1).astype(np.int16)
             lo_span = 0
             for sentence, n_spans in zip(group, spans.span_counts):

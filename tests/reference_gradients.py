@@ -13,8 +13,9 @@ every step.
 The scalar helpers (``word_representations``, ``attention_weights``,
 ``span_representation``, ``classify_span``, ``tag_loss``) spell out one
 stage for one sentence or span, and ``batch_loss`` is the loss alone, for
-finite-difference probes. ``with_flat`` is the inverse of
-``EncoderParams.flatten``, for moving parameters along a flat direction.
+finite-difference probes. ``packed`` builds parameters from named blocks,
+and ``with_flat`` is the inverse of ``EncoderParams.flatten``, for moving
+parameters along a flat direction.
 """
 
 from dataclasses import dataclass
@@ -94,16 +95,24 @@ def batch_loss(params, plan, weights):
     return breakdown
 
 
+def packed(blocks, kind=EncoderParams, **extra) -> EncoderParams:
+    """A ``kind`` (``EncoderParams`` or ``GradientBundle``, whose
+    ``embed_rows`` go in ``extra``) holding copies of the named blocks: the
+    dense ones end to end in one new buffer, in ``DENSE`` order."""
+    dense = [np.asarray(blocks[name]) for name in EncoderParams.DENSE]
+    flat = np.concatenate([block.ravel() for block in dense])
+    return kind(np.array(blocks["embed"]), flat, tuple(block.shape for block in dense), **extra)
+
+
 def with_flat(params: EncoderParams, flat: np.ndarray) -> EncoderParams:
     """``params`` with its blocks refilled, in order, from a flat vector."""
-    out = {}
-    pos = 0
-    for name, arr in params.blocks():
-        out[name] = flat[pos : pos + arr.size].reshape(arr.shape).astype(arr.dtype)
-        pos += arr.size
-    if pos != flat.size:
+    if flat.size != params.param_count():
         raise ValueError("flat vector size does not match parameter shapes")
-    return EncoderParams(**out)
+    flat = flat.astype(params.dense.dtype)
+    n_embed = params.embed.size
+    return EncoderParams(
+        flat[:n_embed].reshape(params.embed.shape), flat[n_embed:], params.dense_shapes
+    )
 
 
 @dataclass(eq=False)
@@ -318,5 +327,5 @@ def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e
         new_params[name] = arr - step.astype(arr.dtype)
         new_m[name] = m
         new_v[name] = v
-    new_state = ReferenceAdamState(t, EncoderParams(**new_m), EncoderParams(**new_v))
-    return EncoderParams(**new_params), new_state
+    new_state = ReferenceAdamState(t, packed(new_m), packed(new_v))
+    return packed(new_params), new_state

@@ -5,6 +5,7 @@ import csv
 import json
 import typing
 
+import numpy as np
 import pytest
 
 from fedspan.cli import CONFIG_FLAGS, _add_config_arguments, build_parser, main
@@ -220,6 +221,37 @@ class TestAnalyze:
             matrix = rec["test_f1_matrix"]
             assert len(matrix) == 4
             assert float(row["test_in_domain_f1"]) == sum(matrix.values()) / len(matrix)
+
+    def test_clients_with_no_class_in_common(self, tmp_path, capsys):
+        """Only the similarity table needs a shared class; the other three
+        files are written and the command succeeds."""
+        from fedspan.prototypes import PrototypeSet, encode_payload, make_payload
+
+        config = small_config(tmp_path, rounds=1)
+        main(["train", "--config", str(config)])
+        run_dir = tmp_path / "run"
+        payload_dir = run_dir / "payloads"
+        for path in payload_dir.glob("client_*.bin"):
+            path.unlink()
+        for client_id, classes in ((0, (1, 2)), (1, (3, 4))):
+            protos = PrototypeSet(8, {c: np.full(8, c, dtype=np.float32) for c in classes})
+            blob = encode_payload(make_payload(client_id, 0, 0.5, protos))
+            (payload_dir / f"client_{client_id:02d}.bin").write_bytes(blob)
+        capsys.readouterr()
+
+        assert main(["analyze", "--run", str(run_dir)]) == 0
+        note = capsys.readouterr().err
+        assert note.count("\n") == 1 and "prototype_similarity.csv skipped" in note
+        out = run_dir / "analysis"
+        assert not (out / "prototype_similarity.csv").exists()
+        with open(out / "prototype_vectors.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows[1:]] == [
+            ["0", "laptops", "1"], ["0", "laptops", "2"], ["1", "restaurants", "3"], ["1", "restaurants", "4"]
+        ]
+        with open(out / "f1_curves.csv") as fh:
+            assert len(list(csv.reader(fh))) - 1 == 4
+        assert "per_round" in json.loads((out / "ledger.json").read_text())
 
     def test_missing_run_dir_fails(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "nope")]) == 1

@@ -11,15 +11,19 @@ import pytest
 from fedspan.corpus import Span
 from fedspan.encoder import (
     AdamState,
+    BatchPlan,
     CheckpointError,
     EncoderConfig,
     EncoderParams,
     GradientBundle,
+    LossWeights,
     Tokenization,
     Tokenizer,
     TrainingDivergedError,
+    _gather_batch,
     _gather_layout,
     adam_step,
+    batch_gradients,
     forward_sentence,
     load_params,
     log_softmax,
@@ -33,6 +37,7 @@ from fedspan.tagging import NUM_CLASSES, span_count
 from reference_gradients import (
     attention_weights,
     classify_span,
+    packed,
     reference_adam_step,
     reference_forward,
     span_representation,
@@ -151,15 +156,17 @@ def array_bits(tok):
 
 def tiny_params():
     """Hand-set parameters with embed_dim = hidden_dim = 2."""
-    params = EncoderParams(
-        embed=np.zeros((8, 2)),
-        w_ctx=np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.5, -1.0, 0.0, 2.0, -3.0, 1.0]]),
-        b_ctx=np.array([0.1, -0.2]),
-        w_attn=np.array([1.0, 0.0]),
-        w_proj=np.eye(2),
-        b_proj=np.zeros(2),
-        w_cls=np.zeros((NUM_CLASSES, 2)),
-        b_cls=np.zeros(NUM_CLASSES),
+    params = packed(
+        dict(
+            embed=np.zeros((8, 2)),
+            w_ctx=np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [0.5, -1.0, 0.0, 2.0, -3.0, 1.0]]),
+            b_ctx=np.array([0.1, -0.2]),
+            w_attn=np.array([1.0, 0.0]),
+            w_proj=np.eye(2),
+            b_proj=np.zeros(2),
+            w_cls=np.zeros((NUM_CLASSES, 2)),
+            b_cls=np.zeros(NUM_CLASSES),
+        )
     )
     params.embed[1] = (1.0, 0.0)
     params.embed[2] = (0.0, 1.0)
@@ -223,8 +230,8 @@ class TestSpanRepresentation:
 
     def test_projection_applied(self):
         params = tiny_params()
-        params.w_proj = np.array([[2.0, 0.0], [0.0, 3.0]])
-        params.b_proj = np.array([1.0, -1.0])
+        params.w_proj[:] = [[2.0, 0.0], [0.0, 3.0]]
+        params.b_proj[:] = [1.0, -1.0]
         word_vecs = np.array([[1.0, 1.0], [1.0, 1.0]])
         rep = span_representation(word_vecs, Span(0, 1), params)
         assert rep == pytest.approx([3.0, 2.0])
@@ -252,7 +259,6 @@ class TestClassifySpan:
 
     def test_large_bias_dominates(self):
         params = tiny_params()
-        params.b_cls = np.zeros(16)
         params.b_cls[0] = 10.0
         probs = classify_span(np.array([0.0, 0.0]), params)
         assert probs[0] >= 0.999
@@ -260,10 +266,10 @@ class TestClassifySpan:
     def test_shift_invariance_of_argmax(self):
         rng = np.random.default_rng(8)
         params = tiny_params()
-        params.w_cls = rng.normal(size=(16, 2))
+        params.w_cls[:] = rng.normal(size=(16, 2))
         rep = rng.normal(size=2)
         base = classify_span(rep, params)
-        params.b_cls = params.b_cls + 5.0
+        params.b_cls += 5.0
         shifted = classify_span(rep, params)
         assert base.argmax() == shifted.argmax()
         assert shifted == pytest.approx(base, abs=1e-9)
@@ -294,7 +300,8 @@ class TestTagLoss:
 def forward_batch(params, toks, l_max):
     """The packed forward of a batch: forward_sentence per sentence, then
     score_spans once, and the log-softmax training applies on top."""
-    spans = score_spans(params, [forward_sentence(params, tok) for tok in toks], l_max)
+    layout = _gather_batch([tok.n_words for tok in toks], l_max)
+    spans = score_spans(params, [forward_sentence(params, tok) for tok in toks], layout)
     log_probs, probs = log_softmax(spans.logits.copy())
     return spans, log_probs, probs
 
@@ -370,7 +377,6 @@ class TestForwardReference:
         toks = [tokenizer.tokenize(random_words(rng, n)) for n in order]
         spans, log_probs, probs = forward_batch(params, toks, self.L_MAX)
         refs = [reference_forward(params, tok, self.L_MAX) for tok in toks]
-        assert spans.word_counts == order
         assert spans.span_counts == [span_count(n, self.L_MAX) for n in order]
         assert spans.width == self.L_MAX
         packed = {"reps": spans.reps, "log_probs": log_probs, "probs": probs}
@@ -406,9 +412,7 @@ class TestForwardReference:
             tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
             lengths = rng.integers(1, 36, int(rng.integers(1, 9)))
             toks = [tokenizer.tokenize(random_words(rng, int(n))) for n in lengths]
-            spans = score_spans(
-                params, [forward_sentence(params, tok) for tok in toks], self.L_MAX
-            )
+            spans, _, _ = forward_batch(params, toks, self.L_MAX)
             ref_probs = np.concatenate(
                 [reference_forward(params, tok, self.L_MAX).probs for tok in toks]
             )
@@ -462,7 +466,7 @@ class TestOptimizers:
     def zero_grads(params):
         """A zero gradient bundle that names every embedding row."""
         blocks = {name: np.zeros_like(arr) for name, arr in params.blocks()}
-        return GradientBundle(**blocks, embed_rows=np.arange(len(params.embed)))
+        return packed(blocks, GradientBundle, embed_rows=np.arange(len(params.embed)))
 
     def test_adam_first_step_size(self):
         params = self.make()
@@ -485,11 +489,12 @@ class TestOptimizers:
         ref_state = AdamState.zeros(params)
         rng = np.random.default_rng(4)
         for step in range(20):
-            grads = GradientBundle(
-                **{
+            grads = packed(
+                {
                     name: rng.normal(0.0, 10.0 ** rng.integers(-4, 2), arr.shape).astype(arr.dtype)
                     for name, arr in params.blocks()
                 },
+                GradientBundle,
                 embed_rows=np.arange(config.vocab_size),
             )
             grads.embed[rng.random(len(grads.embed)) < 0.5] = 0.0  # untouched rows
@@ -532,7 +537,7 @@ class TestOptimizers:
                 for name, arr in params.blocks()
             }
             if step in (20, 25, 27):  # hand-built dense bundle: all rows
-                grads = GradientBundle(**blocks, embed_rows=np.arange(config.vocab_size))
+                grads = packed(blocks, GradientBundle, embed_rows=np.arange(config.vocab_size))
             else:
                 rows = np.unique(rng.integers(8, 20, 6))
                 if step == 3:
@@ -544,7 +549,7 @@ class TestOptimizers:
                 if step == 5:  # a touched row whose gradient is all zeros
                     embed[25] = np.array([0.0, -0.0, -0.0, 0.0], dtype=dtype)
                 blocks["embed"] = embed
-                grads = GradientBundle(**blocks, embed_rows=rows)
+                grads = packed(blocks, GradientBundle, embed_rows=rows)
             if step == 4:
                 # m of a seen row underflows to zero while v is still decaying.
                 state.m.embed[30] = 0.0
@@ -564,20 +569,6 @@ class TestOptimizers:
                 assert params.embed[7].tobytes() == np.full(4, -0.0, dtype).tobytes()
         assert seen.all()
 
-    def test_adam_dense_moments_share_one_buffer(self):
-        params = self.make()
-        state = AdamState.zeros(params)
-        grads = GradientBundle(
-            **{name: np.ones_like(arr) for name, arr in params.blocks()},
-            embed_rows=np.arange(len(params.embed)),
-        )
-        adam_step(params, grads, state, 0.1)
-        for flat, holder in ((state.m_dense, state.m), (state.v_dense, state.v)):
-            assert flat.size == sum(getattr(holder, name).size for name in EncoderParams.DENSE)
-            assert flat.all()
-            for name in EncoderParams.DENSE:
-                assert np.shares_memory(getattr(holder, name), flat), name
-
     def test_adam_deterministic(self):
         params = self.make()
         grads = self.zero_grads(params)
@@ -592,10 +583,8 @@ class TestGradientBundleFinite:
     def bundle(self):
         config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
         params = EncoderParams.initialize(config, 0)
-        return GradientBundle(
-            **{name: np.zeros_like(arr) for name, arr in params.blocks()},
-            embed_rows=np.array([2, 5]),
-        )
+        blocks = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+        return packed(blocks, GradientBundle, embed_rows=np.array([2, 5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_touched_embedding_row_names_embed(self, bad):
@@ -630,6 +619,93 @@ class TestParamBookkeeping:
         rebuilt = with_flat(params, params.flatten())
         for (_, a), (_, b) in zip(params.blocks(), rebuilt.blocks()):
             assert np.array_equal(a, b)
+
+
+def layout_case(precision):
+    """A small model's parameters and the gradient bundle of one batch."""
+    config = EncoderConfig(
+        vocab_size=19, embed_dim=3, hidden_dim=4, rep_dim=2, chunk_size=2, l_max=3, precision=precision
+    )
+    params = EncoderParams.initialize(config, 4)
+    tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
+    toks = [tokenizer.tokenize(words) for words in (["the", "keyboard", "is", "great"], ["ok"])]
+    golds = [np.arange(span_count(tok.n_words, config.l_max)) % NUM_CLASSES for tok in toks]
+    selections = [np.arange(len(gold)) for gold in golds]
+    plan = BatchPlan.from_sentences(
+        toks, golds, selections, config.l_max, config.vocab_size, None, config.dtype
+    )
+    _, grads, _ = batch_gradients(params, plan, LossWeights(1.0, 0.5, 0.5))
+    return config, params, grads
+
+
+def adam_moments(params, grads):
+    state = AdamState.zeros(params)
+    adam_step(params, grads, state, 0.1)
+    return state
+
+
+def other_precision(config, params):
+    return params.astype(np.float64 if config.precision == "float32" else np.float32)
+
+
+def reloaded(config, params, path):
+    save_params(path, params, config)
+    return load_params(path)[0]
+
+
+# Every producer of EncoderParams, as f(config, params, grads, tmp_path).
+LAYOUT_PRODUCERS = {
+    "initialize": lambda config, params, grads, tmp_path: params,
+    "zeros_like": lambda config, params, grads, tmp_path: EncoderParams.zeros_like(params),
+    "copy": lambda config, params, grads, tmp_path: params.copy(),
+    "astype": lambda config, params, grads, tmp_path: other_precision(config, params).astype(
+        config.dtype
+    ),
+    "sgd_step": lambda config, params, grads, tmp_path: sgd_step(params, grads, 0.1),
+    "adam_step": lambda config, params, grads, tmp_path: adam_step(
+        params, grads, AdamState.zeros(params), 0.1
+    )[0],
+    "adam_zeros_m": lambda config, params, grads, tmp_path: AdamState.zeros(params).m,
+    "adam_zeros_v": lambda config, params, grads, tmp_path: AdamState.zeros(params).v,
+    "adam_stepped_m": lambda config, params, grads, tmp_path: adam_moments(params, grads).m,
+    "adam_stepped_v": lambda config, params, grads, tmp_path: adam_moments(params, grads).v,
+    "batch_gradients": lambda config, params, grads, tmp_path: grads,
+    "load_params": lambda config, params, grads, tmp_path: reloaded(config, params, tmp_path / "in.ckpt"),
+    "packed": lambda config, params, grads, tmp_path: packed(dict(params.blocks())),
+}
+
+
+class TestDenseLayout:
+    """Whatever produced them, parameters, gradients and Adam moments hold
+    their dense blocks as views of ``dense``, and their checkpoint bytes
+    survive a save, load, save."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("producer", LAYOUT_PRODUCERS)
+    def test_blocks_are_views_of_dense(self, producer, precision, tmp_path):
+        config, params, grads = layout_case(precision)
+        holder = LAYOUT_PRODUCERS[producer](config, params, grads, tmp_path)
+        # A checkpoint is float32 whatever the model it came from.
+        dtype = np.dtype("float32" if producer == "load_params" else precision)
+        shapes = config.block_shapes()
+        assert holder.embed.dtype == dtype and holder.embed.shape == shapes.pop("embed")
+        dense = holder.dense
+        assert dense.dtype == dtype and dense.ndim == 1 and dense.flags.c_contiguous
+        start = dense.__array_interface__["data"][0]
+        pos = 0
+        for name, shape in shapes.items():
+            block = getattr(holder, name)
+            assert block.shape == shape and block.dtype == dtype, name
+            assert np.shares_memory(block, dense), name
+            assert block.__array_interface__["data"][0] == start + pos * dtype.itemsize, name
+            assert block.flags.c_contiguous, name
+            pos += block.size
+        assert pos == dense.size
+
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_params(first, holder, config)
+        save_params(second, load_params(first)[0], config)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestCheckpoint:
