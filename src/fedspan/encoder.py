@@ -147,13 +147,11 @@ class Tokenization:
 
 
 class _TokenCache:
-    """Chunk ids, word ids and sentence tokenizations of one tokenizer
-    setting."""
+    """Word ids and sentence tokenizations of one tokenizer setting."""
 
-    __slots__ = ("chunks", "words", "sentences", "__weakref__")
+    __slots__ = ("words", "sentences", "__weakref__")
 
     def __init__(self) -> None:
-        self.chunks: dict[str, int] = {}
         self.words: dict[str, tuple[int, ...]] = {}
         self.sentences: dict[tuple[str, ...], Tokenization] = {}
 
@@ -168,7 +166,7 @@ _TOKEN_CACHES: weakref.WeakValueDictionary[tuple[int, int, int], _TokenCache] = 
 
 class Tokenizer:
     """Deterministic chunking + keyed-hash vocabulary lookup, cached per
-    chunk, per word and per sentence."""
+    word and per sentence."""
 
     def __init__(self, vocab_size: int, chunk_size: int, hash_seed: int = 0):
         self.vocab_size = vocab_size
@@ -178,14 +176,8 @@ class Tokenizer:
         self._cache = _TOKEN_CACHES.setdefault((vocab_size, chunk_size, hash_seed), _TokenCache())
 
     def subword_id(self, subword: str) -> int:
-        cached = self._cache.chunks.get(subword)
-        if cached is None:
-            digest = hashlib.blake2b(
-                subword.encode("utf-8"), digest_size=8, key=self._key
-            ).digest()
-            cached = int.from_bytes(digest, "little") % self.vocab_size
-            self._cache.chunks[subword] = cached
-        return cached
+        digest = hashlib.blake2b(subword.encode("utf-8"), digest_size=8, key=self._key).digest()
+        return int.from_bytes(digest, "little") % self.vocab_size
 
     def _hash_word(self, word: str) -> tuple[int, ...]:
         if not word:

@@ -10,7 +10,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
@@ -177,7 +176,8 @@ def client_round(
     round_index: int,
     config: ExperimentConfig,
 ) -> tuple[PrototypePayload, dict]:
-    """One client's local training for one round, ending with its upload."""
+    """One client's local training for one round, ending with its upload and
+    its metrics, named and ordered as in the records (``stage_loss`` is the tag loss)."""
     try:
         state.model.partial_fit(
             state.corpus.train,
@@ -193,7 +193,7 @@ def client_round(
     stats = state.model.last_fit_metrics_
     metrics = {
         "train_loss": stats["train_loss"],
-        "tag_loss": stats["tag_loss"],
+        "stage_loss": stats["tag_loss"],
         "proto_loss": stats["proto_loss"],
         "val_p": val.precision,
         "val_r": val.recall,
@@ -212,34 +212,7 @@ def _check_splits(corpora: Sequence[Corpus]) -> None:
 
 
 def _test_matrix(model: SpanTagger, corpora: Sequence[Corpus]) -> dict[str, float]:
-    return {corpus.name: float(model.score(corpus.test)) for corpus in corpora}
-
-
-def _record(
-    round_index: int,
-    client_id: int,
-    corpus_name: str,
-    metrics: dict,
-    test_matrix: dict[str, float],
-    uploaded: int,
-    downloaded: int,
-    weights: list[float],
-) -> dict:
-    return {
-        "round": round_index,
-        "client": client_id,
-        "corpus": corpus_name,
-        "train_loss": float(metrics["train_loss"]),
-        "stage_loss": float(metrics["tag_loss"]),
-        "proto_loss": float(metrics["proto_loss"]),
-        "val_p": float(metrics["val_p"]),
-        "val_r": float(metrics["val_r"]),
-        "val_f1": float(metrics["val_f1"]),
-        "test_f1_matrix": test_matrix,
-        "uploaded_floats": int(uploaded),
-        "downloaded_floats": int(downloaded),
-        "weights": [float(w) for w in weights],
-    }
+    return {corpus.name: model.score(corpus.test) for corpus in corpora}
 
 
 def _clients(corpora: Sequence[Corpus], config: ExperimentConfig) -> list[ClientState]:
@@ -273,57 +246,52 @@ def run_federated(
     the same per-round epoch schedule and evaluates on every test split.
 
     Returns one record per (round, client); the baselines record zero
-    uploaded/downloaded floats and no weights. With ``out_dir`` set, records
-    are streamed to ``records.jsonl`` after every round and final checkpoints
-    are persisted (``client_XX_<corpus>.ckpt`` federated, ``model_XX_<name>.ckpt``
-    otherwise), plus the final payloads in ``federated`` mode. A diverging
-    client halts the run with everything recorded so far already flushed.
+    uploaded/downloaded floats and no weights. With ``out_dir`` set, each round
+    appends its records to ``records.jsonl`` when it ends, so a diverging client
+    halts the run with every earlier round on disk. Then come the checkpoints
+    (``client_XX_<corpus>.ckpt`` federated, ``model_XX_<name>.ckpt`` otherwise)
+    and, federated, the last round's upload blobs and ``global.bin`` broadcast.
     """
     _check_splits(corpora)
     config.validate()
-    out_path = Path(out_dir) if out_dir is not None else None
+    federated = config.mode == "federated"
     clients = _clients(corpora, config)
-    server = Server(config.aggregation) if config.mode == "federated" else None
+    server = Server(config.aggregation)
+    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "records.jsonl").write_bytes(b"")
     records: list[dict] = []
     incoming: PrototypeSet | None = None
-    downloaded = 0
-    final_blobs: list[bytes] = []
-    with (
-        open(out_path / "records.jsonl", "w", encoding="utf-8")
-        if out_path is not None
-        else contextlib.nullcontext()
-    ) as records_file:
-        for round_index in range(1, config.rounds + 1):
-            outcomes = [client_round(client, incoming, round_index, config) for client in clients]
-            if server is not None:
-                blobs = [encode_payload(payload) for payload, _ in outcomes]
-                server.receive_and_aggregate(blobs, round_index)
-            for client, (payload, metrics) in zip(clients, outcomes):
-                test_matrix = (
-                    _test_matrix(client.model, corpora) if config.track_test_matrix else {}
-                )
-                record = _record(
-                    round_index,
-                    client.client_id,
-                    client.corpus.name,
-                    metrics,
-                    test_matrix,
-                    payload.float_count() if server is not None else 0,
-                    downloaded,
-                    server.last_weights if server is not None else [],
-                )
-                records.append(record)
-                if records_file is not None:
-                    records_file.write(json.dumps(record) + "\n")
-                    records_file.flush()
-            if server is not None:
-                incoming = decode_payload(server.broadcast(round_index)).prototypes
-                downloaded = incoming.float_count()
-                final_blobs = blobs
+    blobs: list[bytes] = []
+    tested = corpora if config.track_test_matrix else []
+    for round_index in range(1, config.rounds + 1):
+        downloaded = incoming.float_count() if incoming is not None else 0
+        outcomes = [client_round(client, incoming, round_index, config) for client in clients]
+        if federated:
+            blobs = [encode_payload(payload) for payload, _ in outcomes]
+            server.receive_and_aggregate(blobs, round_index)
+            broadcast = server.broadcast(round_index)
+            incoming = decode_payload(broadcast).prototypes
+        round_records = [
+            {
+                "round": round_index,
+                "client": client.client_id,
+                "corpus": client.corpus.name,
+                **metrics,
+                "test_f1_matrix": _test_matrix(client.model, tested),
+                "uploaded_floats": payload.float_count() if federated else 0,
+                "downloaded_floats": downloaded,
+                "weights": list(server.last_weights),
+            }
+            for client, (payload, metrics) in zip(clients, outcomes)
+        ]
+        records.extend(round_records)
+        if out_path is not None:
+            with open(out_path / "records.jsonl", "a", encoding="utf-8") as records_file:
+                records_file.writelines(json.dumps(record) + "\n" for record in round_records)
     if out_path is not None:
-        prefix = "client" if server is not None else "model"
+        prefix = "client" if federated else "model"
         ckpt_dir = out_path / "checkpoints"
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         for client in clients:
@@ -331,12 +299,12 @@ def run_federated(
                 client.model.save(
                     ckpt_dir / f"{prefix}_{client.client_id:02d}_{client.corpus.name}.ckpt"
                 )
-        if final_blobs:
+        if blobs:
             payload_dir = out_path / "payloads"
             payload_dir.mkdir(parents=True, exist_ok=True)
-            for client, blob in zip(clients, final_blobs):
+            for client, blob in zip(clients, blobs):
                 (payload_dir / f"client_{client.client_id:02d}_{client.corpus.name}.bin").write_bytes(blob)
-            (payload_dir / "global.bin").write_bytes(server.broadcast(config.rounds))
+            (payload_dir / "global.bin").write_bytes(broadcast)
     return records
 
 

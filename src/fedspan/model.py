@@ -121,14 +121,16 @@ def select_spans(
     classes, sentence i owning ``starts[i]:starts[i+1]``: its labeled spans
     and background spans capped at ``null_ratio`` times as many, picked and
     drawn as by one ``rng.choice(nulls, k, replace=False)`` per sentence.
-    Past 10,000 picks numpy can take another branch, so it is called then.
+    numpy shuffles instead of drawing Floyd's picks when a sentence has over
+    10,000 background spans and picks more than a fiftieth of them, so it is
+    called then.
     """
     selected = gold != 0
     labeled = np.add.reduceat(selected, starts[:-1], dtype=np.int64)
     n = np.diff(starts) - labeled
     k = np.minimum(n, np.rint(null_ratio * labeled)).astype(np.int64)
     picks, lo = [], 0
-    for hi in [*np.flatnonzero(k > 10_000).tolist(), len(k)]:
+    for hi in [*np.flatnonzero((n > 10_000) & (k > n // 50)).tolist(), len(k)]:
         picks.append(_floyd_picks(rng, n[lo:hi], k[lo:hi]))
         if hi < len(k):
             picks.append(rng.choice(n[hi], k[hi], replace=False))
@@ -204,10 +206,14 @@ class SpanTagger:
     def is_fitted(self) -> bool:
         return self.params_ is not None
 
-    def _initialize(self) -> None:
+    def _initialize(self, params: EncoderParams | None = None) -> None:
+        """Fresh training state around ``params``, drawn from ``params_seed``
+        when not given."""
         config = self.config
         config.validate()
-        self.params_ = EncoderParams.initialize(config, config.params_seed)
+        if params is None:
+            params = EncoderParams.initialize(config, config.params_seed)
+        self.params_ = params
         self.opt_state_ = AdamState.zeros(self.params_) if config.optimizer == "adam" else None
         self.prototypes_ = PrototypeSet.from_arrays(
             np.zeros((NUM_CLASSES, config.rep_dim), config.dtype), np.zeros(NUM_CLASSES, bool)
@@ -359,6 +365,5 @@ class SpanTagger:
     def load(cls, path: str | Path) -> "SpanTagger":
         params, config = load_params(path)
         tagger = cls(**dataclasses.asdict(config))
-        tagger._initialize()
-        tagger.params_ = params
+        tagger._initialize(params)
         return tagger

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import fedspan.model as model_module
 from fedspan.config import ExperimentConfig
 from fedspan.corpus import Corpus, parse_corpus
-from fedspan.encoder import EncoderConfig
+from fedspan.encoder import EncoderConfig, TrainingDivergedError
 from fedspan.federation import (
     REFERENCE_FULL_MODEL_FLOATS,
     ClientState,
@@ -353,9 +354,10 @@ class TestClientRound:
         assert payload_obj.prototypes.dim == 16
 
     def test_metrics_keys(self):
+        """The metrics come under their record names, in record order."""
         state = ClientState(0, overfit_corpus(), SpanTagger(**tiny_config().model_kwargs(0)))
         _, metrics = client_round(state, None, 1, tiny_config())
-        assert {"train_loss", "tag_loss", "proto_loss", "val_p", "val_r", "val_f1"} == set(metrics)
+        assert list(metrics) == ["train_loss", "stage_loss", "proto_loss", "val_p", "val_r", "val_f1"]
 
 
 class TestRunFederated:
@@ -415,6 +417,51 @@ class TestRunFederated:
         assert len(checkpoints) == len(small_corpora)
         payloads = sorted(p.name for p in (tmp_path / "payloads").glob("*.bin"))
         assert len(payloads) == len(small_corpora) + 1  # clients + global
+
+    def test_divergence_leaves_earlier_rounds_on_disk(self, small_corpora, tmp_path, monkeypatch):
+        """A client diverging in round 2 halts the run with an error naming
+        it and the round, and ``records.jsonl`` holds exactly round 1."""
+        round_one = run_federated(small_corpora, tiny_config(rounds=1))
+        fit, calls = SpanTagger.partial_fit, []
+
+        def partial_fit(model, sentences, *args, **kwargs):
+            if sentences is small_corpora[1].train:
+                calls.append(sentences)
+                if len(calls) == 2:
+                    raise TrainingDivergedError("non-finite training loss")
+            return fit(model, sentences, *args, **kwargs)
+
+        monkeypatch.setattr(SpanTagger, "partial_fit", partial_fit)
+        message = f"client 1 ({small_corpora[1].name}) round 2: non-finite training loss"
+        with pytest.raises(TrainingDivergedError, match=re.escape(message)):
+            run_federated(small_corpora, tiny_config(rounds=3), tmp_path)
+        lines = (tmp_path / "records.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == round_one
+
+    def test_payload_files_are_the_last_rounds_blobs(self, small_corpora, tmp_path, monkeypatch):
+        """``payloads/`` holds the blobs the server received and broadcast in
+        the last round."""
+        receive, broadcast = Server.receive_and_aggregate, Server.broadcast
+        uploads, broadcasts = {}, {}
+
+        def receiving(server, blobs, round_index):
+            uploads[round_index] = list(blobs)
+            return receive(server, blobs, round_index)
+
+        def broadcasting(server, round_index):
+            broadcasts.setdefault(round_index, []).append(broadcast(server, round_index))
+            return broadcasts[round_index][-1]
+
+        monkeypatch.setattr(Server, "receive_and_aggregate", receiving)
+        monkeypatch.setattr(Server, "broadcast", broadcasting)
+        run_federated(small_corpora, tiny_config(rounds=3), tmp_path)
+        assert sorted(uploads) == sorted(broadcasts) == [1, 2, 3]
+        assert all(len(blobs) == 1 for blobs in broadcasts.values())
+        payload_dir = tmp_path / "payloads"
+        for i, corpus in enumerate(small_corpora):
+            assert (payload_dir / f"client_{i:02d}_{corpus.name}.bin").read_bytes() == uploads[3][i]
+        assert (payload_dir / "global.bin").read_bytes() == broadcasts[3][0]
+        assert len(list(payload_dir.iterdir())) == len(small_corpora) + 1
 
     def test_empty_split_rejected(self, small_corpora):
         broken = [Corpus("x", [], [], [])]

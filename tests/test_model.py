@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import fedspan.model as model_module
 from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
+from fedspan.encoder import EncoderParams
 from fedspan.model import NotFittedError, SpanTagger, select_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
@@ -187,11 +188,13 @@ class TestProtoSpanSelection:
         epochs=st.integers(1, 3),
     )
     # Every background span taken (k == n), no background spans, no labeled
-    # spans, and a sentence sampling over 10,000 background spans.
+    # spans, a sentence sampling over 10,000 background spans, and one with
+    # over 10,000 background spans sampling more than a fiftieth of them.
     @example(seed=1, null_ratio=3.0, sizes=[6, 9, 4], labeled_share=0.5, batch_size=2, epochs=2)
     @example(seed=2, null_ratio=1.0, sizes=[5, 8, 3], labeled_share=1.0, batch_size=2, epochs=1)
     @example(seed=3, null_ratio=1.0, sizes=[5, 8, 3], labeled_share=0.0, batch_size=2, epochs=1)
     @example(seed=4, null_ratio=1.0, sizes=[7, 21_000, 5], labeled_share=0.5, batch_size=2, epochs=1)
+    @example(seed=5, null_ratio=1.0, sizes=[7, 12_000, 5], labeled_share=0.1, batch_size=2, epochs=1)
     def test_epochs_match_per_batch_oracle(
         self, seed, null_ratio, sizes, labeled_share, batch_size, epochs
     ):
@@ -535,6 +538,31 @@ class TestPersistence:
         val = tiny_corpus.val[:8]
         assert loaded.predict(val) == tagger.predict(val)
         assert loaded.get_params()["rep_dim"] == tagger.config.rep_dim
+
+    def test_load_draws_no_initial_weights(self, tiny_corpus, tmp_path, monkeypatch):
+        """``load`` builds its state around the loaded parameters without
+        drawing fresh ones, and trains on as a model initialized, then given
+        those parameters."""
+        path = tmp_path / "tagger.ckpt"
+        small_tagger().fit(tiny_corpus.train[:10], epochs=2).save(path)
+        expected = SpanTagger.load(path)
+        params = expected.params_
+        expected._initialize()
+        expected.params_ = params
+
+        def no_draw(*args):
+            raise AssertionError("load drew initial weights")
+
+        monkeypatch.setattr(EncoderParams, "initialize", no_draw)
+        loaded = SpanTagger.load(path)
+        monkeypatch.undo()
+        for tagger in (loaded, expected):
+            tagger.partial_fit(tiny_corpus.train[10:20], epochs=2)
+        assert loaded.n_steps_ == expected.n_steps_
+        for (_, a), (_, b) in zip(loaded.params_.blocks(), expected.params_.blocks()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(loaded.prototypes_.matrix, expected.prototypes_.matrix)
+        assert loaded._rng.bit_generator.state == expected._rng.bit_generator.state
 
     def test_save_requires_fit(self, tmp_path):
         with pytest.raises(NotFittedError):
