@@ -17,7 +17,7 @@ import sys
 import typing
 from pathlib import Path
 
-from .config import AGGREGATIONS, MODES, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .corpus import Corpus, dedup_report_json, deduplicate, read_corpus_dir, write_corpus_dir
 from .federation import comm_ledger, prototype_similarity, run_federated
 from .model import SpanTagger
@@ -184,6 +184,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # The two axes have default grids 8x apart; one grid cannot serve both.
         raise ValueError("--values takes a single axis: pass --axis align or --axis sep")
     config = _load_config(args)
+    # The weights act only through the prototype term, which needs a
+    # broadcast from an earlier round to regularize against.
+    if config.mode != "federated":
+        raise ValueError(f"the swept weights act only in federated mode, not {config.mode!r}")
+    if config.rounds < 2:
+        raise ValueError("the swept weights need rounds >= 2: round 1 has no broadcast")
+    if config.proto_weight <= 0:
+        raise ValueError("the swept weights need proto_weight > 0")
     out = _resolve_output(config)
     corpora, _ = _load_corpora(config)
     axes = ["align", "sep"] if args.axis == "both" else [args.axis]
@@ -243,18 +251,18 @@ CONFIG_FLAGS = (
     "l_max",
     "synth_config",
 )
-_FLAG_CHOICES = {"mode": MODES, "aggregation": AGGREGATIONS}
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON experiment config file")
     hints = typing.get_type_hints(ExperimentConfig)
     for name in CONFIG_FLAGS:
+        kind = hints[name]
         parser.add_argument(
             "--" + name.replace("_", "-"),
             dest=name,
-            type=hints[name] if hints[name] in (int, float) else None,
-            choices=_FLAG_CHOICES.get(name),
+            type=kind if kind in (int, float) else None,
+            choices=typing.get_args(kind) if typing.get_origin(kind) is typing.Literal else None,
         )
 
 

@@ -10,13 +10,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
-from .encoder import ConfigError  # re-exported: validation raises it
+from .encoder import ConfigError, Range  # ConfigError re-exported: validation raises it
 from .model import TaggerConfig
 from .synth import DEFAULT_CORPUS_SEED
-
-MODES = ("single", "merged", "federated")
-AGGREGATIONS = ("uniform", "f1_weighted")
 
 
 @dataclass(frozen=True)
@@ -25,32 +23,21 @@ class ExperimentConfig(TaggerConfig):
     data and output settings."""
 
     # Orchestration
-    mode: str = "federated"
-    aggregation: str = "f1_weighted"
-    rounds: int = 50
-    local_epochs: int = 5
+    mode: Literal["single", "merged", "federated"] = "federated"
+    aggregation: Literal["uniform", "f1_weighted"] = "f1_weighted"
+    rounds: Annotated[int, Range(0)] = 50
+    local_epochs: Annotated[int, Range(1)] = 5
     track_test_matrix: bool = True
     # Seeds: `seed` is the experiment's data seed, from which each client's
     # model seed is derived; `corpus_seed` drives the synthetic corpus draw.
-    seed: int = 2
-    corpus_seed: int = DEFAULT_CORPUS_SEED
+    seed: Annotated[int, Range(0)] = 2
+    corpus_seed: Annotated[int, Range(0)] = DEFAULT_CORPUS_SEED
     # Data source: explicit corpus directories, or the synthetic generator.
     corpus_dirs: list[str] = field(default_factory=list)
     synth_config: str | None = None  # path to a synth JSON; None = builtin default
     dedup_case_sensitive: bool = True
     # Output
     output_dir: str = "runs/exp"
-
-    def validate(self) -> None:
-        super().validate()
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"aggregation must be one of {AGGREGATIONS}, got {self.aggregation!r}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
+from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
@@ -74,31 +74,51 @@ def _has_type(value, kind) -> bool:
 
 
 @dataclass(frozen=True)
+class Range:
+    """A numeric field's allowed values, as in ``Annotated[int, Range(1)]``:
+    finite and in ``[low, high]``, or in ``(low, high]`` when ``open_low``."""
+
+    low: float
+    high: float = math.inf
+    open_low: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        above = self.low < value if self.open_low else self.low <= value
+        return above and value <= self.high and value != math.inf  # NaN fails every comparison
+
+    def __str__(self) -> str:
+        right = "]" if self.high < math.inf else ")"
+        return f"{'(' if self.open_low else '['}{self.low}, {self.high}{right}"
+
+
+@dataclass(frozen=True)
 class EncoderConfig:
-    vocab_size: int = 2048
-    embed_dim: int = 32
-    hidden_dim: int = 32
-    rep_dim: int = 16
-    chunk_size: int = 4
-    hash_seed: int = 0
-    l_max: int = 10
-    precision: str = "float32"
+    # Checkpoint headers store vocab_size and hash_seed as uint32, the rest as uint16.
+    vocab_size: Annotated[int, Range(1, 2**32 - 1)] = 2048
+    embed_dim: Annotated[int, Range(1, 2**16 - 1)] = 32
+    hidden_dim: Annotated[int, Range(1, 2**16 - 1)] = 32
+    rep_dim: Annotated[int, Range(1, 2**16 - 1)] = 16
+    chunk_size: Annotated[int, Range(1, 2**16 - 1)] = 4
+    hash_seed: Annotated[int, Range(0, 2**32 - 1)] = 0
+    l_max: Annotated[int, Range(1, 2**16 - 1)] = 10
+    precision: Literal["float32", "float64"] = "float32"
 
     def validate(self) -> None:
-        """Check every field against its annotation, subclass fields
-        included, then the encoder's ranges."""
-        for name, kind in typing.get_type_hints(type(self)).items():
+        """Check every field, subclass fields included, against its
+        annotation: its type, a ``Literal``'s choices, a ``Range``."""
+        for name, hint in typing.get_type_hints(type(self), include_extras=True).items():
             value = getattr(self, name)
+            kind, *marks = typing.get_args(hint) if typing.get_origin(hint) is Annotated else [hint]
+            choices = typing.get_args(kind) if typing.get_origin(kind) is Literal else ()
+            kind = type(choices[0]) if choices else kind
             if not _has_type(value, kind):
                 kind_name = getattr(kind, "__name__", kind)
                 raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
-        for name in ("vocab_size", "embed_dim", "hidden_dim", "rep_dim", "chunk_size", "l_max"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not 0 <= self.hash_seed < 2**32:  # checkpoints store it as a uint32
-            raise ConfigError("hash_seed must be in [0, 2**32)")
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"precision must be 'float32' or 'float64', got {self.precision!r}")
+            if choices and value not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+            for mark in marks:  # None and seed tuples are the type check's
+                if isinstance(value, (int, float)) and value not in mark:
+                    raise ConfigError(f"{name} must be in {mark}, got {value!r}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -772,23 +792,18 @@ def adam_step(
 _CKPT_MAGIC = b"SPTG"
 _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sHIHHHHHHI")
+# The header after magic and version: EncoderConfig fields, and NUM_CLASSES.
+_CKPT_FIELDS = (
+    "vocab_size", "embed_dim", "hidden_dim", "rep_dim",
+    "num_classes", "chunk_size", "l_max", "hash_seed",
+)
 
 
 def save_params(path: str | Path, params: EncoderParams, config: EncoderConfig) -> None:
     """Checkpoint: fixed header then the float32 little-endian blocks in
     ``BLOCKS`` order, which is ``embed`` followed by ``dense``."""
-    header = _CKPT_HEADER.pack(
-        _CKPT_MAGIC,
-        _CKPT_VERSION,
-        config.vocab_size,
-        config.embed_dim,
-        config.hidden_dim,
-        config.rep_dim,
-        NUM_CLASSES,
-        config.chunk_size,
-        config.l_max,
-        config.hash_seed,
-    )
+    fields = (NUM_CLASSES if f == "num_classes" else getattr(config, f) for f in _CKPT_FIELDS)
+    header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, *fields)
     with open(path, "wb") as fh:
         fh.write(header)
         for arr in (params.embed, params.dense):
@@ -799,25 +814,15 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     blob = Path(path).read_bytes()
     if len(blob) < _CKPT_HEADER.size:
         raise CheckpointError("checkpoint truncated before header")
-    magic, version, vocab, d_e, d_h, d_z, n_cls, chunk, l_max, hash_seed = _CKPT_HEADER.unpack_from(
-        blob
-    )
+    magic, version, *header = _CKPT_HEADER.unpack_from(blob)
     if magic != _CKPT_MAGIC:
         raise CheckpointError("bad checkpoint magic")
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if n_cls != NUM_CLASSES:
+    fields = dict(zip(_CKPT_FIELDS, header))
+    if (n_cls := fields.pop("num_classes")) != NUM_CLASSES:
         raise CheckpointError(f"checkpoint has {n_cls} classes, expected {NUM_CLASSES}")
-    config = EncoderConfig(
-        vocab_size=vocab,
-        embed_dim=d_e,
-        hidden_dim=d_h,
-        rep_dim=d_z,
-        chunk_size=chunk,
-        hash_seed=hash_seed,
-        l_max=l_max,
-        precision="float32",
-    )
+    config = EncoderConfig(**fields, precision="float32")
     shapes = config.block_shapes()
     embed_shape = shapes.pop("embed")
     size = _CKPT_HEADER.size + 4 * config.param_count()

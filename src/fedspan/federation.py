@@ -119,7 +119,7 @@ def _aggregate(
     matrix = np.zeros((NUM_CLASSES, dim))
     for weights, p in zip(class_weights, payloads):
         matrix += weights[:, None] * p.prototypes.matrix.astype(np.float64)
-    aggregated = PrototypeSet.from_arrays(matrix, reported.any(axis=0), round_index)
+    aggregated = PrototypeSet.from_arrays(matrix, reported.any(axis=0))
     return aggregated, base_weights, class_weights
 
 

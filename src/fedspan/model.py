@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 from pathlib import Path
-from typing import Sequence
+from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .decoding import decode_batch
 from .encoder import (
     AdamState,
     BatchPlan,
-    ConfigError,
     EncoderConfig,
     EncoderParams,
     LossWeights,
+    Range,
     Tokenization,
     Tokenizer,
     _gather_batch,
@@ -63,39 +63,22 @@ class TaggerConfig(EncoderConfig):
     their starting point while seeing data in different orders).
     """
 
-    optimizer: str = "adam"
-    learning_rate: float = 0.01
-    lr_decay_steps: float | None = 600.0  # lr / (1 + steps/decay); None disables
-    batch_size: int = 8
+    optimizer: Literal["adam", "sgd"] = "adam"
+    learning_rate: Annotated[float, Range(0, open_low=True)] = 0.01
+    # lr / (1 + steps/decay); None disables
+    lr_decay_steps: Annotated[float | None, Range(0, open_low=True)] = 600.0
+    batch_size: Annotated[int, Range(1)] = 8
     # Loss weights. align/sep follow the reference recipe; proto_weight is
     # calibrated up for the 16-dim toy encoder, where a unit overall weight
     # leaves the regularizer numerically inert.
-    proto_weight: float = 25.0
-    align_weight: float = 0.002
-    sep_weight: float = 0.00025
-    prototype_momentum: float = 0.9
-    null_span_ratio: float = 1.0
-    prototype_assignment: str = "predicted"
-    seed: int | tuple = 0
-    params_seed: int = 0
-
-    def validate(self) -> None:
-        super().validate()
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError("optimizer must be 'adam' or 'sgd'")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.lr_decay_steps is not None and self.lr_decay_steps <= 0:
-            raise ConfigError("lr_decay_steps must be > 0 or null")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        for name in ("proto_weight", "align_weight", "sep_weight", "null_span_ratio"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not 0.0 <= self.prototype_momentum <= 1.0:
-            raise ConfigError("prototype_momentum must be in [0, 1]")
-        if self.prototype_assignment not in ("predicted", "gold"):
-            raise ConfigError("prototype_assignment must be 'predicted' or 'gold'")
+    proto_weight: Annotated[float, Range(0)] = 25.0
+    align_weight: Annotated[float, Range(0)] = 0.002
+    sep_weight: Annotated[float, Range(0)] = 0.00025
+    prototype_momentum: Annotated[float, Range(0, 1)] = 0.9
+    null_span_ratio: Annotated[float, Range(0)] = 1.0
+    prototype_assignment: Literal["predicted", "gold"] = "predicted"
+    seed: Annotated[int | tuple, Range(0)] = 0
+    params_seed: Annotated[int, Range(0)] = 0
 
 
 def validate_sentences(sentences: Sequence[Sentence]) -> None:

@@ -31,7 +31,7 @@ class PrototypeSet:
     else builds sets from arrays with ``from_arrays``.
     """
 
-    def __init__(self, dim: int, vectors: Mapping[int, np.ndarray] = {}, round_index: int = 0):
+    def __init__(self, dim: int, vectors: Mapping[int, np.ndarray] = {}):
         classes = np.fromiter(vectors, dtype=np.intp, count=len(vectors))
         rows = [np.asarray(v) for v in vectors.values()]
         if len(classes) and (classes.min() < 0 or classes.max() >= NUM_CLASSES):
@@ -41,16 +41,13 @@ class PrototypeSet:
             self.matrix[classes] = rows
         self.present = np.zeros(NUM_CLASSES, dtype=bool)
         self.present[classes] = True
-        self.round_index = round_index
 
     @classmethod
-    def from_arrays(
-        cls, matrix: np.ndarray, present: np.ndarray, round_index: int = 0
-    ) -> "PrototypeSet":
+    def from_arrays(cls, matrix: np.ndarray, present: np.ndarray) -> "PrototypeSet":
         if matrix.ndim != 2 or (len(matrix), present.shape) != (NUM_CLASSES, (NUM_CLASSES,)):
             raise ValueError(f"bad prototype layout {matrix.shape}, mask {present.shape}")
         out = cls.__new__(cls)
-        out.matrix, out.present, out.round_index = matrix, present, round_index
+        out.matrix, out.present = matrix, present
         return out
 
     @property
@@ -96,7 +93,7 @@ def momentum_update(previous: PrototypeSet, batch: PrototypeSet, momentum: float
     adopted = np.where(batch.present[:, None], batch.matrix, previous.matrix)
     both = (previous.present & batch.present)[:, None]
     matrix = np.where(both, momentum * previous.matrix + (1.0 - momentum) * batch.matrix, adopted)
-    return PrototypeSet.from_arrays(matrix, previous.present | batch.present, batch.round_index)
+    return PrototypeSet.from_arrays(matrix, previous.present | batch.present)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +116,7 @@ def make_payload(
     if not 0.0 <= val_f1 <= 1.0:
         raise PayloadError(f"validation F1 out of range: {val_f1}")
     snapped = PrototypeSet.from_arrays(
-        prototypes.matrix.astype(np.float32), prototypes.present.copy(), round_index
+        prototypes.matrix.astype(np.float32), prototypes.present.copy()
     )
     return PrototypePayload(client_id, round_index, float(np.float32(val_f1)), snapped)
 
@@ -185,5 +182,5 @@ def decode_payload(blob: bytes) -> PrototypePayload:
     _first_non_finite(classes, entries["vec"])
     matrix = np.zeros((NUM_CLASSES, dim), dtype=np.float32)
     matrix[classes] = entries["vec"]
-    protos = PrototypeSet.from_arrays(matrix, counts > 0, round_index)
+    protos = PrototypeSet.from_arrays(matrix, counts > 0)
     return PrototypePayload(client_id, round_index, val_f1, protos)

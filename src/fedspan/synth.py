@@ -76,12 +76,26 @@ class SynthConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
         """Inverse of ``to_dict``; omitted optional keys take the field defaults."""
+        if not isinstance(data, dict):
+            raise SynthConfigError(f"synth config must be an object, got {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise SynthConfigError(f"unknown synth config keys: {sorted(unknown)}")
-        values = dict(data)
-        values["domains"] = [DomainSpec(d["name"], list(d["aspects"])) for d in data["domains"]]
-        values["opinions"] = [(term, Polarity(pol)) for term, pol in data["opinions"]]
+        missing = [key for key in ("domains", "opinions", "templates") if key not in data]
+        if missing:
+            raise SynthConfigError(f"missing synth config keys: {missing}")
+        for key in ("domains", "opinions"):
+            if not isinstance(data[key], list):
+                raise SynthConfigError(f"{key} must be a list")
+        values = dict(data, domains=[], opinions=[])
+        for i, domain in enumerate(data["domains"]):
+            if not isinstance(domain, dict) or not {"name", "aspects"} <= set(domain):
+                raise SynthConfigError(f"domains[{i}] needs a name and aspects, got {domain!r}")
+            values["domains"].append(DomainSpec(domain["name"], list(domain["aspects"])))
+        for i, opinion in enumerate(data["opinions"]):
+            if not isinstance(opinion, list) or len(opinion) != 2:
+                raise SynthConfigError(f"opinions[{i}] must be [term, polarity], got {opinion!r}")
+            values["opinions"].append((opinion[0], Polarity(opinion[1])))
         config = cls(**values)
         config.validate()
         return config

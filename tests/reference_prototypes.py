@@ -162,5 +162,5 @@ def payload_to_json(payload: PrototypePayload) -> str:
 def payload_from_json(text: str) -> PrototypePayload:
     data = json.loads(text)
     rows = {int(c): np.asarray(vals, dtype=np.float32) for c, vals in data["classes"].items()}
-    protos = PrototypeSet(int(data["dim"]), rows, int(data["round"]))
+    protos = PrototypeSet(int(data["dim"]), rows)
     return PrototypePayload(int(data["client"]), int(data["round"]), float(data["val_f1"]), protos)

@@ -80,6 +80,24 @@ class TestGenerate:
         assert main(["generate", "--config", str(config_path)]) == 0
         assert (tmp_path / "root" / "rel" / "out" / "corpora").is_dir()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda d: {k: v for k, v in d.items() if k != "domains"}, "missing synth config keys"),
+            (lambda d: {**d, "domains": [{"name": "x"}]}, "domains[0] needs a name and aspects"),
+            (lambda d: [d], "synth config must be an object, got list"),
+        ],
+        ids=["no_domains", "domain_without_aspects", "top_level_list"],
+    )
+    def test_malformed_synth_config_is_an_error(self, tmp_path, capsys, make, message):
+        synth = make(default_synth_config().to_dict())
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(synth))
+        out = tmp_path / "gen"
+        assert main(["generate", "--synth-config", str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_federated_records_per_round_and_client(self, tmp_path):
@@ -120,6 +138,20 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error: rounds must be of type int")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--l-max", "70000", r"l_max must be in [1, 65535]"),
+            ("--align-weight", "nan", "align_weight must be in [0, inf), got nan"),
+        ],
+        ids=["l_max", "align_weight_nan"],
+    )
+    def test_out_of_range_flag_fails_before_writing(self, tmp_path, capsys, flag, value, message):
+        config = small_config(tmp_path)
+        assert main(["train", "--config", str(config), flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run" / "records.jsonl").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         config = small_config(tmp_path)
@@ -259,7 +291,7 @@ class TestAnalyze:
 
 class TestSweep:
     def test_five_values_give_five_k_rows(self, tmp_path):
-        config = small_config(tmp_path, rounds=1, track_test_matrix=True)
+        config = small_config(tmp_path, rounds=2, track_test_matrix=True)
         code = main(
             ["sweep", "--config", str(config), "--axis", "align",
              "--values", "0.0,0.001,0.002,0.004,0.008"]
@@ -283,13 +315,31 @@ class TestSweep:
             assert "single axis" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_merged_final_test_f1_is_mean_of_test_row(self, tmp_path):
-        config = small_config(tmp_path, rounds=1, mode="merged")
-        assert main(["sweep", "--config", str(config), "--axis", "align", "--values", "0.0"]) == 0
-        with open(tmp_path / "run" / "sweep_summary.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["corpus"] for row in rows] == ["merged"]
-        assert 0.0 <= float(rows[0]["final_test_f1"]) <= 1.0
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"mode": "merged"}, "only in federated mode"),
+            ({"mode": "single"}, "only in federated mode"),
+            ({"rounds": 1}, "rounds >= 2"),
+            ({"proto_weight": 0.0}, "proto_weight > 0"),
+        ],
+        ids=["merged", "single", "one_round", "no_proto_weight"],
+    )
+    def test_grid_whose_cells_cannot_differ_fails_before_loading(
+        self, tmp_path, monkeypatch, capsys, setting, message
+    ):
+        import fedspan.cli
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("sweep loaded corpora before rejecting its config")
+
+        monkeypatch.setattr(fedspan.cli, "_load_corpora", no_corpus)
+        config = small_config(tmp_path, **setting)
+        code = main(["sweep", "--config", str(config), "--axis", "align", "--values", "0,0.002"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "run" / "sweep_summary.csv").exists()
 
     def test_zero_alignment_matches_no_alignment_run(self, tmp_path):
         import fedspan
@@ -327,6 +377,9 @@ class TestConfigFlags:
         for action in flags:
             assert action.dest in ExperimentConfig.field_names()
             kind = {str | None: str}.get(hints[action.dest], hints[action.dest])
+            if typing.get_origin(kind) is typing.Literal:
+                assert action.choices == typing.get_args(kind), action.dest
+                kind = type(action.choices[0])
             value = action.choices[0] if action.choices else self.SAMPLES[kind]
             args = build_parser().parse_args(["train", action.option_strings[0], value])
             parsed = getattr(args, action.dest)

@@ -49,6 +49,29 @@ class TestExperimentConfig:
                 ExperimentConfig.from_dict(bad)
 
     @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"l_max": 65536}, r"l_max must be in \[1, 65535\]"),
+            ({"rep_dim": 70000}, r"rep_dim must be in \[1, 65535\]"),
+            ({"vocab_size": 2**32}, r"vocab_size must be in \[1, 4294967295\]"),
+            ({"seed": -1}, r"seed must be in \[0, inf\)"),
+            ({"params_seed": -1}, r"params_seed must be in \[0, inf\)"),
+            ({"corpus_seed": -1}, r"corpus_seed must be in \[0, inf\)"),
+            ({"align_weight": float("nan")}, "align_weight must be in"),
+            ({"proto_weight": float("nan")}, "proto_weight must be in"),
+            ({"learning_rate": float("inf")}, r"learning_rate must be in \(0, inf\)"),
+            ({"optimizer": "rmsprop"}, "optimizer must be one of"),
+        ],
+        ids=[
+            "l_max", "rep_dim", "vocab_size", "seed", "params_seed", "corpus_seed",
+            "align_weight_nan", "proto_weight_nan", "learning_rate_inf", "optimizer",
+        ],
+    )
+    def test_out_of_range_values_rejected(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
         "bad",
         [
             {"rounds": "5"},
@@ -112,6 +135,26 @@ class TestExperimentConfig:
 
 
 class TestSynthConfig:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("domains"), r"missing synth config keys: \['domains'\]"),
+            (lambda d: d["domains"][1].pop("aspects"), r"domains\[1\] needs a name and aspects"),
+            (lambda d: d.update(domains="laptops"), "domains must be a list"),
+            (lambda d: d["opinions"].append(["great"]), r"opinions\[\d+\] must be \[term, polarity\]"),
+        ],
+        ids=["no_domains", "domain_without_aspects", "domains_not_a_list", "opinion_not_a_pair"],
+    )
+    def test_malformed_dict_names_the_bad_entry(self, edit, message):
+        data = default_synth_config().to_dict()
+        edit(data)
+        with pytest.raises(SynthConfigError, match=message):
+            SynthConfig.from_dict(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(SynthConfigError, match="must be an object, got list"):
+            SynthConfig.from_dict([default_synth_config().to_dict()])
+
     def test_default_config_valid(self):
         config = default_synth_config()
         config.validate()

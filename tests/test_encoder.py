@@ -13,6 +13,7 @@ from fedspan.encoder import (
     AdamState,
     BatchPlan,
     CheckpointError,
+    ConfigError,
     EncoderConfig,
     EncoderParams,
     GradientBundle,
@@ -718,6 +719,32 @@ class TestCheckpoint:
         assert loaded_config == config
         for (_, a), (_, b) in zip(params.blocks(), loaded.blocks()):
             assert np.array_equal(a.astype(np.float32), b)
+
+    def test_round_trip_at_each_header_maximum(self, tmp_path):
+        """Each header field at its width's maximum: uint32 for vocab_size
+        and hash_seed, uint16 for the rest."""
+        config = EncoderConfig(
+            vocab_size=1,
+            embed_dim=65535,
+            hidden_dim=1,
+            rep_dim=65535,
+            chunk_size=65535,
+            l_max=65535,
+            hash_seed=2**32 - 1,
+        )
+        config.validate()
+        path = tmp_path / "model.ckpt"
+        save_params(path, EncoderParams.initialize(config, 0), config)
+        assert load_params(path)[1] == config
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("vocab_size", 2**32), ("hash_seed", 2**32)]
+        + [(name, 2**16) for name in ("embed_dim", "hidden_dim", "rep_dim", "chunk_size", "l_max")],
+    )
+    def test_value_wider_than_its_header_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=rf"{name} must be in \[\d, {value - 1}\]"):
+            EncoderConfig(**{name: value}).validate()
 
     def test_truncated_rejected(self, tmp_path):
         config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)

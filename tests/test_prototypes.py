@@ -34,8 +34,8 @@ from reference_prototypes import (
 )
 
 
-def proto_set(dim, mapping, round_index=0):
-    return PrototypeSet(dim, {c: np.asarray(v, dtype=np.float64) for c, v in mapping.items()}, round_index)
+def proto_set(dim, mapping):
+    return PrototypeSet(dim, {c: np.asarray(v, dtype=np.float64) for c, v in mapping.items()})
 
 
 def matrix_set(dim, mapping, dtype):
@@ -97,10 +97,9 @@ def class_dicts(draw, dtype, dim):
 
 class TestPrototypeSet:
     def test_mapping_constructor_layout(self):
-        protos = proto_set(3, {2: [1.0, 0.0, 0.0], 7: [0.0, 1.0, 0.0]}, round_index=4)
+        protos = proto_set(3, {2: [1.0, 0.0, 0.0], 7: [0.0, 1.0, 0.0]})
         assert protos.matrix.shape == (16, 3)
         assert protos.dim == 3
-        assert protos.round_index == 4
         assert protos.present[2] and protos.present[7] and protos.present.sum() == 2
         assert protos.matrix[2] == pytest.approx([1.0, 0.0, 0.0])
         assert protos.matrix[0] == pytest.approx([0.0, 0.0, 0.0])
@@ -308,9 +307,7 @@ class TestPayloadCodec:
     def random_payload(self, rng, dim=5, round_index=3):
         classes = rng.choice(16, size=rng.integers(1, 16), replace=False)
         protos = PrototypeSet(
-            dim,
-            {int(c): rng.normal(size=dim).astype(np.float32) for c in classes},
-            round_index,
+            dim, {int(c): rng.normal(size=dim).astype(np.float32) for c in classes}
         )
         return make_payload(int(rng.integers(0, 100)), round_index, float(rng.random()), protos)
 
