@@ -12,7 +12,9 @@ The network stands in for a pretrained transformer at desk scale:
 The word vectors are computed one sentence at a time (``forward_sentence``);
 the spans of a whole batch of sentences are scored in one packed pass
 (``score_spans``). ``batch_gradients`` reads what does not depend on the
-weights (layouts, targets, chunk ids) from a ``BatchPlan``.
+weights (layouts, targets, the embedding scatter index, the prototype
+term's constants) from a ``BatchPlan``, and the optimizer steps update the
+parameters in place.
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -65,9 +67,13 @@ def _has_type(value, kind) -> bool:
     a bool is not an int."""
     if isinstance(kind, types.UnionType):
         return any(_has_type(value, k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is list:
-        (item,) = typing.get_args(kind)
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        return (
+            isinstance(value, tuple) and len(value) == len(args) and all(map(_has_type, value, args))
+        )
     if isinstance(value, bool) and kind is not bool:
         return False
     return isinstance(value, (int, float) if kind is float else kind)
@@ -91,6 +97,25 @@ class Range:
         return f"{'(' if self.open_low else '['}{self.low}, {self.high}{right}"
 
 
+def check_fields(obj, error: type[Exception]) -> None:
+    """Check every field of the dataclass ``obj`` against its annotation:
+    its type, a ``Literal``'s choices, a ``Range``. The first that fails
+    raises ``error`` naming the field."""
+    for name, hint in typing.get_type_hints(type(obj), include_extras=True).items():
+        value = getattr(obj, name)
+        kind, *marks = typing.get_args(hint) if typing.get_origin(hint) is Annotated else [hint]
+        choices = typing.get_args(kind) if typing.get_origin(kind) is Literal else ()
+        kind = type(choices[0]) if choices else kind
+        if not _has_type(value, kind):
+            kind_name = getattr(kind, "__name__", kind)
+            raise error(f"{name} must be of type {kind_name}, got {value!r}")
+        if choices and value not in choices:
+            raise error(f"{name} must be one of {choices}, got {value!r}")
+        for mark in marks:  # None and seed tuples are the type check's
+            if isinstance(value, (int, float)) and value not in mark:
+                raise error(f"{name} must be in {mark}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     # Checkpoint headers store vocab_size and hash_seed as uint32, the rest as uint16.
@@ -104,21 +129,9 @@ class EncoderConfig:
     precision: Literal["float32", "float64"] = "float32"
 
     def validate(self) -> None:
-        """Check every field, subclass fields included, against its
-        annotation: its type, a ``Literal``'s choices, a ``Range``."""
-        for name, hint in typing.get_type_hints(type(self), include_extras=True).items():
-            value = getattr(self, name)
-            kind, *marks = typing.get_args(hint) if typing.get_origin(hint) is Annotated else [hint]
-            choices = typing.get_args(kind) if typing.get_origin(kind) is Literal else ()
-            kind = type(choices[0]) if choices else kind
-            if not _has_type(value, kind):
-                kind_name = getattr(kind, "__name__", kind)
-                raise ConfigError(f"{name} must be of type {kind_name}, got {value!r}")
-            if choices and value not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-            for mark in marks:  # None and seed tuples are the type check's
-                if isinstance(value, (int, float)) and value not in mark:
-                    raise ConfigError(f"{name} must be in {mark}, got {value!r}")
+        """Check every field, subclass fields included, with
+        ``check_fields``."""
+        check_fields(self, ConfigError)
 
     @property
     def dtype(self) -> np.dtype:
@@ -507,12 +520,18 @@ def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs, word_starts
 
 
-def _scatter_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+def _element_index(ids: np.ndarray, width: int) -> np.ndarray:
+    """Flat index, in a C-contiguous table ``width`` wide, of each element
+    of the rows ``ids``, row by row."""
+    return (ids[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     """``np.add.at(table, ids, rows)`` for a C-contiguous 2-D ``table``, as
-    one scatter over elements. Each element takes the same additions in the
-    same order, so the bytes are the same, at about half the cost."""
-    width = table.shape[1]
-    np.add.at(table.reshape(-1), (ids[:, None] * width + np.arange(width)).ravel(), rows.ravel())
+    one scatter over elements; ``index`` is ``_element_index(ids, width)``.
+    Each element takes the same additions in the same order, so the bytes
+    are the same, at about half the cost."""
+    np.add.at(table.reshape(-1), index, rows.ravel())
 
 
 def _offsets(sizes: Sequence[int]) -> list[int]:
@@ -523,26 +542,38 @@ def _offsets(sizes: Sequence[int]) -> list[int]:
 @dataclass(eq=False)
 class BatchPlan:
     """The part of a batch's gradient pass that does not depend on the
-    weights. Spans (``gold``, ``sel``), words and chunks are packed end to end."""
+    weights. Spans, words and chunks are packed end to end; the ``_col``
+    arrays are (rows, 1) columns in the model's dtype."""
 
     toks: Sequence[Tokenization]
     layout: tuple  # ``_gather_batch`` of the word counts
-    gold: np.ndarray  # (S,) int64 gold class of each span
+    gold_at: np.ndarray  # (S,) flat index of each span's gold class in an (S, C) array
     sel: np.ndarray  # (k,) spans of the prototype term, ascending
+    sel_gold: np.ndarray  # (k,) gold class of each selected span
     span_weight: np.ndarray  # (S,) float64 tag-loss weight, 1 / (S_i * n_b)
+    span_weight_col: np.ndarray  # (S, 1) ``span_weight``
     pairs: np.ndarray  # (3, P) alpha flat index, span and word of each (span, word) pair, by word
     word_starts: np.ndarray  # (N,) first pair of each word
     word_sizes: np.ndarray  # (N,) chunks per word
+    word_size_col: np.ndarray  # (N, 1) ``word_sizes``
     first_chunks: np.ndarray  # (n_b,) first chunk of each sentence
-    ids: np.ndarray  # (M,) chunk ids
-    embed_rows: np.ndarray  # sorted unique ``ids``
+    last_chunks: np.ndarray  # (n_b - 1,) last chunk of each sentence but the last
+    scatter_index: np.ndarray  # (M * embed_dim,) ``_element_index`` of the M chunk ids
+    embed_rows: np.ndarray  # sorted unique chunk ids
+    # The global prototypes as ``unit_prototypes`` gives them, and what the
+    # prototype term reads of them per selected span; all None without them.
     unit_protos: np.ndarray | None  # (C, rep_dim) unit global prototypes, zero if absent
-    proto_present: np.ndarray | None  # (C,) bool
+    rivals: np.ndarray | None  # (k, C) bool, the present classes but the span's gold
+    gold_protos: np.ndarray | None  # (k, rep_dim) unit prototype of the span's gold class
+    sel_gold_at: np.ndarray | None  # (k,) flat index of the gold class in a (k, C) array
 
     @classmethod
-    def build(cls, toks, gold, sel, l_max, vocab_size, unit_protos, proto_present):
+    def build(cls, toks, gold, sel, config: EncoderConfig, unit_protos, proto_present):
         """The plan of packed inputs: ``gold`` and ``sel`` over the batch's
-        spans, and the global prototypes as ``unit_prototypes`` gives them."""
+        spans, and the global prototypes as ``unit_prototypes`` gives them.
+        ``config`` supplies ``l_max``, the embedding table's shape and the
+        dtype."""
+        l_max, dtype = config.l_max, config.dtype
         word_counts = [tok.n_words for tok in toks]
         layout = span_counts, pos, _ = _gather_batch(word_counts, l_max)
         layouts = [_pair_layout(n, l_max) for n in word_counts]
@@ -552,23 +583,35 @@ class BatchPlan:
         pairs[0] += pairs[1] * pos.shape[1]
         word_starts = np.concatenate([starts for _, starts in layouts])
         word_starts += np.repeat(_offsets(pair_counts), word_counts)
+        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
+        first_chunks = np.array(_offsets([len(tok.subword_ids) for tok in toks]))
         ids = np.concatenate([tok.subword_ids for tok in toks])
-        touched = np.zeros(vocab_size, dtype=bool)
+        touched = np.zeros(config.vocab_size, dtype=bool)
         touched[ids] = True
+        gold = gold.astype(np.int64)
+        sel_gold = gold[sel]
+        span_weight = np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts)
+        rivals = gold_protos = sel_gold_at = None
+        if unit_protos is not None:
+            n_classes = len(unit_protos)
+            rivals = proto_present & (np.arange(n_classes) != sel_gold[:, None])
+            gold_protos = unit_protos.take(sel_gold, axis=0)
+            sel_gold_at = np.arange(len(sel)) * n_classes + sel_gold
         return cls(
-            toks, layout, gold.astype(np.int64), sel,
-            np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts),
-            pairs, word_starts, np.concatenate([tok.word_sizes for tok in toks]),
-            np.array(_offsets([len(tok.subword_ids) for tok in toks])),
-            ids, np.flatnonzero(touched), unit_protos, proto_present,
+            toks, layout, np.arange(len(gold)) * NUM_CLASSES + gold, sel, sel_gold,
+            span_weight, span_weight[:, None].astype(dtype),
+            pairs, word_starts, word_sizes, word_sizes[:, None].astype(dtype),
+            first_chunks, first_chunks[1:] - 1,
+            _element_index(ids, config.embed_dim), np.flatnonzero(touched),
+            unit_protos, rivals, gold_protos, sel_gold_at,
         )
 
     @classmethod
-    def from_sentences(cls, toks, golds, selections, l_max, vocab_size, prototypes, dtype):
+    def from_sentences(cls, toks, golds, selections, config: EncoderConfig, prototypes):
         """The plan of a batch given per sentence: one gold class array per
         sentence (``enumerate_spans`` order) and the indices of its spans in
         the prototype term. ``prototypes`` is the global ``PrototypeSet`` or
-        None, read as ``unit_prototypes`` in ``dtype``, the model's."""
+        None, read as ``unit_prototypes`` in the model's dtype."""
         if not (len(toks) == len(golds) == len(selections)):
             raise ValueError("toks, golds and selections must be aligned")
         if len(toks) == 0:
@@ -576,7 +619,7 @@ class BatchPlan:
         sel = np.concatenate(selections).astype(np.int64, copy=False)
         sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
         plan = cls.build(
-            toks, np.concatenate(golds), sel, l_max, vocab_size, *unit_prototypes(prototypes, dtype)
+            toks, np.concatenate(golds), sel, config, *unit_prototypes(prototypes, config.dtype)
         )
         if misaligned := [(len(g), n) for g, n in zip(golds, plan.layout[0]) if len(g) != n]:
             raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
@@ -605,77 +648,79 @@ def batch_gradients(
     del fps  # the packed copies are all the backward pass reads
     reps = spans.reps
     log_probs, probs = log_softmax(spans.logits)
-    gold, sel = plan.gold, plan.sel
+    sel = plan.sel
     n_selected = len(sel)
+    # np.zeros (calloc) rather than zeros_like (a fill): the same zeros, cheaper.
     grads = GradientBundle(
-        np.zeros_like(params.embed), np.empty_like(params.dense), params.dense_shapes, plan.embed_rows
+        np.zeros(params.embed.shape, params.embed.dtype), np.empty_like(params.dense),
+        params.dense_shapes, plan.embed_rows,
     )
 
     # Span-tag cross-entropy, normalized per sentence then per batch.
-    rows = np.arange(len(gold))
-    tag_mean = float(plan.span_weight @ -log_probs[rows, gold])
-    batch_reps = BatchReps(reps[sel], probs[sel].argmax(axis=1), gold[sel])
+    tag_mean = float(plan.span_weight @ -log_probs.take(plan.gold_at))
+    sel_probs = probs.take(sel, axis=0)
+    batch_reps = BatchReps(reps.take(sel, axis=0), sel_probs.argmax(axis=1), plan.sel_gold)
     dlogits = probs
-    dlogits[rows, gold] -= 1.0
-    dlogits *= plan.span_weight[:, None].astype(dtype)
+    dlogits.reshape(-1)[plan.gold_at] -= 1.0
+    dlogits *= plan.span_weight_col
     del log_probs
 
     # Classifier block.
     np.matmul(dlogits.T, reps, out=grads.w_cls)
-    np.sum(dlogits, axis=0, out=grads.b_cls)
+    dlogits.sum(axis=0, out=grads.b_cls)
     dreps = dlogits @ params.w_cls
 
     proto_total = 0.0
     proto_active = plan.unit_protos is not None and weights.proto_weight != 0.0
     if proto_active and n_selected:
         unit_prot = plan.unit_protos
-        y = batch_reps.gold_classes
         z = batch_reps.reps
-        z_norm = np.linalg.norm(z, axis=1)
-        valid = z_norm > 0
-        if not valid.all():
-            logger.debug("%d zero-norm span representations skipped", int((~valid).sum()))
-        safe_norm = np.where(valid, z_norm, 1.0)
-        zhat = z / safe_norm[:, None]
-        zhat[~valid] = 0.0
+        # A zero-norm span has no direction: it goes through the term with
+        # norm 1, and its rows of the term's outputs are zeroed at the end.
+        norm = np.linalg.norm(z, axis=1)
+        zero = norm == 0
+        if zero.any():
+            logger.debug("%d zero-norm span representations skipped", int(zero.sum()))
+        norm[zero] = 1.0
+        zhat = z / norm[:, None]
         cos = zhat @ unit_prot.T  # (k, C); absent/zero prototypes give 0
 
         # Alignment: -cos(z, prototype of the gold class).
-        cos_y = cos[np.arange(n_selected), y]
-        align_vals = np.where(valid, -cos_y, 0.0)
-        d_align = (cos_y[:, None] * zhat - unit_prot[y]) / safe_norm[:, None]
-        d_align[~valid] = 0.0
+        cos_y = cos.take(plan.sel_gold_at)
+        d_align = (cos_y[:, None] * zhat - plan.gold_protos) / norm[:, None]
 
         # Separation: log-sum-exp of cosines to the other present classes.
-        other = plan.proto_present[None, :] & (
-            np.arange(unit_prot.shape[0])[None, :] != y[:, None]
-        )
-        exp_cos = np.where(other, np.exp(cos), 0.0)
+        # A span with no rival has a zero sum; the guard gives it log 1 = 0
+        # and zero weights, so a zero gradient.
+        exp_cos = np.exp(cos)
+        exp_cos *= plan.rivals
         row_sum = exp_cos.sum(axis=1)
-        has_other = row_sum > 0
-        sep_vals = np.where(valid & has_other, np.log(np.where(has_other, row_sum, 1.0)), 0.0)
-        w = exp_cos / np.where(has_other, row_sum, 1.0)[:, None]
+        row_sum = np.where(row_sum > 0, row_sum, 1.0)
+        w = exp_cos / row_sum[:, None]
         w_dot_cos = (w * cos).sum(axis=1)
-        d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / safe_norm[:, None]
-        d_sep[~(valid & has_other)] = 0.0
+        d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / norm[:, None]
 
+        vals = np.concatenate([-cos_y, np.log(row_sum)]).reshape(2, -1)  # alignment, separation
+        d_proto = weights.align_weight * d_align + weights.sep_weight * d_sep
+        vals[:, zero] = 0.0
+        d_proto[zero] = 0.0
         proto_total = float(
-            weights.align_weight * align_vals.sum() + weights.sep_weight * sep_vals.sum()
+            weights.align_weight * vals[0].sum() + weights.sep_weight * vals[1].sum()
         )
-        scale = weights.proto_weight / n_selected
-        dreps[sel] += scale * (weights.align_weight * d_align + weights.sep_weight * d_sep)
+        d_proto *= weights.proto_weight / n_selected
+        dreps[sel] += d_proto
 
     # Projection and attention pooling. Pooling ran in projected space, over
     # (span, word) pairs; ordered by word, the per-word gradients are segment
     # sums. grads.w_proj is the alpha-weighted dreps summed per word, against
     # the word vectors.
-    np.sum(dreps, axis=0, out=grads.b_proj)
+    dreps.sum(axis=0, out=grads.b_proj)
     del reps, probs, dlogits  # lowers the peak on long sentences
     alpha_idx, span_idx, word_idx = plan.pairs
     alpha = spans.alpha.take(alpha_idx)
     dreps_pairs = dreps.take(span_idx, axis=0)
     dalpha = np.einsum("pz,pz->p", dreps_pairs, spans.word_reps.take(word_idx, axis=0))
-    inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(gold))
+    inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(plan.span_weight))
     dscore = alpha * (dalpha - inner.astype(dtype).take(span_idx))
     dscore_words = np.add.reduceat(dscore, plan.word_starts)
     word_vecs = spans.word_vecs
@@ -689,18 +734,16 @@ def batch_gradients(
 
     # Word mean over chunks, then the window-3 context layer. The window's
     # zero padding at each sentence boundary takes no gradient.
-    sizes = plan.word_sizes
-    dh_sub = np.repeat(dword / sizes[:, None].astype(dtype), sizes, axis=0)
+    dh_sub = np.repeat(dword / plan.word_size_col, plan.word_sizes, axis=0)
     np.matmul(dh_sub.T, x, out=grads.w_ctx)
-    np.sum(dh_sub, axis=0, out=grads.b_ctx)
+    dh_sub.sum(axis=0, out=grads.b_ctx)
     dx = dh_sub @ params.w_ctx
-    first_chunks = plan.first_chunks
-    dx[first_chunks, :d_e] = 0.0
-    dx[first_chunks[1:] - 1, 2 * d_e :] = 0.0
+    dx[plan.first_chunks, :d_e] = 0.0
+    dx[plan.last_chunks, 2 * d_e :] = 0.0
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]
-    _scatter_rows(grads.embed, plan.ids, d_sub)
+    _scatter_rows(grads.embed, plan.scatter_index, d_sub)
 
     proto_mean = proto_total / n_selected if (proto_active and n_selected) else 0.0
     total = tag_mean + weights.proto_weight * proto_mean
@@ -712,9 +755,10 @@ def batch_gradients(
 
 
 def sgd_step(params: EncoderParams, grads: GradientBundle, lr: float) -> EncoderParams:
-    return EncoderParams(
-        params.embed - lr * grads.embed, params.dense - lr * grads.dense, params.dense_shapes
-    )
+    """One gradient step on ``params``' arrays, in place; returns ``params``."""
+    params.embed -= lr * grads.embed
+    params.dense -= lr * grads.dense
+    return params
 
 
 @dataclass(eq=False)
@@ -746,9 +790,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[EncoderParams, AdamState]:
-    """One Adam update. Returns new parameter arrays; ``params`` is left as
-    it was. ``state`` is mutated: its moments are updated in place and its
-    step advanced, and the same object is returned.
+    """One Adam update, in place: ``params``' arrays and ``state``'s moments
+    are updated, its step advanced, and the same two objects returned.
 
     The dense blocks take one update over their flat moments. The embedding
     takes the same update only on the rows that have ever had a gradient: on
@@ -772,21 +815,20 @@ def adam_step(
         step = m / bias1
         step *= lr
         step /= denom
-        return np.subtract(p, step, out=step)
+        p -= step
 
     state.seen_rows[grads.embed_rows] = True
     rows = np.flatnonzero(state.seen_rows)
+    p_rows = params.embed.take(rows, axis=0)
     m_rows = state.m.embed.take(rows, axis=0)
     v_rows = state.v.embed.take(rows, axis=0)
-    embed = params.embed.copy()
-    embed[rows] = update(
-        params.embed.take(rows, axis=0), grads.embed.take(rows, axis=0), m_rows, v_rows
-    )
+    update(p_rows, grads.embed.take(rows, axis=0), m_rows, v_rows)
+    params.embed[rows] = p_rows
     state.m.embed[rows] = m_rows
     state.v.embed[rows] = v_rows
-    dense = update(params.dense, grads.dense, state.m.dense, state.v.dense)
+    update(params.dense, grads.dense, state.m.dense, state.v.dense)
     state.step = t
-    return EncoderParams(embed, dense, params.dense_shapes), state
+    return params, state
 
 
 _CKPT_MAGIC = b"SPTG"

@@ -262,7 +262,7 @@ class SpanTagger:
                 hi = min(lo + config.batch_size, len(order))
                 spans = slice(starts[lo], starts[hi])
                 batch = [toks[i] for i in order[lo:hi]], gold[spans], np.flatnonzero(selected[spans])
-                plan = BatchPlan.build(*batch, config.l_max, config.vocab_size, *protos)
+                plan = BatchPlan.build(*batch, config, *protos)
                 breakdown = self._train_batch(plan, weights)
                 loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
                 n_batches += 1

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Polarity, Sentence, Span, Triplet
+from .encoder import Range, _has_type, check_fields
 
 ASPECT_SLOT = "{ASP}"
 OPINION_SLOT = "{OPI}"
@@ -40,14 +41,15 @@ class SynthConfig:
     domains: list[DomainSpec]
     opinions: list[tuple[str, Polarity]]
     templates: list[str]
-    train_size: int = 200
-    val_size: int = 60
-    test_size: int = 120
+    train_size: Annotated[int, Range(0)] = 200
+    val_size: Annotated[int, Range(0)] = 60
+    test_size: Annotated[int, Range(0)] = 120
     shared_aspects: list[str] = field(default_factory=list)
-    shared_aspect_rate: float = 0.1
-    max_attempts: int = 200
+    shared_aspect_rate: Annotated[float, Range(0, 1)] = 0.1
+    max_attempts: Annotated[int, Range(1)] = 200
 
     def validate(self) -> None:
+        check_fields(self, SynthConfigError)
         if not self.domains:
             raise SynthConfigError("no domains configured")
         for domain in self.domains:
@@ -57,8 +59,6 @@ class SynthConfig:
             raise SynthConfigError("empty opinion lexicon")
         if not self.templates:
             raise SynthConfigError("no templates configured")
-        if not 0.0 <= self.shared_aspect_rate <= 1.0:
-            raise SynthConfigError("shared_aspect_rate must be in [0, 1]")
         if self.shared_aspect_rate > 0 and not self.shared_aspects:
             raise SynthConfigError("shared_aspect_rate > 0 but shared_aspects is empty")
         for template in self.templates:
@@ -69,9 +69,6 @@ class SynthConfig:
                 raise SynthConfigError(
                     f"template {template!r} must pair each {ASPECT_SLOT} with one {OPINION_SLOT}"
                 )
-        for size_name in ("train_size", "val_size", "test_size"):
-            if getattr(self, size_name) < 0:
-                raise SynthConfigError(f"{size_name} must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
@@ -91,6 +88,10 @@ class SynthConfig:
         for i, domain in enumerate(data["domains"]):
             if not isinstance(domain, dict) or not {"name", "aspects"} <= set(domain):
                 raise SynthConfigError(f"domains[{i}] needs a name and aspects, got {domain!r}")
+            if not _has_type(domain["aspects"], list[str]):
+                raise SynthConfigError(
+                    f"domains[{i}].aspects must be a list of strings, got {domain['aspects']!r}"
+                )
             values["domains"].append(DomainSpec(domain["name"], list(domain["aspects"])))
         for i, opinion in enumerate(data["opinions"]):
             if not isinstance(opinion, list) or len(opinion) != 2:

@@ -69,10 +69,8 @@ def reference_partial_fit(tagger, sentences, epochs=1, global_prototypes=None):
                 [toks[i] for i in batch_ids],
                 [golds[i] for i in batch_ids],
                 selections,
-                config.l_max,
-                config.vocab_size,
+                config,
                 global_prototypes,
-                config.dtype,
             )
             breakdown, grads, batch_reps = batch_gradients(tagger.params_, plan, weights)
             lr = config.learning_rate

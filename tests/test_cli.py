@@ -86,8 +86,17 @@ class TestGenerate:
             (lambda d: {k: v for k, v in d.items() if k != "domains"}, "missing synth config keys"),
             (lambda d: {**d, "domains": [{"name": "x"}]}, "domains[0] needs a name and aspects"),
             (lambda d: [d], "synth config must be an object, got list"),
+            (lambda d: {**d, "train_size": "5"}, "train_size must be of type int"),
+            (lambda d: {**d, "shared_aspect_rate": "0.1"}, "shared_aspect_rate must be of type float"),
+            (
+                lambda d: {**d, "domains": [{"name": "laptops", "aspects": "screen"}]},
+                "domains[0].aspects must be a list of strings",
+            ),
         ],
-        ids=["no_domains", "domain_without_aspects", "top_level_list"],
+        ids=[
+            "no_domains", "domain_without_aspects", "top_level_list", "size_not_an_int",
+            "rate_not_a_float", "aspects_a_string",
+        ],
     )
     def test_malformed_synth_config_is_an_error(self, tmp_path, capsys, make, message):
         synth = make(default_synth_config().to_dict())

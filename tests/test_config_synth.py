@@ -142,8 +142,22 @@ class TestSynthConfig:
             (lambda d: d["domains"][1].pop("aspects"), r"domains\[1\] needs a name and aspects"),
             (lambda d: d.update(domains="laptops"), "domains must be a list"),
             (lambda d: d["opinions"].append(["great"]), r"opinions\[\d+\] must be \[term, polarity\]"),
+            (lambda d: d["opinions"].append([5, "POS"]), r"opinions must be of type list"),
+            (lambda d: d.update(train_size="5"), "train_size must be of type int, got '5'"),
+            (lambda d: d.update(train_size=-1), r"train_size must be in \[0, inf\)"),
+            (lambda d: d.update(shared_aspect_rate="0.1"), "shared_aspect_rate must be of type float"),
+            (lambda d: d.update(shared_aspect_rate=1.5), r"shared_aspect_rate must be in \[0, 1\]"),
+            (lambda d: d.update(max_attempts=0), r"max_attempts must be in \[1, inf\)"),
+            (
+                lambda d: d["domains"][0].update(aspects="screen"),
+                r"domains\[0\]\.aspects must be a list of strings, got 'screen'",
+            ),
         ],
-        ids=["no_domains", "domain_without_aspects", "domains_not_a_list", "opinion_not_a_pair"],
+        ids=[
+            "no_domains", "domain_without_aspects", "domains_not_a_list", "opinion_not_a_pair",
+            "opinion_term_not_a_string", "size_not_an_int", "negative_size", "rate_not_a_float",
+            "rate_above_one", "no_attempts", "aspects_a_string",
+        ],
     )
     def test_malformed_dict_names_the_bad_entry(self, edit, message):
         data = default_synth_config().to_dict()

@@ -445,23 +445,30 @@ class TestOptimizers:
 
     def test_sgd_zero_gradient_no_change(self):
         params = self.make()
+        before = params.copy()
         stepped = sgd_step(params, EncoderParams.zeros_like(params), 0.5)
-        for (_, a), (_, b) in zip(params.blocks(), stepped.blocks()):
+        for (_, a), (_, b) in zip(before.blocks(), stepped.blocks()):
             assert np.array_equal(a, b)
 
     def test_sgd_zero_lr_no_change(self):
         params = self.make()
+        before = params.b_cls.copy()
         grads = EncoderParams.zeros_like(params)
         grads.b_cls[:] = 1.0
         stepped = sgd_step(params, grads, 0.0)
-        assert np.array_equal(stepped.b_cls, params.b_cls)
+        assert np.array_equal(stepped.b_cls, before)
 
     def test_sgd_scalar_update(self):
+        """The step lands in the arrays passed in, and they come back."""
         params = self.make()
+        before = float(params.b_cls[0])
+        blocks = dict(params.blocks())
         grads = EncoderParams.zeros_like(params)
         grads.b_cls[0] = 2.0
         stepped = sgd_step(params, grads, 0.1)
-        assert stepped.b_cls[0] == pytest.approx(params.b_cls[0] - 0.2)
+        assert stepped is params
+        assert all(arr is blocks[name] for name, arr in stepped.blocks())
+        assert stepped.b_cls[0] == pytest.approx(before - 0.2)
 
     @staticmethod
     def zero_grads(params):
@@ -474,9 +481,10 @@ class TestOptimizers:
         grads = self.zero_grads(params)
         grads.b_cls[0] = 2.0
         state = AdamState.zeros(params)
+        before = float(params.b_cls[0])
         stepped, state = adam_step(params, grads, state, lr=0.1)
         # First Adam step moves by ~lr regardless of gradient scale.
-        assert stepped.b_cls[0] == pytest.approx(params.b_cls[0] - 0.1, abs=1e-6)
+        assert stepped.b_cls[0] == pytest.approx(before - 0.1, abs=1e-6)
         assert state.step == 1
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -499,7 +507,7 @@ class TestOptimizers:
                 embed_rows=np.arange(config.vocab_size),
             )
             grads.embed[rng.random(len(grads.embed)) < 0.5] = 0.0  # untouched rows
-            old, snapshot = params, params.copy()
+            old, blocks = params, dict(params.blocks())
             lr = 0.01 / (1.0 + step / 7)
             params, new_state = adam_step(params, grads, state, lr)
             ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr)
@@ -510,12 +518,10 @@ class TestOptimizers:
                 for (name, got), (_, want) in zip(holder.blocks(), ref_holder.blocks()):
                     assert got.dtype == want.dtype, name
                     assert got.tobytes() == want.tobytes(), name
-            # New parameter arrays; the ones passed in are left as they were.
-            for (name, arr), (_, kept), (_, new) in zip(
-                old.blocks(), snapshot.blocks(), params.blocks()
-            ):
-                assert arr is not new, name
-                assert arr.tobytes() == kept.tobytes(), name
+            # Updated in place: the parameters and arrays passed in come back.
+            assert params is old
+            for name, arr in params.blocks():
+                assert arr is blocks[name], name
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_adam_touched_rows_match_dense_reference(self, precision):
@@ -574,10 +580,10 @@ class TestOptimizers:
         params = self.make()
         grads = self.zero_grads(params)
         grads.w_proj[:] = 0.3
-        a1, _ = adam_step(params, grads, AdamState.zeros(params), 0.01)
-        a2, _ = adam_step(params, grads, AdamState.zeros(params), 0.01)
+        a1, _ = adam_step(params.copy(), grads, AdamState.zeros(params), 0.01)
+        a2, _ = adam_step(params.copy(), grads, AdamState.zeros(params), 0.01)
         for (_, x), (_, y) in zip(a1.blocks(), a2.blocks()):
-            assert np.array_equal(x, y)
+            assert x.tobytes() == y.tobytes()
 
 
 class TestGradientBundleFinite:
@@ -632,9 +638,7 @@ def layout_case(precision):
     toks = [tokenizer.tokenize(words) for words in (["the", "keyboard", "is", "great"], ["ok"])]
     golds = [np.arange(span_count(tok.n_words, config.l_max)) % NUM_CLASSES for tok in toks]
     selections = [np.arange(len(gold)) for gold in golds]
-    plan = BatchPlan.from_sentences(
-        toks, golds, selections, config.l_max, config.vocab_size, None, config.dtype
-    )
+    plan = BatchPlan.from_sentences(toks, golds, selections, config, None)
     _, grads, _ = batch_gradients(params, plan, LossWeights(1.0, 0.5, 0.5))
     return config, params, grads
 

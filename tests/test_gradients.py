@@ -1,5 +1,7 @@
 """Analytic gradients against central finite differences (float64)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fedspan.encoder import (
     LossWeights,
     Tokenizer,
     TrainingDivergedError,
+    _element_index,
     _scatter_rows,
     batch_gradients,
     unit_prototypes,
@@ -72,10 +75,13 @@ def random_case(case_seed):
 
 
 def plan_of(params, toks, golds, selections, l_max, protos):
-    """``BatchPlan.from_sentences`` for ``params``'s vocabulary and dtype."""
-    return BatchPlan.from_sentences(
-        toks, golds, selections, l_max, len(params.embed), protos, params.w_proj.dtype
+    """``BatchPlan.from_sentences`` for ``params``'s embedding table and
+    dtype."""
+    config = EncoderConfig(
+        vocab_size=len(params.embed), embed_dim=params.embed.shape[1], l_max=l_max,
+        precision=params.w_proj.dtype.name,
     )
+    return BatchPlan.from_sentences(toks, golds, selections, config, protos)
 
 
 def gradients(params, args):
@@ -242,6 +248,41 @@ class TestPackedMatchesPerSentence:
         assert_matches_reference(params, args)
         assert gradients(params, args)[0].proto == 0.0
 
+    def test_every_selected_span_has_zero_norm(self):
+        """With the projection zeroed every span representation is zero: the
+        prototype term adds nothing to the loss or the gradients."""
+        params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3])
+        params.w_proj[:] = 0.0
+        params.b_proj[:] = 0.0
+        assert_matches_reference(params, args)
+        breakdown, grads, reps = gradients(params, args)
+        assert not reps.reps.any() and breakdown.proto == 0.0
+        *batch, weights = args
+        tag_only = LossWeights(0.0, weights.align_weight, weights.sep_weight)
+        _, without, _ = gradients(params, (*batch, tag_only))
+        for (name, a), (_, b) in zip(grads.blocks(), without.blocks()):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_gold_class_is_the_only_present_prototype(self):
+        """Only class 3 has a prototype, and some selected spans are of
+        class 3: they have no rival class, so no separation term."""
+        params, (toks, golds, selections, l_max, _, weights) = eight_sentence_case(
+            [1, 3, 7, 2, 3, 1, 9, 3]
+        )
+        for gold, sel in zip(golds, selections):
+            gold[sel[::2]] = 3
+        rng = np.random.default_rng(17)
+        present = np.arange(16) == 3
+        protos = PrototypeSet.from_arrays(rng.normal(size=(16, 3)) * present[:, None], present)
+        args = (toks, golds, selections, l_max, protos, weights)
+        assert_matches_reference(params, args)
+        plan = plan_of(params, toks, golds, selections, l_max, protos)
+        assert not plan.rivals.any(axis=1).all() and plan.rivals.any()
+        breakdown, grads, _ = batch_gradients(params, plan, weights)
+        assert breakdown.proto != 0.0
+        errors = relative_errors(grads.flatten(), numeric_gradient(params, plan, weights))
+        assert errors.max() <= TOLERANCE
+
 
 class TestEmbeddingRows:
     @pytest.mark.parametrize("precision", ["float32", "float64"])
@@ -253,9 +294,9 @@ class TestEmbeddingRows:
         params = params.astype(precision)
         scattered = []
 
-        def recording(table, ids, rows):
-            scattered.append((ids.copy(), rows.copy()))
-            _scatter_rows(table, ids, rows)
+        def recording(table, index, rows):
+            scattered.append((index.copy(), rows.copy()))
+            _scatter_rows(table, index, rows)
 
         monkeypatch.setattr(encoder_module, "_scatter_rows", recording)
         _, grads, _ = gradients(params, (toks, golds, selections, config.l_max, protos, weights))
@@ -265,10 +306,10 @@ class TestEmbeddingRows:
         untouched[grads.embed_rows] = False
         assert grads.embed[untouched].tobytes() == bytes(grads.embed[untouched].nbytes)
 
-        [(got_ids, rows)] = scattered
-        assert np.array_equal(got_ids, ids)
+        [(index, rows)] = scattered
+        assert np.array_equal(index, _element_index(ids, config.embed_dim))
         want = np.zeros_like(grads.embed)
-        np.add.at(want, got_ids, rows)
+        np.add.at(want, ids, rows)
         assert grads.embed.dtype == want.dtype == np.dtype(precision)
         assert grads.embed.tobytes() == want.tobytes()
 
@@ -283,7 +324,7 @@ class TestEmbeddingRows:
             rows = (rng.normal(size=(len(ids), width)) * scale).astype(dtype)
             want = table.copy()
             np.add.at(want, ids, rows)
-            _scatter_rows(table, ids, rows)
+            _scatter_rows(table, _element_index(ids, width), rows)
             assert table.tobytes() == want.tobytes()
 
 
@@ -327,8 +368,8 @@ class TestFlatGradientBuffer:
         ids = np.concatenate([tok.subword_ids for tok in toks])
         row = ids[0] if touched else np.setdiff1d(np.arange(config.vocab_size), ids)[0]
 
-        def poisoned(table, ids, rows):
-            _scatter_rows(table, ids, rows)
+        def poisoned(table, index, rows):
+            _scatter_rows(table, index, rows)
             table[row, 0] = bad
 
         monkeypatch.setattr(encoder_module, "_scatter_rows", poisoned)
@@ -379,15 +420,15 @@ class TestFromSentences:
         starts = np.cumsum([0] + [span_count(tok.n_words, config.l_max) for tok in toks])
         sel = np.concatenate([s + start for s, start in zip(selections, starts)])
         packed = BatchPlan.build(
-            toks, np.concatenate(golds), sel, config.l_max, config.vocab_size,
-            *unit_prototypes(protos, params.w_proj.dtype),
+            toks, np.concatenate(golds), sel, config, *unit_prototypes(protos, config.dtype)
         )
         assert listed.toks == packed.toks
         (counts, pos, mask), (want_counts, want_pos, want_mask) = listed.layout, packed.layout
         assert counts == want_counts
         assert np.array_equal(pos, want_pos) and np.array_equal(mask, want_mask)
-        for name in ("gold", "sel", "span_weight", "pairs", "word_starts", "word_sizes",
-                     "first_chunks", "ids", "embed_rows", "unit_protos", "proto_present"):
+        for name in (f.name for f in dataclasses.fields(BatchPlan)):
+            if name in ("toks", "layout"):
+                continue
             got, want = getattr(listed, name), getattr(packed, name)
             if want is None:
                 assert got is None, name
@@ -396,6 +437,15 @@ class TestFromSentences:
         assert_same_gradients(
             batch_gradients(params, listed, weights), batch_gradients(params, packed, weights)
         )
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_columns_follow_the_model_dtype(self, precision):
+        config, params, toks, golds, selections, _, _ = random_case(3)
+        protos = PrototypeSet.from_arrays(np.ones((16, config.rep_dim)), np.ones(16, bool))
+        plan = plan_of(params.astype(precision), toks, golds, selections, config.l_max, protos)
+        for name in ("span_weight_col", "word_size_col", "unit_protos", "gold_protos"):
+            assert getattr(plan, name).dtype == np.dtype(precision), name
+        assert plan.span_weight.dtype == np.float64
 
     @pytest.mark.parametrize("case_seed", range(10))
     def test_prototypes_without_a_present_class_are_inactive(self, case_seed):
@@ -406,7 +456,7 @@ class TestFromSentences:
         absent = PrototypeSet.from_arrays(rng.normal(size=(16, config.rep_dim)), np.zeros(16, bool))
         weights = LossWeights(proto_weight=2.0, align_weight=0.7, sep_weight=1.3)
         plan = plan_of(params, toks, golds, selections, config.l_max, absent)
-        assert plan.unit_protos is None and plan.proto_present is None
+        assert plan.unit_protos is None and plan.rivals is None
         breakdown, grads, _ = batch_gradients(params, plan, weights)
         _, without, _ = gradients(params, (toks, golds, selections, config.l_max, None, weights))
         assert breakdown.proto == 0.0

@@ -564,6 +564,19 @@ class TestPersistence:
         assert np.array_equal(loaded.prototypes_.matrix, expected.prototypes_.matrix)
         assert loaded._rng.bit_generator.state == expected._rng.bit_generator.state
 
+    def test_loads_of_one_checkpoint_share_no_arrays(self, tiny_corpus, tmp_path):
+        """Training steps update the parameters in place, so each load must
+        own its arrays: training one leaves the other as loaded."""
+        path = tmp_path / "tagger.ckpt"
+        small_tagger().fit(tiny_corpus.train[:10], epochs=1).save(path)
+        a, b = SpanTagger.load(path), SpanTagger.load(path)
+        for (name, x), (_, y) in zip(a.params_.blocks(), b.params_.blocks()):
+            assert not np.shares_memory(x, y), name
+        loaded = b.params_.flatten()
+        a.partial_fit(tiny_corpus.train[10:20], epochs=1)
+        assert not np.array_equal(a.params_.flatten(), loaded)
+        assert b.params_.flatten().tobytes() == loaded.tobytes()
+
     def test_save_requires_fit(self, tmp_path):
         with pytest.raises(NotFittedError):
             SpanTagger().save(tmp_path / "x.ckpt")
