@@ -161,6 +161,8 @@ def parse_corpus(text: str) -> list[Sentence]:
 
 
 def serialize_sentence(sentence: Sentence) -> str:
+    if bad := [tok for tok in sentence.tokens if tok.split() != [tok]]:
+        raise ValueError(f"token {bad[0]!r} contains whitespace and cannot be written")
     entries = [
         (
             list(range(t.aspect.start, t.aspect.end + 1)),

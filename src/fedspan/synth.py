@@ -52,9 +52,14 @@ class SynthConfig:
         check_fields(self, SynthConfigError)
         if not self.domains:
             raise SynthConfigError("no domains configured")
-        for domain in self.domains:
+        lexicons = [("shared_aspects", self.shared_aspects), ("opinions", [t for t, _ in self.opinions])]
+        for i, domain in enumerate(self.domains):
             if not domain.aspects:
                 raise SynthConfigError(f"domain {domain.name!r} has an empty aspect lexicon")
+            lexicons.append((f"domains[{i}].aspects", domain.aspects))
+        for name, i, term in ((n, i, t) for n, terms in lexicons for i, t in enumerate(terms)):
+            if not term.split():  # no token to fill a slot with: an inverted span
+                raise SynthConfigError(f"{name}[{i}] is a blank term: {term!r}")
         if not self.opinions:
             raise SynthConfigError("empty opinion lexicon")
         if not self.templates:

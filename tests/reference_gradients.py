@@ -15,7 +15,9 @@ The scalar helpers (``word_representations``, ``attention_weights``,
 stage for one sentence or span, and ``batch_loss`` is the loss alone, for
 finite-difference probes. ``packed`` builds parameters from named blocks,
 and ``with_flat`` is the inverse of ``EncoderParams.flatten``, for moving
-parameters along a flat direction.
+parameters along a flat direction. ``dense_gradients`` spreads a bundle's
+touched embedding rows over the whole table, the form these references and
+the finite differences take.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ import numpy as np
 from fedspan.encoder import (
     BatchReps,
     EncoderParams,
+    GradientBundle,
     LossBreakdown,
     Tokenization,
     TrainingDivergedError,
@@ -102,6 +105,17 @@ def packed(blocks, kind=EncoderParams, **extra) -> EncoderParams:
     dense = [np.asarray(blocks[name]) for name in EncoderParams.DENSE]
     flat = np.concatenate([block.ravel() for block in dense])
     return kind(np.array(blocks["embed"]), flat, tuple(block.shape for block in dense), **extra)
+
+
+def dense_gradients(grads: EncoderParams, vocab_size: int) -> EncoderParams:
+    """``grads`` with a ``(vocab_size, embed_dim)`` embedding block: a
+    ``GradientBundle``'s rows go to their ``embed_rows``, every other row is
+    +0. Other gradients are returned as they are."""
+    if not isinstance(grads, GradientBundle):
+        return grads
+    embed = np.zeros((vocab_size, grads.embed.shape[1]), grads.embed.dtype)
+    embed[grads.embed_rows] = grads.embed
+    return EncoderParams(embed, grads.dense, grads.dense_shapes)
 
 
 def with_flat(params: EncoderParams, flat: np.ndarray) -> EncoderParams:
@@ -312,7 +326,9 @@ class ReferenceAdamState:
 
 def reference_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Same arithmetic as ``adam_step`` on all rows, returning fresh moments
-    and state. ``state`` may be an ``AdamState`` or a ``ReferenceAdamState``."""
+    and state. ``state`` may be an ``AdamState`` or a ``ReferenceAdamState``;
+    a ``GradientBundle`` is read as its ``dense_gradients``."""
+    grads = dense_gradients(grads, len(params.embed))
     t = state.step + 1
     new_params = {}
     new_m = {}

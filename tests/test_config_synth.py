@@ -9,7 +9,7 @@ import pytest
 from fedspan.config import ConfigError, ExperimentConfig
 from fedspan.encoder import EncoderConfig
 from fedspan.model import SpanTagger, TaggerConfig
-from fedspan.corpus import Sentence, deduplicate, serialize_corpus, parse_corpus
+from fedspan.corpus import Polarity, Sentence, deduplicate, serialize_corpus, parse_corpus
 from fedspan.synth import (
     SynthConfig,
     SynthConfigError,
@@ -184,6 +184,27 @@ class TestSynthConfig:
         config.domains[0].aspects = []
         with pytest.raises(SynthConfigError):
             config.validate()
+
+    @pytest.mark.parametrize("term", ["", " ", "\t\n"])
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            (lambda config, term: config.domains[0].aspects.append(term), r"domains\[0\]\.aspects\[\d+\]"),
+            (lambda config, term: config.shared_aspects.insert(1, term), r"shared_aspects\[1\]"),
+            (lambda config, term: config.opinions.append((term, Polarity.POS)), r"opinions\[\d+\]"),
+        ],
+        ids=["aspect", "shared_aspect", "opinion"],
+    )
+    def test_blank_term_rejected(self, edit, name, term):
+        """A blank term fills its slot with no token, which would give an
+        inverted span (start past end) that no corpus reader accepts."""
+        config = default_synth_config()
+        config.train_size, config.val_size, config.test_size = 30, 5, 5
+        edit(config, term)
+        with pytest.raises(SynthConfigError, match=f"{name} is a blank term"):
+            config.validate()
+        with pytest.raises(SynthConfigError, match="blank term"):
+            generate_synthetic(config, 1)
 
     def test_unpaired_template_rejected(self):
         config = default_synth_config()

@@ -1,5 +1,7 @@
 """Corpus parsing, serialization, deduplication and metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from fedspan.corpus import (
     dedup_report_json,
     evaluate_triplets,
     parse_corpus,
+    read_corpus_dir,
     serialize_corpus,
     serialize_sentence,
     validate_sentence,
+    write_corpus_dir,
 )
 
 WORKED_LINE = "I especially like the backlit keyboard .####[([4, 5], [2], 'POS')]"
@@ -98,6 +102,32 @@ class TestRoundTrip:
     def test_serialize_corpus_round_trips(self):
         sentences = parse_corpus(WORKED_LINE + "\nok .####[]")
         assert parse_corpus(serialize_corpus(sentences)) == sentences
+
+    def test_multi_word_term_round_trips_as_one_token_per_word(self, tmp_path):
+        """A two-word aspect is two tokens, and the written corpus reads back
+        with the same tokens and spans, from a string and from a directory."""
+        sentence = Sentence(
+            ("the", "cooling", "fan", "is", "great", "C#"),
+            (Triplet(Span(1, 2), Span(4, 4), Polarity.POS),),
+        )
+        assert serialize_sentence(sentence) == "the cooling fan is great C#####[([1, 2], [4], 'POS')]"
+        assert parse_corpus(serialize_corpus([sentence])) == [sentence]
+        write_corpus_dir(Corpus("c", [sentence], [sentence], [sentence]), tmp_path)
+        assert read_corpus_dir(tmp_path, "c").train == [sentence]
+
+    @pytest.mark.parametrize("token", ["cooling fan", "fan\t", "\nfan", "fan\u2028"])
+    def test_token_with_whitespace_not_written(self, token, tmp_path):
+        """Tokens are written space-separated, so a token with whitespace
+        in it would read back as several and shift every span after it."""
+        sentence = Sentence(("the", token, "is", "great"), (Triplet(Span(1, 1), Span(3, 3), Polarity.POS),))
+        validate_sentence(sentence)  # the scoring path's check does not look at whitespace
+        for write in (
+            lambda: serialize_sentence(sentence),
+            lambda: serialize_corpus([sentence]),
+            lambda: write_corpus_dir(Corpus("c", [sentence], [], []), tmp_path),
+        ):
+            with pytest.raises(ValueError, match=f"token {re.escape(repr(token))} contains whitespace"):
+                write()
 
 
 class TestDeduplicate:

@@ -38,6 +38,7 @@ from fedspan.tagging import NUM_CLASSES, span_count
 from reference_gradients import (
     attention_weights,
     classify_span,
+    dense_gradients,
     packed,
     reference_adam_step,
     reference_forward,
@@ -446,14 +447,14 @@ class TestOptimizers:
     def test_sgd_zero_gradient_no_change(self):
         params = self.make()
         before = params.copy()
-        stepped = sgd_step(params, EncoderParams.zeros_like(params), 0.5)
+        stepped = sgd_step(params, self.zero_grads(params), 0.5)
         for (_, a), (_, b) in zip(before.blocks(), stepped.blocks()):
             assert np.array_equal(a, b)
 
     def test_sgd_zero_lr_no_change(self):
         params = self.make()
         before = params.b_cls.copy()
-        grads = EncoderParams.zeros_like(params)
+        grads = self.zero_grads(params)
         grads.b_cls[:] = 1.0
         stepped = sgd_step(params, grads, 0.0)
         assert np.array_equal(stepped.b_cls, before)
@@ -463,12 +464,33 @@ class TestOptimizers:
         params = self.make()
         before = float(params.b_cls[0])
         blocks = dict(params.blocks())
-        grads = EncoderParams.zeros_like(params)
+        grads = self.zero_grads(params)
         grads.b_cls[0] = 2.0
         stepped = sgd_step(params, grads, 0.1)
         assert stepped is params
         assert all(arr is blocks[name] for name, arr in stepped.blocks())
         assert stepped.b_cls[0] == pytest.approx(before - 0.2)
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_sgd_compact_bundle_matches_dense_step(self, precision):
+        """A bundle of a few touched rows steps those rows as a dense step
+        would, and every other row keeps its bits, signed zeros included."""
+        config = EncoderConfig(vocab_size=40, embed_dim=4, hidden_dim=5, rep_dim=3, precision=precision)
+        params = EncoderParams.initialize(config, 8)
+        params.embed[7] = -0.0
+        rng = np.random.default_rng(2)
+        rows = np.array([0, 3, 4, 19, 39])
+        blocks = {name: rng.normal(size=arr.shape).astype(arr.dtype) for name, arr in params.blocks()}
+        blocks["embed"] = blocks["embed"][rows]
+        grads = packed(blocks, GradientBundle, embed_rows=rows)
+        dense = dense_gradients(grads, config.vocab_size)
+        want = {name: arr - 0.1 * getattr(dense, name) for name, arr in params.blocks()}
+        before = params.embed.copy()
+        sgd_step(params, grads, 0.1)
+        for name, arr in params.blocks():
+            assert arr.tobytes() == want[name].tobytes(), name
+        untouched = np.setdiff1d(np.arange(config.vocab_size), rows)
+        assert params.embed[untouched].tobytes() == before[untouched].tobytes()
 
     @staticmethod
     def zero_grads(params):
@@ -525,8 +547,9 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_adam_touched_rows_match_dense_reference(self, precision):
-        """Sparse bundles step only the rows seen so far, yet every byte of
-        params, m and v equals dense Adam over all rows."""
+        """Compact bundles step only the rows seen so far, yet every byte of
+        params, m and v equals dense Adam over all rows, which reads each
+        bundle spread over the whole table."""
         config = EncoderConfig(
             vocab_size=40, embed_dim=4, hidden_dim=5, rep_dim=3, precision=precision
         )
@@ -551,10 +574,9 @@ class TestOptimizers:
                     rows = np.union1d(rows, [30, 31])  # touched once, never again
                 if step == 5:
                     rows = np.union1d(rows, [25])
-                embed = np.zeros_like(params.embed)
-                embed[rows] = blocks["embed"][rows]
+                embed = blocks["embed"][rows]
                 if step == 5:  # a touched row whose gradient is all zeros
-                    embed[25] = np.array([0.0, -0.0, -0.0, 0.0], dtype=dtype)
+                    embed[np.searchsorted(rows, 25)] = np.array([0.0, -0.0, -0.0, 0.0], dtype=dtype)
                 blocks["embed"] = embed
                 grads = packed(blocks, GradientBundle, embed_rows=rows)
             if step == 4:
@@ -588,16 +610,19 @@ class TestOptimizers:
 
 class TestGradientBundleFinite:
     def bundle(self):
+        """Zero gradients of a table of 8 rows, of which rows 2 and 5 were
+        touched."""
         config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
         params = EncoderParams.initialize(config, 0)
         blocks = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+        blocks["embed"] = np.zeros((2, config.embed_dim), config.dtype)
         return packed(blocks, GradientBundle, embed_rows=np.array([2, 5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_touched_embedding_row_names_embed(self, bad):
         grads = self.bundle()
         grads.check_finite()
-        grads.embed[5, 1] = bad
+        grads.embed[1, 1] = bad  # row 5
         with pytest.raises(TrainingDivergedError, match="'embed'"):
             grads.check_finite()
 
@@ -693,7 +718,10 @@ class TestDenseLayout:
         # A checkpoint is float32 whatever the model it came from.
         dtype = np.dtype("float32" if producer == "load_params" else precision)
         shapes = config.block_shapes()
-        assert holder.embed.dtype == dtype and holder.embed.shape == shapes.pop("embed")
+        embed_shape = shapes.pop("embed")
+        if producer == "batch_gradients":  # the touched rows alone
+            embed_shape = (len(grads.embed_rows), config.embed_dim)
+        assert holder.embed.dtype == dtype and holder.embed.shape == embed_shape
         dense = holder.dense
         assert dense.dtype == dtype and dense.ndim == 1 and dense.flags.c_contiguous
         start = dense.__array_interface__["data"][0]
@@ -708,7 +736,7 @@ class TestDenseLayout:
         assert pos == dense.size
 
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
-        save_params(first, holder, config)
+        save_params(first, dense_gradients(holder, config.vocab_size), config)
         save_params(second, load_params(first)[0], config)
         assert first.read_bytes() == second.read_bytes()
 

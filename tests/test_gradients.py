@@ -1,11 +1,13 @@
 """Analytic gradients against central finite differences (float64)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import fedspan.encoder as encoder_module
+import fedspan.model as model_module
 from fedspan.encoder import (
     BatchPlan,
     EncoderConfig,
@@ -18,10 +20,12 @@ from fedspan.encoder import (
     batch_gradients,
     unit_prototypes,
 )
+from fedspan.model import SpanTagger
 from fedspan.prototypes import PrototypeSet
+from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import span_count
 
-from reference_gradients import batch_loss, reference_batch_gradients, with_flat
+from reference_gradients import batch_loss, dense_gradients, reference_batch_gradients, with_flat
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -116,6 +120,7 @@ def check_case(case_seed):
     config, params, toks, golds, selections, protos, weights = random_case(case_seed)
     plan = plan_of(params, toks, golds, selections, config.l_max, protos)
     breakdown, grads, _ = batch_gradients(params, plan, weights)
+    grads = dense_gradients(grads, config.vocab_size)
     numeric = numeric_gradient(params, plan, weights)
     errors = relative_errors(grads.flatten(), numeric)
     # Per-block worst error, for a readable failure message.
@@ -156,7 +161,7 @@ class TestGradientCheck:
         config, params, toks, golds, selections, protos, weights = random_case(11)
         plan = plan_of(params, toks, golds, selections, config.l_max, protos)
         breakdown, grads, _ = batch_gradients(params, plan, weights)
-        direction = grads.flatten()
+        direction = dense_gradients(grads, config.vocab_size).flatten()
         assert np.linalg.norm(direction) > 0
         eps = 1e-6
         moved = with_flat(params, params.flatten() - eps * direction)
@@ -169,6 +174,7 @@ def assert_matches_reference(params, args):
     """Packed gradients, loss breakdown and BatchReps equal the per-sentence
     reference to 1e-10, relative to the largest entry of each block."""
     breakdown, grads, reps = gradients(params, args)
+    grads = dense_gradients(grads, len(params.embed))
     ref_breakdown, ref_grads, ref_reps = reference_batch_gradients(params, *args)
     for field in ("total", "tag", "proto"):
         got, want = getattr(breakdown, field), getattr(ref_breakdown, field)
@@ -280,6 +286,7 @@ class TestPackedMatchesPerSentence:
         assert not plan.rivals.any(axis=1).all() and plan.rivals.any()
         breakdown, grads, _ = batch_gradients(params, plan, weights)
         assert breakdown.proto != 0.0
+        grads = dense_gradients(grads, len(params.embed))
         errors = relative_errors(grads.flatten(), numeric_gradient(params, plan, weights))
         assert errors.max() <= TOLERANCE
 
@@ -288,8 +295,9 @@ class TestEmbeddingRows:
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize("case_seed", range(50))
     def test_rows_and_scatter(self, case_seed, precision, monkeypatch):
-        """embed_rows is the batch's unique ids, grads.embed is +0 elsewhere,
-        and it has the bytes of a row-wise np.add.at of the same values."""
+        """embed_rows is the batch's sorted unique ids, and grads.embed has
+        one row per id, with the bytes of that row of a row-wise np.add.at of
+        the same values into the whole table."""
         config, params, toks, golds, selections, protos, weights = random_case(case_seed)
         params = params.astype(precision)
         scattered = []
@@ -302,16 +310,15 @@ class TestEmbeddingRows:
         _, grads, _ = gradients(params, (toks, golds, selections, config.l_max, protos, weights))
         ids = np.concatenate([tok.subword_ids for tok in toks])
         assert np.array_equal(grads.embed_rows, np.unique(ids))
-        untouched = np.ones(len(grads.embed), dtype=bool)
-        untouched[grads.embed_rows] = False
-        assert grads.embed[untouched].tobytes() == bytes(grads.embed[untouched].nbytes)
+        assert grads.embed.shape == (len(grads.embed_rows), config.embed_dim)
 
         [(index, rows)] = scattered
-        assert np.array_equal(index, _element_index(ids, config.embed_dim))
-        want = np.zeros_like(grads.embed)
+        positions = np.searchsorted(grads.embed_rows, ids)
+        assert np.array_equal(index, _element_index(positions, config.embed_dim))
+        want = np.zeros((config.vocab_size, config.embed_dim), np.dtype(precision))
         np.add.at(want, ids, rows)
-        assert grads.embed.dtype == want.dtype == np.dtype(precision)
-        assert grads.embed.tobytes() == want.tobytes()
+        assert grads.embed.dtype == want.dtype
+        assert grads.embed.tobytes() == want[grads.embed_rows].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_element_scatter_matches_row_scatter(self, dtype):
@@ -329,8 +336,9 @@ class TestEmbeddingRows:
 
 
 class TestFlatGradientBuffer:
-    """The dense gradient blocks live in one flat buffer, which the finite
-    check reads whole; ``TestDenseLayout`` checks the views."""
+    """The dense gradient blocks live in one flat buffer, and the touched
+    embedding rows in one compact block; the finite check reads both whole.
+    ``TestDenseLayout`` checks the views."""
 
     def bundle(self):
         config, params, toks, golds, selections, protos, weights = random_case(5)
@@ -343,42 +351,73 @@ class TestFlatGradientBuffer:
     def test_non_finite_value_names_its_block(self, name, bad):
         grads = self.bundle()
         grads.check_finite()
-        if name == "embed":
-            grads.embed[grads.embed_rows[-1], -1] = bad
-        else:
-            getattr(grads, name).reshape(-1)[-1] = bad
+        getattr(grads, name).reshape(-1)[-1] = bad
         with pytest.raises(TrainingDivergedError, match=f"non-finite gradient in block '{name}'"):
             grads.check_finite()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_untouched_embedding_row_ignored(self, bad):
+    def test_every_compact_embedding_row_is_checked(self, bad):
+        """The bundle holds the touched rows alone, and a non-finite value
+        in any of them, the last included, names 'embed'."""
         grads = self.bundle()
-        untouched = np.setdiff1d(np.arange(len(grads.embed)), grads.embed_rows)
-        assert len(untouched) > 0
-        grads.embed[untouched] = bad
+        assert len(grads.embed) == len(grads.embed_rows) > 1
+        for row in range(len(grads.embed)):
+            saved = grads.embed[row, 0]
+            grads.embed[row, 0] = bad
+            with pytest.raises(TrainingDivergedError, match="non-finite gradient in block 'embed'"):
+                grads.check_finite()
+            grads.embed[row, 0] = saved
         grads.check_finite()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("touched", [True, False], ids=["touched", "untouched"])
     def test_batch_gradients_checks_touched_rows(self, monkeypatch, bad, touched):
-        """A non-finite value scattered into a touched embedding row makes
-        ``batch_gradients`` raise naming 'embed'; in an untouched row it
-        does not."""
+        """A non-finite value scattered into the last touched embedding row
+        makes ``batch_gradients`` raise naming 'embed'. An untouched row has
+        no place in the bundle: a non-finite parameter there reaches no
+        gradient."""
         config, params, toks, golds, selections, protos, weights = random_case(5)
-        ids = np.concatenate([tok.subword_ids for tok in toks])
-        row = ids[0] if touched else np.setdiff1d(np.arange(config.vocab_size), ids)[0]
-
-        def poisoned(table, index, rows):
-            _scatter_rows(table, index, rows)
-            table[row, 0] = bad
-
-        monkeypatch.setattr(encoder_module, "_scatter_rows", poisoned)
-        args = (params, plan_of(params, toks, golds, selections, config.l_max, protos), weights)
+        plan = plan_of(params, toks, golds, selections, config.l_max, protos)
         if touched:
+
+            def poisoned(table, index, rows):
+                _scatter_rows(table, index, rows)
+                table[-1, 0] = bad
+
+            monkeypatch.setattr(encoder_module, "_scatter_rows", poisoned)
             with pytest.raises(TrainingDivergedError, match="'embed'"):
-                batch_gradients(*args)
+                batch_gradients(params, plan, weights)
         else:
-            batch_gradients(*args)
+            untouched = np.setdiff1d(np.arange(config.vocab_size), plan.embed_rows)
+            assert len(untouched) > 0
+            params.embed[untouched] = bad
+            _, grads, _ = batch_gradients(params, plan, weights)
+            assert grads.embed.shape == (len(plan.embed_rows), config.embed_dim)
+
+
+class TestShippedBundle:
+    def test_bundle_holds_the_touched_rows_alone(self, monkeypatch):
+        """Over one shipped epoch (default model, first shipped corpus,
+        batches of 8), each step's bundle has one embedding row per touched
+        chunk id, and a batch touches far fewer rows than the table has."""
+        bundles = []
+
+        def recording(params, plan, weights):
+            result = batch_gradients(params, plan, weights)
+            bundles.append((plan, result[1]))
+            return result
+
+        monkeypatch.setattr(model_module, "batch_gradients", recording)
+        corpus = generate_synthetic(default_synth_config(), 7)[0]
+        tagger = SpanTagger().partial_fit(corpus.train)
+        config = tagger.config
+        assert len(bundles) == math.ceil(len(corpus.train) / config.batch_size)
+        for plan, grads in bundles:
+            ids = np.concatenate([tok.subword_ids for tok in plan.toks])
+            assert np.array_equal(plan.embed_rows, np.unique(ids))
+            assert grads.embed_rows is plan.embed_rows
+            assert grads.embed.shape == (len(plan.embed_rows), config.embed_dim)
+            assert len(plan.embed_rows) < config.vocab_size // 10
 
 
 class TestBatchArguments:
