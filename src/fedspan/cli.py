@@ -309,7 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away, as in ``fedspan ledger | head -1``. Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # exit quietly with the status Python gives EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -350,6 +350,22 @@ def _gather_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, mask
 
 
+@lru_cache(maxsize=1024)
+def _window_layout(n: int, l_max: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the spans go in an (n * width, width) grid of attention rows,
+    one (width, width) block per start word, row k for its span of k + 1
+    words. Returns the span row that fills each grid row, the word's widest
+    span for rows past it, and the grid row of each span. Cached and
+    read-only."""
+    starts, ends, offsets = span_layout(n, l_max)
+    last = np.minimum(np.arange(width), (offsets[1:] - offsets[:-1] - 1)[:, None])
+    rows = (offsets[:-1, None] + last).ravel()
+    slots = starts * width + (ends - starts)
+    rows.setflags(write=False)
+    slots.setflags(write=False)
+    return rows, slots
+
+
 def _row_max(a: np.ndarray) -> np.ndarray:
     """(rows, 1) maxima of a 2-D array.
 
@@ -401,15 +417,26 @@ class SpanScores:
         return self.pos.shape[1]
 
 
-def _gather_batch(word_counts: Sequence[int], l_max: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Span counts, ``SpanScores.pos`` and ``mask`` of sentences of these sizes."""
+def _gather_batch(word_counts: Sequence[int], l_max: int, windows: bool = False) -> tuple:
+    """Span counts, ``SpanScores.pos`` and ``mask`` of sentences of these
+    sizes. With ``windows``, also what ``score_spans`` pools each start
+    word's spans with: the word's window (the ``pos`` row its spans share),
+    and the grid rows and slots of ``_window_layout``, offset to the batch."""
     width = min(l_max, max(word_counts))
     layouts = [_gather_layout(n, l_max) for n in word_counts]
     span_counts = [len(pos) for pos, _ in layouts]
+    span_word_offsets = np.repeat(_offsets(word_counts), span_counts)
     pos = np.concatenate([pos[:, :width] for pos, _ in layouts])
-    pos += np.repeat(_offsets(word_counts), span_counts)[:, None]
+    pos += span_word_offsets[:, None]
     mask = np.concatenate([mask[:, :width] for _, mask in layouts])
-    return span_counts, pos, mask
+    if not windows:
+        return span_counts, pos, mask
+    grids = [_window_layout(n, l_max, width) for n in word_counts]
+    rows = np.concatenate([grid_rows for grid_rows, _ in grids])
+    rows += np.repeat(_offsets(span_counts), [n * width for n in word_counts])
+    slots = np.concatenate([grid_slots for _, grid_slots in grids])
+    slots += span_word_offsets * width
+    return span_counts, pos, mask, pos.take(rows[::width], axis=0), rows, slots
 
 
 def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple) -> SpanScores:
@@ -419,8 +446,14 @@ def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple
     Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
     same linear map applied before the attention-weighted sum instead of
     after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
+    A layout without windows pools each span over its own gathered copy of
+    its window. A layout with windows gathers each start word's window once
+    and pools all of that word's spans in one (width, width) @ (width,
+    rep_dim) product, their attention rows set in a grid of per-word
+    blocks. Whether the reps keep their bytes is up to the BLAS kernels: in
+    float32 at the default rep_dim they do, at rep_dim 1 they do not.
     """
-    span_counts, pos, mask = layout
+    span_counts, pos, mask, *window = layout
     width = pos.shape[1]
     word_vecs = np.concatenate([fp.word_vecs for fp in fps])
 
@@ -433,7 +466,14 @@ def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple
 
     # alpha is exactly 0 outside the mask, so the clipped slots add nothing.
     word_reps = word_vecs @ params.w_proj.T
-    reps = np.matmul(alpha[:, None, :], word_reps.take(pos, axis=0))[:, 0]
+    if window:
+        windows, rows, slots = window
+        # Rows past a word's widest span repeat it; their products are not read.
+        grid = alpha.take(rows, axis=0).reshape(len(windows), width, width)
+        pooled = grid @ word_reps.take(windows, axis=0)
+        reps = pooled.reshape(-1, pooled.shape[2]).take(slots, axis=0)
+    else:
+        reps = np.matmul(alpha[:, None, :], word_reps.take(pos, axis=0))[:, 0]
     reps += params.b_proj
     logits = reps @ params.w_cls.T
     logits += params.b_cls
@@ -833,7 +873,12 @@ _CKPT_FIELDS = (
 
 def save_params(path: str | Path, params: EncoderParams, config: EncoderConfig) -> None:
     """Checkpoint: fixed header then the float32 little-endian blocks in
-    ``BLOCKS`` order, which is ``embed`` followed by ``dense``."""
+    ``BLOCKS`` order, which is ``embed`` followed by ``dense``. Raises
+    ``ValueError``, writing nothing, if a block's shape is not
+    ``config``'s."""
+    want = list(config.block_shapes().values())
+    if (got := [arr.shape for _, arr in params.blocks()]) != want:
+        raise ValueError(f"parameter blocks have shapes {got}, the config gives {want}")
     fields = (NUM_CLASSES if f == "num_classes" else getattr(config, f) for f in _CKPT_FIELDS)
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, *fields)
     with open(path, "wb") as fh:

@@ -3,11 +3,16 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedspan.cli
 from fedspan.cli import CONFIG_FLAGS, _add_config_arguments, build_parser, main
 from fedspan.config import ExperimentConfig
 from fedspan.corpus import parse_corpus, read_corpus_dir, write_corpus_dir, Corpus
@@ -372,6 +377,22 @@ class TestLedgerCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["prototype_floats"] == 3200
         assert report["classifier_floats"] == 3216
+
+    def test_closed_stdout_is_quiet(self):
+        """A reader that goes away, as in ``fedspan ledger | head -1``, gets
+        no ``error:`` line and no traceback; the exit status is Python's 1
+        for EPIPE."""
+        src = str(Path(fedspan.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fedspan.cli", "ledger"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the child has imported numpy, let alone written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestConfigFlags:

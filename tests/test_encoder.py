@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fedspan.corpus import Span
+import fedspan.model as model_module
+from fedspan.corpus import Sentence, Span
 from fedspan.encoder import (
     AdamState,
     BatchPlan,
@@ -33,6 +36,8 @@ from fedspan.encoder import (
     sgd_step,
     split_subwords,
 )
+from fedspan.model import SpanTagger
+from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import NUM_CLASSES, span_count
 
 from reference_gradients import (
@@ -438,6 +443,86 @@ class TestForwardReference:
         assert np.array_equal(again.mask, ref.mask)
 
 
+def pooled_both_ways(seed, lengths, l_max, **dims):
+    """``score_spans`` of one group of random sentences of these lengths,
+    pooled per span and pooled by window."""
+    config = EncoderConfig(vocab_size=97, chunk_size=3, **dims)
+    params = EncoderParams.initialize(config, seed)
+    rng = np.random.default_rng(seed)
+    params.w_attn[:] = rng.normal(0.0, 1.0, params.w_attn.shape)  # attention far from uniform
+    tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
+    fps = [forward_sentence(params, tokenizer.tokenize(random_words(rng, n))) for n in lengths]
+    per_span = score_spans(params, fps, _gather_batch(lengths, l_max))
+    windows = score_spans(params, fps, _gather_batch(lengths, l_max, windows=True))
+    assert np.array_equal(per_span.alpha, windows.alpha)
+    return per_span, windows
+
+
+GROUPS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+    l_max=st.integers(1, 12),
+)
+
+
+class TestWindowPooling:
+    """Pooling each start word's spans with one window product, against
+    pooling each span over its own gathered window."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**GROUPS)
+    @example(seed=0, lengths=[1], l_max=1)
+    @example(seed=1, lengths=[40, 1, 12, 13, 11], l_max=12)
+    @example(seed=2, lengths=[3, 2, 3], l_max=12)
+    def test_float32_reps_are_the_same_bytes(self, seed, lengths, l_max):
+        """At the shipped dims (rep_dim 16). The bytes are a property of
+        the BLAS kernels, not of the method: on OpenBLAS 0.3.31 a 1-wide
+        rep_dim (a dot product against a matrix-vector product) and width 4
+        with some other rep_dims sum in another order."""
+        per_span, windows = pooled_both_ways(seed, lengths, l_max)
+        assert windows.reps.tobytes() == per_span.reps.tobytes()
+        assert windows.logits.tobytes() == per_span.logits.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(**GROUPS, rep_dim=st.integers(1, 24))
+    def test_float64_reps_within_1e12(self, seed, lengths, l_max, rep_dim):
+        per_span, windows = pooled_both_ways(
+            seed, lengths, l_max, embed_dim=6, hidden_dim=7, rep_dim=rep_dim, precision="float64"
+        )
+        np.testing.assert_allclose(windows.reps, per_span.reps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(windows.logits, per_span.logits, rtol=0, atol=1e-12)
+
+    def test_long_groups_pool_by_window_and_shipped_groups_per_span(self, monkeypatch):
+        """``predict_tags`` pools a group of 25-35-word sentences by window,
+        with the same classes as per-span pooling, and keeps per-span
+        pooling on every scoring group of the shipped corpora."""
+        corpora = generate_synthetic(default_synth_config(), 7)
+        shipped = [s for c in corpora for split in (c.train, c.val, c.test) for s in split]
+        rng = np.random.default_rng(0)
+        long = [Sentence(tuple(random_words(rng, int(n)))) for n in rng.integers(25, 36, 20)]
+        tagger = SpanTagger(vocab_size=256, embed_dim=12, hidden_dim=12, rep_dim=16, seed=0)
+        tagger.fit(shipped[:8], epochs=1)
+
+        chosen = []
+        gather = model_module._gather_batch
+        monkeypatch.setattr(
+            model_module,
+            "_gather_batch",
+            lambda counts, l_max, windows: chosen.append(windows) or gather(counts, l_max, windows),
+        )
+        tagger.predict_tags(shipped)
+        assert len(chosen) == -(-len(shipped) // 8) and not any(chosen)
+        chosen.clear()
+        by_window = tagger.predict_tags(long)
+        assert chosen == [True, True, True]
+        monkeypatch.setattr(
+            model_module, "_gather_batch", lambda counts, l_max, windows: gather(counts, l_max)
+        )
+        per_span = tagger.predict_tags(long)
+        for a, b in zip(by_window, per_span):
+            assert np.array_equal(a.classes, b.classes)
+
+
 class TestOptimizers:
     def make(self):
         config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2, precision="float64")
@@ -786,6 +871,30 @@ class TestCheckpoint:
         path.write_bytes(blob[:-7])
         with pytest.raises(CheckpointError):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "other",
+        [dict(vocab_size=19), dict(rep_dim=15), dict(embed_dim=31, vocab_size=19)],
+        ids=["vocab_size", "rep_dim", "embed_dim"],
+    )
+    def test_blocks_of_another_config_rejected_before_writing(self, tmp_path, other):
+        """Parameters whose shapes are not the config's would write a file
+        that ``load_params`` cannot read; nothing is written."""
+        params = EncoderParams.initialize(EncoderConfig(**other), 0)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="parameter blocks have shapes"):
+            save_params(path, params, EncoderConfig())
+        assert not path.exists()
+
+    def test_compact_gradient_bundle_rejected_before_writing(self, tmp_path):
+        config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
+        params = EncoderParams.initialize(config, 0)
+        rows = np.array([2, 5])
+        bundle = GradientBundle(params.embed[rows], params.dense.copy(), params.dense_shapes, rows)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=r"have shapes \[\(2, 2\), "):
+            save_params(path, bundle, config)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
