@@ -9,12 +9,13 @@ The network stands in for a pretrained transformer at desk scale:
   to a low-dimensional representation used both for the 16-way span-tag
   softmax and for prototype construction/regularization
 
-The word vectors are computed one sentence at a time (``forward_sentence``);
-the spans of a whole batch of sentences are scored in one packed pass
-(``score_spans``). ``batch_gradients`` reads what does not depend on the
-weights (layouts, targets, the embedding scatter index, the prototype
-term's constants) from a ``BatchPlan``, and the optimizer steps update the
-parameters in place.
+The word vectors of a batch of sentences are computed packed end to end
+(``encode_words``), all but the window layer's product, which runs one
+sentence at a time (``forward_sentence``); the spans are scored in one
+packed pass (``score_spans``). ``batch_gradients`` reads what does not
+depend on the weights (layouts, targets, the embedding scatter index, the
+prototype term's constants) from a ``BatchPlan``, and the optimizer steps
+update the parameters in place.
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -328,12 +329,24 @@ class GradientBundle(EncoderParams):
 
 
 @dataclass(eq=False)
-class ForwardPass:
-    """Per-sentence word encoding, kept for the backward pass."""
+class ChunkLayout:
+    """Where the chunks of a batch of sentences sit, packed end to end:
+    sentence i owns chunk rows ``bounds[i]:bounds[i + 1]``."""
 
-    tok: Tokenization
-    x: np.ndarray  # (m, 3*embed_dim) windowed chunk embeddings
-    word_vecs: np.ndarray  # (n, hidden_dim)
+    ids: np.ndarray  # (M,) chunk ids
+    bounds: np.ndarray  # (n_b + 1,) first chunk of each sentence, then M
+    word_starts: np.ndarray  # (N,) first chunk of each word
+    word_sizes: np.ndarray  # (N,) chunks per word
+    word_size_col: np.ndarray  # (N, 1) ``word_sizes`` in the model's dtype
+
+    @classmethod
+    def build(cls, toks: Sequence[Tokenization], dtype) -> "ChunkLayout":
+        ids = np.concatenate([tok.subword_ids for tok in toks])
+        bounds = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
+        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
+        word_starts = np.cumsum(word_sizes)
+        word_starts -= word_sizes
+        return cls(ids, bounds, word_starts, word_sizes, word_sizes[:, None].astype(dtype))
 
 
 @lru_cache(maxsize=1024)
@@ -376,22 +389,47 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).max(axis=0)[:, None]
 
 
-def forward_sentence(params: EncoderParams, tok: Tokenization) -> ForwardPass:
-    """Word vectors of one sentence: chunk embeddings through the window-3
-    layer (zero padding at the sentence boundaries), then the mean over each
-    word's chunks. The spans are scored packed, by ``score_spans``."""
+def forward_sentence(params: EncoderParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The window-3 layer's product for one sentence, ``x @ w_ctx.T`` into
+    ``out``: ``x`` and ``out`` are the sentence's rows of the packed window
+    input and output.
+
+    Everything around this product runs packed (``encode_words``); the
+    product stays per sentence for two reasons. BLAS picks its kernel by
+    row count, so one product over the packed batch sums in another order
+    and changes the bits of every record. And the benchmark (``perfbench``)
+    traces this function once per sentence.
+    """
+    return np.matmul(x, params.w_ctx.T, out=out)
+
+
+def encode_words(params: EncoderParams, chunks: ChunkLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Window input and word vectors of a batch of sentences, packed end to
+    end: the chunk embeddings through the window-3 layer, with zero padding
+    at each sentence's boundaries, then the mean over each word's chunks.
+
+    Returns the (M, 3 * embed_dim) window input, which the backward pass
+    reads, and the (N, hidden_dim) word vectors. Only the product runs per
+    sentence (``forward_sentence``); the gather, the window, the bias and
+    the mean are elementwise or sum over each word's own chunks, so every
+    sentence gets the bytes it gets alone.
+    """
     d_e = params.embed.shape[1]
-    sub = params.embed.take(tok.subword_ids, axis=0)
-    m = sub.shape[0]
-    x = np.zeros((m, 3 * d_e), dtype=sub.dtype)
+    sub = params.embed.take(chunks.ids, axis=0)
+    x = np.empty((len(sub), 3 * d_e), dtype=sub.dtype)
     x[:, d_e : 2 * d_e] = sub
     x[1:, :d_e] = sub[:-1]
     x[:-1, 2 * d_e :] = sub[1:]
-    h_sub = x @ params.w_ctx.T
+    x[chunks.bounds[:-1], :d_e] = 0.0
+    x[chunks.bounds[1:] - 1, 2 * d_e :] = 0.0
+    h_sub = np.empty((len(x), params.w_ctx.shape[0]), dtype=x.dtype)
+    bounds = chunks.bounds.tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        forward_sentence(params, x[lo:hi], h_sub[lo:hi])
     h_sub += params.b_ctx
-    word_vecs = np.add.reduceat(h_sub, tok.word_offsets[:-1], axis=0)
-    word_vecs /= tok.word_sizes[:, None].astype(sub.dtype)
-    return ForwardPass(tok, x, word_vecs)
+    word_vecs = np.add.reduceat(h_sub, chunks.word_starts, axis=0)
+    word_vecs /= chunks.word_size_col
+    return x, word_vecs
 
 
 @dataclass(eq=False)
@@ -439,9 +477,10 @@ def _gather_batch(word_counts: Sequence[int], l_max: int, windows: bool = False)
     return span_counts, pos, mask, pos.take(rows[::width], axis=0), rows, slots
 
 
-def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple) -> SpanScores:
+def score_spans(params: EncoderParams, word_vecs: np.ndarray, layout: tuple) -> SpanScores:
     """Attention pooling, projection and classifier logits for every span of
-    the given sentences, in one pass; ``layout`` is their ``_gather_batch``.
+    a batch of sentences, in one pass, from their packed word vectors
+    (``encode_words``); ``layout`` is their ``_gather_batch``.
 
     Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
     same linear map applied before the attention-weighted sum instead of
@@ -455,8 +494,6 @@ def score_spans(params: EncoderParams, fps: Sequence[ForwardPass], layout: tuple
     """
     span_counts, pos, mask, *window = layout
     width = pos.shape[1]
-    word_vecs = np.concatenate([fp.word_vecs for fp in fps])
-
     scores = word_vecs @ params.w_attn  # (N,)
     alpha = np.where(mask, scores.take(pos), -np.inf)
     alpha -= _row_max(alpha)
@@ -585,10 +622,7 @@ class BatchPlan:
     span_weight_col: np.ndarray  # (S, 1) ``span_weight``
     pairs: np.ndarray  # (3, P) alpha flat index, span and word of each (span, word) pair, by word
     word_starts: np.ndarray  # (N,) first pair of each word
-    word_sizes: np.ndarray  # (N,) chunks per word
-    word_size_col: np.ndarray  # (N, 1) ``word_sizes``
-    first_chunks: np.ndarray  # (n_b,) first chunk of each sentence
-    last_chunks: np.ndarray  # (n_b - 1,) last chunk of each sentence but the last
+    chunks: ChunkLayout  # the chunks of the batch's sentences
     scatter_index: np.ndarray  # (M * embed_dim,) ``_element_index`` of the chunks in ``embed_rows``
     embed_rows: np.ndarray  # sorted unique chunk ids
     # The global prototypes as ``unit_prototypes`` gives them, and what the
@@ -613,10 +647,8 @@ class BatchPlan:
         pairs[0] += pairs[1] * pos.shape[1]
         word_starts = np.concatenate([starts for _, starts in layouts])
         word_starts += np.repeat(_offsets(pair_counts), word_counts)
-        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
-        first_chunks = np.array(_offsets([len(tok.subword_ids) for tok in toks]))
-        ids = np.concatenate([tok.subword_ids for tok in toks])
-        embed_rows = np.sort(ids)  # np.unique took 3x as long in training
+        chunks = ChunkLayout.build(toks, dtype)
+        embed_rows = np.sort(chunks.ids)  # np.unique took 3x as long in training
         embed_rows = embed_rows[np.concatenate(([True], embed_rows[1:] != embed_rows[:-1]))]
         gold = gold.astype(np.int64)
         sel_gold = gold[sel]
@@ -630,9 +662,8 @@ class BatchPlan:
         return cls(
             toks, layout, np.arange(len(gold)) * NUM_CLASSES + gold, sel, sel_gold,
             span_weight, span_weight[:, None].astype(dtype),
-            pairs, word_starts, word_sizes, word_sizes[:, None].astype(dtype),
-            first_chunks, first_chunks[1:] - 1,
-            _element_index(np.searchsorted(embed_rows, ids), config.embed_dim), embed_rows,
+            pairs, word_starts, chunks,
+            _element_index(np.searchsorted(embed_rows, chunks.ids), config.embed_dim), embed_rows,
             unit_protos, rivals, gold_protos, sel_gold_at,
         )
 
@@ -665,17 +696,16 @@ def batch_gradients(
     cross-entropy; the prototype term averages over all selected spans of
     the batch and is active only when the plan holds global prototypes.
 
-    Each sentence runs its own word encoder (``forward_sentence``); the
-    spans of the whole batch are then scored in one pass, and the backward
-    pass runs once over the batch, with spans, words and chunks packed end
-    to end and per-sentence sums done as segment reductions.
+    The word encoder (``encode_words``) and the span scoring each run once
+    over the batch, and so does the backward pass, with spans, words and
+    chunks packed end to end and per-sentence sums done as segment
+    reductions.
     """
     d_e = params.embed.shape[1]
     dtype = params.w_proj.dtype
-    fps = [forward_sentence(params, tok) for tok in plan.toks]
-    spans = score_spans(params, fps, plan.layout)
-    x = np.concatenate([fp.x for fp in fps])
-    del fps  # the packed copies are all the backward pass reads
+    chunks = plan.chunks
+    x, word_vecs = encode_words(params, chunks)
+    spans = score_spans(params, word_vecs, plan.layout)
     reps = spans.reps
     log_probs, probs = log_softmax(spans.logits)
     sel = plan.sel
@@ -752,7 +782,6 @@ def batch_gradients(
     inner = np.bincount(span_idx, weights=alpha * dalpha, minlength=len(plan.span_weight))
     dscore = alpha * (dalpha - inner.astype(dtype).take(span_idx))
     dscore_words = np.add.reduceat(dscore, plan.word_starts)
-    word_vecs = spans.word_vecs
     del spans
     np.matmul(dscore_words, word_vecs, out=grads.w_attn)
     dreps_pairs *= alpha[:, None]
@@ -763,12 +792,12 @@ def batch_gradients(
 
     # Word mean over chunks, then the window-3 context layer. The window's
     # zero padding at each sentence boundary takes no gradient.
-    dh_sub = np.repeat(dword / plan.word_size_col, plan.word_sizes, axis=0)
+    dh_sub = np.repeat(dword / chunks.word_size_col, chunks.word_sizes, axis=0)
     np.matmul(dh_sub.T, x, out=grads.w_ctx)
     dh_sub.sum(axis=0, out=grads.b_ctx)
     dx = dh_sub @ params.w_ctx
-    dx[plan.first_chunks, :d_e] = 0.0
-    dx[plan.last_chunks, 2 * d_e :] = 0.0
+    dx[chunks.bounds[:-1], :d_e] = 0.0
+    dx[chunks.bounds[1:] - 1, 2 * d_e :] = 0.0
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]

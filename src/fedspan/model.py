@@ -20,6 +20,7 @@ from .decoding import decode_batch
 from .encoder import (
     AdamState,
     BatchPlan,
+    ChunkLayout,
     EncoderConfig,
     EncoderParams,
     LossWeights,
@@ -29,7 +30,9 @@ from .encoder import (
     _gather_batch,
     adam_step,
     batch_gradients,
-    forward_sentence,
+    encode_words,
+    # Called by encode_words; perfbench's tracer patches this binding too.
+    forward_sentence,  # noqa: F401
     load_params,
     save_params,
     score_spans,
@@ -53,7 +56,9 @@ SCORE_GROUP = 8
 # word's spans with one window product (``_gather_batch(..., windows=True)``).
 # That is faster from about 5 spans per word; at 7 (15-word sentences at the
 # default l_max) it takes 0.8x the time. The shipped corpora's groups reach
-# at most 6.2, so they keep the per-span products.
+# at most 6.2, so they keep the per-span products. At rep_dim 1 every group
+# does: there the window product sums in another order than the per-span
+# one, and a group's reps would depend on its length.
 WINDOW_SPANS_PER_WORD = 7
 
 
@@ -319,15 +324,18 @@ class SpanTagger:
         validate_sentences(sentences)
         # Spans are scored SCORE_GROUP sentences at a time, in call order.
         l_max = self.config.l_max
+        pool_by_window = self.config.rep_dim > 1
+        dtype = self.params_.embed.dtype
         out = []
         for lo in range(0, len(sentences), SCORE_GROUP):
             group = sentences[lo : lo + SCORE_GROUP]
-            fps = [forward_sentence(self.params_, self._tokenizer.tokenize(s.tokens)) for s in group]
-            word_counts = [fp.tok.n_words for fp in fps]
+            toks = [self._tokenizer.tokenize(s.tokens) for s in group]
+            word_counts = [tok.n_words for tok in toks]
             n_spans = sum(span_count(n, l_max) for n in word_counts)
-            windows = n_spans >= WINDOW_SPANS_PER_WORD * sum(word_counts)
+            windows = pool_by_window and n_spans >= WINDOW_SPANS_PER_WORD * sum(word_counts)
             layout = _gather_batch(word_counts, l_max, windows)
-            spans = score_spans(self.params_, fps, layout)
+            _, word_vecs = encode_words(self.params_, ChunkLayout.build(toks, dtype))
+            spans = score_spans(self.params_, word_vecs, layout)
             classes = spans.logits.argmax(axis=1).astype(np.int16)
             lo_span = 0
             for sentence, n_spans in zip(group, spans.span_counts):

@@ -5,9 +5,9 @@ packed batch. This module keeps the straightforward form, one sentence at a
 time with ``np.add.at`` scatters, as an oracle the packed pass is checked
 against. ``reference_forward`` is the forward pass written plainly: fresh
 arrays, no cached layouts, the masked gather tensor spelled out and pooling
-before the projection. The package's ``forward_sentence`` must match its
-word vectors bit for bit; ``score_spans`` matches its span fields to
-rounding. ``reference_adam_step`` is dense Adam: every row of every block,
+before the projection. The package's ``encode_words`` must match its
+window input and word vectors bit for bit, sentence by sentence;
+``score_spans`` matches its span fields to rounding. ``reference_adam_step`` is dense Adam: every row of every block,
 every step.
 
 The scalar helpers (``word_representations``, ``attention_weights``,
@@ -146,7 +146,7 @@ class ReferenceForward:
 
 
 def reference_forward(params, tok, l_max):
-    """``forward_sentence`` and one sentence's share of ``score_spans`` and
+    """One sentence's share of ``encode_words``, ``score_spans`` and
     the log-softmax, with fresh arrays and no caches."""
     n = tok.n_words
     d_e = params.embed.shape[1]

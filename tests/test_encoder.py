@@ -1,6 +1,5 @@
 """Encoder forward pass, losses, optimizers and the checkpoint format."""
 
-import dataclasses
 import gc
 import hashlib
 import math
@@ -10,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedspan.encoder as encoder_module
 import fedspan.model as model_module
 from fedspan.corpus import Sentence, Span
 from fedspan.encoder import (
     AdamState,
     BatchPlan,
     CheckpointError,
+    ChunkLayout,
     ConfigError,
     EncoderConfig,
     EncoderParams,
@@ -28,6 +29,7 @@ from fedspan.encoder import (
     _gather_layout,
     adam_step,
     batch_gradients,
+    encode_words,
     forward_sentence,
     load_params,
     log_softmax,
@@ -304,11 +306,16 @@ class TestTagLoss:
             tag_loss(np.full((2, 16), 1.0 / 16), np.zeros(3, dtype=int))
 
 
+def packed_words(params, toks):
+    """``encode_words`` of a batch: the packed window input and word vectors."""
+    return encode_words(params, ChunkLayout.build(toks, params.embed.dtype))
+
+
 def forward_batch(params, toks, l_max):
-    """The packed forward of a batch: forward_sentence per sentence, then
-    score_spans once, and the log-softmax training applies on top."""
+    """The packed forward of a batch: encode_words, then score_spans once,
+    and the log-softmax training applies on top."""
     layout = _gather_batch([tok.n_words for tok in toks], l_max)
-    spans = score_spans(params, [forward_sentence(params, tok) for tok in toks], layout)
+    spans = score_spans(params, packed_words(params, toks)[1], layout)
     log_probs, probs = log_softmax(spans.logits.copy())
     return spans, log_probs, probs
 
@@ -339,8 +346,8 @@ class TestForwardDeterminism:
 
 
 class TestForwardReference:
-    """forward_sentence against the plain per-sentence reference, bit for bit;
-    the packed span stage against it to rounding."""
+    """The word encoder against the plain per-sentence reference, bit for
+    bit; the packed span stage against it to rounding."""
 
     L_MAX = 6
     LENGTHS = [1, L_MAX, L_MAX + 1, 35]
@@ -362,12 +369,10 @@ class TestForwardReference:
     def test_every_field_equal(self, n, precision):
         config, params, rng = self.make(n, precision)
         tok = Tokenizer(config.vocab_size, config.chunk_size).tokenize(random_words(rng, n))
-        fp = forward_sentence(params, tok)
+        x, word_vecs = packed_words(params, [tok])
         ref = reference_forward(params, tok, self.L_MAX)
-        assert fp.tok is tok
-        assert [field.name for field in dataclasses.fields(fp)] == ["tok", "x", "word_vecs"]
-        for name in ("x", "word_vecs"):
-            got, want = getattr(fp, name), getattr(ref, name)
+        for name, got in (("x", x), ("word_vecs", word_vecs)):
+            want = getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert got.shape == want.shape, name
             assert np.array_equal(got, want), name
@@ -443,6 +448,91 @@ class TestForwardReference:
         assert np.array_equal(again.mask, ref.mask)
 
 
+def packed_case(seed, lengths, chunk_size, embed_dim, hidden_dim, precision):
+    """Parameters with a random window bias, and a batch of random sentences
+    of these lengths; a length of 0 is one one-letter word, one chunk."""
+    config = EncoderConfig(
+        vocab_size=97, embed_dim=embed_dim, hidden_dim=hidden_dim, rep_dim=3,
+        chunk_size=chunk_size, precision=precision,
+    )
+    params = EncoderParams.initialize(config, seed % 2**16)
+    rng = np.random.default_rng(seed)
+    params.b_ctx[:] = rng.normal(0.0, 1.0, params.b_ctx.shape)
+    tokenizer = Tokenizer(config.vocab_size, chunk_size)
+    toks = [tokenizer.tokenize(random_words(rng, n) if n else ["a"]) for n in lengths]
+    return config, params, toks
+
+
+class TestPackedEncoder:
+    """``encode_words`` runs the word encoder over a packed batch, the
+    window product per sentence; every sentence gets the bytes the
+    per-sentence reference gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=9),
+        chunk_size=st.integers(1, 5),
+        embed_dim=st.integers(1, 39),
+        hidden_dim=st.integers(1, 39),
+        precision=st.sampled_from(["float32", "float64"]),
+    )
+    @example(seed=0, lengths=[0], chunk_size=1, embed_dim=1, hidden_dim=1, precision="float32")
+    @example(seed=1, lengths=[0, 7, 0, 0], chunk_size=5, embed_dim=3, hidden_dim=5, precision="float32")
+    @example(seed=2, lengths=[40], chunk_size=1, embed_dim=39, hidden_dim=37, precision="float64")
+    @example(seed=3, lengths=[1] * 9, chunk_size=2, embed_dim=32, hidden_dim=32, precision="float32")
+    def test_same_bytes_as_the_reference_per_sentence(
+        self, seed, lengths, chunk_size, embed_dim, hidden_dim, precision
+    ):
+        config, params, toks = packed_case(seed, lengths, chunk_size, embed_dim, hidden_dim, precision)
+        chunks = ChunkLayout.build(toks, config.dtype)
+        x, word_vecs = encode_words(params, chunks)
+        refs = [reference_forward(params, tok, config.l_max) for tok in toks]
+        for name, got in (("x", x), ("word_vecs", word_vecs)):
+            want = np.concatenate([getattr(ref, name) for ref in refs])
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name  # signed zeros too
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_chunk_layout_of_a_batch(self, precision):
+        _, _, toks = packed_case(5, [3, 0, 12, 1], 3, 4, 4, "float64")
+        chunks = ChunkLayout.build(toks, np.dtype(precision))
+        sizes = [len(tok.subword_ids) for tok in toks]
+        assert sizes[1] == 1
+        assert chunks.ids.tolist() == [i for tok in toks for i in tok.subword_ids.tolist()]
+        assert chunks.bounds.tolist() == [0, *np.cumsum(sizes)]
+        assert chunks.word_starts.tolist() == [
+            start + offset
+            for tok, start in zip(toks, chunks.bounds.tolist())
+            for offset in tok.word_offsets[:-1].tolist()
+        ]
+        assert chunks.word_sizes.tolist() == [s for tok in toks for s in tok.word_sizes.tolist()]
+        assert chunks.word_size_col.dtype == np.dtype(precision)
+        assert np.array_equal(chunks.word_size_col[:, 0], chunks.word_sizes)
+
+    def test_forward_sentence_writes_the_product_into_out(self):
+        _, params, [tok] = packed_case(9, [6], 2, 5, 7, "float32")
+        x, _ = encode_words(params, ChunkLayout.build([tok], np.float32))
+        out = np.full((len(x), 7), np.nan, np.float32)
+        assert forward_sentence(params, x, out) is out
+        assert out.tobytes() == (x @ params.w_ctx.T).tobytes()
+
+    def test_runs_the_product_once_per_sentence_on_its_rows(self, monkeypatch):
+        config, params, toks = packed_case(4, [5, 0, 17], 3, 6, 6, "float32")
+        calls = []
+        product = encoder_module.forward_sentence
+        monkeypatch.setattr(
+            encoder_module,
+            "forward_sentence",
+            lambda params, x, out: calls.append((x.copy(), len(out))) or product(params, x, out),
+        )
+        x, _ = encode_words(params, ChunkLayout.build(toks, config.dtype))
+        bounds = np.cumsum([0] + [len(tok.subword_ids) for tok in toks])
+        assert [rows for _, rows in calls] == np.diff(bounds).tolist()
+        for (got, _), lo, hi in zip(calls, bounds[:-1], bounds[1:]):
+            assert got.tobytes() == x[lo:hi].tobytes()
+
+
 def pooled_both_ways(seed, lengths, l_max, **dims):
     """``score_spans`` of one group of random sentences of these lengths,
     pooled per span and pooled by window."""
@@ -451,9 +541,10 @@ def pooled_both_ways(seed, lengths, l_max, **dims):
     rng = np.random.default_rng(seed)
     params.w_attn[:] = rng.normal(0.0, 1.0, params.w_attn.shape)  # attention far from uniform
     tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
-    fps = [forward_sentence(params, tokenizer.tokenize(random_words(rng, n))) for n in lengths]
-    per_span = score_spans(params, fps, _gather_batch(lengths, l_max))
-    windows = score_spans(params, fps, _gather_batch(lengths, l_max, windows=True))
+    toks = [tokenizer.tokenize(random_words(rng, n)) for n in lengths]
+    _, word_vecs = packed_words(params, toks)
+    per_span = score_spans(params, word_vecs, _gather_batch(lengths, l_max))
+    windows = score_spans(params, word_vecs, _gather_batch(lengths, l_max, windows=True))
     assert np.array_equal(per_span.alpha, windows.alpha)
     return per_span, windows
 
@@ -521,6 +612,42 @@ class TestWindowPooling:
         per_span = tagger.predict_tags(long)
         for a, b in zip(by_window, per_span):
             assert np.array_equal(a.classes, b.classes)
+
+
+    def test_rep_dim_1_groups_pool_per_span(self, monkeypatch):
+        """At rep_dim 1 the window product sums in another order than the
+        per-span products, so ``predict_tags`` pools every group per span: a
+        group of 20-35-word sentences gets per-span pooling's reps and
+        classes, byte for byte."""
+        corpora = generate_synthetic(default_synth_config(), 7)
+        rng = np.random.default_rng(1)
+        long = [Sentence(tuple(random_words(rng, int(n)))) for n in rng.integers(20, 36, 16)]
+        tagger = SpanTagger(vocab_size=256, embed_dim=12, hidden_dim=12, rep_dim=1, seed=0)
+        tagger.fit(corpora[0].train[:8], epochs=1)
+        assert tagger.params_.w_attn.any()
+
+        scored = []
+        score = model_module.score_spans
+
+        def recording(params, word_vecs, layout):
+            spans = score(params, word_vecs, layout)
+            scored.append((word_vecs, spans))
+            return spans
+
+        monkeypatch.setattr(model_module, "score_spans", recording)
+        tags = tagger.predict_tags(long)
+        assert len(scored) == 2
+        lo = 0
+        for word_vecs, got in scored:
+            group = long[lo : lo + len(got.span_counts)]
+            counts = [len(s.tokens) for s in group]
+            assert sum(got.span_counts) >= 7 * sum(counts)  # the window threshold
+            want = score(tagger.params_, word_vecs, _gather_batch(counts, 10))
+            assert got.reps.tobytes() == want.reps.tobytes()
+            assert got.logits.tobytes() == want.logits.tobytes()
+            classes = np.concatenate([t.classes for t in tags[lo : lo + len(group)]])
+            assert np.array_equal(classes, want.logits.argmax(axis=1))
+            lo += len(group)
 
 
 class TestOptimizers:

@@ -10,6 +10,7 @@ import fedspan.encoder as encoder_module
 import fedspan.model as model_module
 from fedspan.encoder import (
     BatchPlan,
+    ChunkLayout,
     EncoderConfig,
     EncoderParams,
     LossWeights,
@@ -465,8 +466,11 @@ class TestFromSentences:
         (counts, pos, mask), (want_counts, want_pos, want_mask) = listed.layout, packed.layout
         assert counts == want_counts
         assert np.array_equal(pos, want_pos) and np.array_equal(mask, want_mask)
+        for name in (f.name for f in dataclasses.fields(ChunkLayout)):
+            got, want = getattr(listed.chunks, name), getattr(packed.chunks, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
         for name in (f.name for f in dataclasses.fields(BatchPlan)):
-            if name in ("toks", "layout"):
+            if name in ("toks", "layout", "chunks"):
                 continue
             got, want = getattr(listed, name), getattr(packed, name)
             if want is None:
@@ -482,8 +486,9 @@ class TestFromSentences:
         config, params, toks, golds, selections, _, _ = random_case(3)
         protos = PrototypeSet.from_arrays(np.ones((16, config.rep_dim)), np.ones(16, bool))
         plan = plan_of(params.astype(precision), toks, golds, selections, config.l_max, protos)
-        for name in ("span_weight_col", "word_size_col", "unit_protos", "gold_protos"):
+        for name in ("span_weight_col", "unit_protos", "gold_protos"):
             assert getattr(plan, name).dtype == np.dtype(precision), name
+        assert plan.chunks.word_size_col.dtype == np.dtype(precision)
         assert plan.span_weight.dtype == np.float64
 
     @pytest.mark.parametrize("case_seed", range(10))

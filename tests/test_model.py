@@ -1,12 +1,14 @@
 """SpanTagger estimator surface: fit/predict/score, params protocol, persistence."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedspan.encoder as encoder_module
 import fedspan.model as model_module
 from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
@@ -14,6 +16,7 @@ from fedspan.encoder import EncoderParams
 from fedspan.model import NotFittedError, SpanTagger, select_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
+from fedspan.tagging import span_count
 
 from reference_training import reference_partial_fit, select_proto_spans, split_spans
 
@@ -352,17 +355,39 @@ class TestTraining:
         tagger = small_tagger().fit(sentences, epochs=1)
         other = small_tagger(seed=1).fit(sentences[2:], epochs=1)
         scored = []
-        forward = model_module.forward_sentence
+        build = model_module.ChunkLayout.build
         monkeypatch.setattr(
             model_module,
-            "forward_sentence",
-            lambda params, tok: scored.append(tok) or forward(params, tok),
+            "ChunkLayout",
+            types.SimpleNamespace(build=lambda toks, dtype: scored.extend(toks) or build(toks, dtype)),
         )
         tagger.predict_tags(sentences)
         other.predict_tags(sentences)
         trained = [tagger._train_inputs[s][0] for s in sentences]
+        assert len(scored) == 2 * len(sentences)
         assert all(a is b for a, b in zip(scored, trained + trained))
         assert all(other._train_inputs[s][0] is tok for s, tok in zip(sentences[2:], trained[2:]))
+
+    def test_forward_sentence_runs_once_per_sentence(self, tiny_corpus, monkeypatch):
+        """Training and scoring run the window product (``forward_sentence``)
+        once per sentence, on that sentence's chunk rows; perfbench's tracer
+        counts and times the word encoder per sentence through it."""
+        rows = []
+        product = encoder_module.forward_sentence
+        monkeypatch.setattr(
+            encoder_module,
+            "forward_sentence",
+            lambda params, x, out: rows.append(len(x)) or product(params, x, out),
+        )
+        sentences = tiny_corpus.train[:10]
+        tagger = small_tagger(batch_size=3).fit(sentences, epochs=2)
+        tokenize = tagger._tokenizer.tokenize
+        chunk_counts = [len(tokenize(s.tokens).subword_ids) for s in sentences]
+        assert sorted(rows) == sorted(chunk_counts * 2)
+        rows.clear()
+        scored = tiny_corpus.val[:11]
+        tagger.predict_tags(scored)
+        assert rows == [len(tokenize(s.tokens).subword_ids) for s in scored]
 
 
 def assert_same_training_state(got, want):
@@ -497,13 +522,18 @@ class TestInference:
         monkeypatch.setattr(
             model_module,
             "score_spans",
-            lambda params, fps, layout: groups.append([fp.tok.n_words for fp in fps])
-            or score(params, fps, layout),
+            lambda params, word_vecs, layout: groups.append((len(word_vecs), layout[0]))
+            or score(params, word_vecs, layout),
         )
         sentences = tiny_corpus.train[:41]
         tags = tagger.predict_tags(sentences)
-        assert [len(g) for g in groups] == [8, 8, 8, 8, 8, 1]
-        assert sum(groups, []) == [len(s.tokens) for s in sentences]
+        assert [len(span_counts) for _, span_counts in groups] == [8, 8, 8, 8, 8, 1]
+        n_words = [len(s.tokens) for s in sentences]
+        assert [n for n, _ in groups] == [sum(n_words[lo : lo + 8]) for lo in range(0, 41, 8)]
+        l_max = tagger.config.l_max
+        assert sum((span_counts for _, span_counts in groups), []) == [
+            span_count(n, l_max) for n in n_words
+        ]
         assert [t.n for t in tags] == [len(s.tokens) for s in sentences]
 
     def test_classes_do_not_depend_on_batch_mates(self, tiny_corpus):
