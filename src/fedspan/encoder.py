@@ -9,13 +9,13 @@ The network stands in for a pretrained transformer at desk scale:
   to a low-dimensional representation used both for the 16-way span-tag
   softmax and for prototype construction/regularization
 
-The word vectors of a batch of sentences are computed packed end to end
-(``encode_words``), all but the window layer's product, which runs one
-sentence at a time (``forward_sentence``); the spans are scored in one
-packed pass (``score_spans``). ``batch_gradients`` reads what does not
-depend on the weights (layouts, targets, the embedding scatter index, the
-prototype term's constants) from a ``BatchPlan``, and the optimizer steps
-update the parameters in place.
+A ``SpanBatch`` lays out a batch of sentences end to end. Its word vectors
+are computed packed (``encode_words``), all but the window layer's product,
+which runs one sentence at a time (``forward_sentence``); its spans are
+scored in one packed pass (``score_spans``). ``batch_gradients`` reads what
+does not depend on the weights (the batch, targets, the embedding scatter
+index, the prototype term's constants) from a ``BatchPlan``, and the
+optimizer steps update the parameters in place.
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Annotated, Literal, Sequence
+from typing import Annotated, Callable, Literal, Sequence
 
 import numpy as np
 
@@ -98,17 +98,17 @@ class Range:
         return f"{'(' if self.open_low else '['}{self.low}, {self.high}{right}"
 
 
-def check_fields(obj, error: type[Exception]) -> None:
+def check_fields(obj, error: Callable[[str], Exception]) -> None:
     """Check every field of the dataclass ``obj`` against its annotation:
     its type, a ``Literal``'s choices, a ``Range``. The first that fails
-    raises ``error`` naming the field."""
+    raises ``error(message)``, the message naming the field."""
     for name, hint in typing.get_type_hints(type(obj), include_extras=True).items():
         value = getattr(obj, name)
         kind, *marks = typing.get_args(hint) if typing.get_origin(hint) is Annotated else [hint]
         choices = typing.get_args(kind) if typing.get_origin(kind) is Literal else ()
         kind = type(choices[0]) if choices else kind
         if not _has_type(value, kind):
-            kind_name = getattr(kind, "__name__", kind)
+            kind_name = kind.__name__ if isinstance(kind, type) else kind
             raise error(f"{name} must be of type {kind_name}, got {value!r}")
         if choices and value not in choices:
             raise error(f"{name} must be one of {choices}, got {value!r}")
@@ -328,39 +328,25 @@ class GradientBundle(EncoderParams):
         self.embed_rows = embed_rows
 
 
-@dataclass(eq=False)
-class ChunkLayout:
-    """Where the chunks of a batch of sentences sit, packed end to end:
-    sentence i owns chunk rows ``bounds[i]:bounds[i + 1]``."""
-
-    ids: np.ndarray  # (M,) chunk ids
-    bounds: np.ndarray  # (n_b + 1,) first chunk of each sentence, then M
-    word_starts: np.ndarray  # (N,) first chunk of each word
-    word_sizes: np.ndarray  # (N,) chunks per word
-    word_size_col: np.ndarray  # (N, 1) ``word_sizes`` in the model's dtype
-
-    @classmethod
-    def build(cls, toks: Sequence[Tokenization], dtype) -> "ChunkLayout":
-        ids = np.concatenate([tok.subword_ids for tok in toks])
-        bounds = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
-        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
-        word_starts = np.cumsum(word_sizes)
-        word_starts -= word_sizes
-        return cls(ids, bounds, word_starts, word_sizes, word_sizes[:, None].astype(dtype))
-
-
 @lru_cache(maxsize=1024)
-def _gather_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S, l_max) word index of each span's slots, clipped to the sentence,
-    and the mask of the slots inside the span. Slots past the sentence pad
-    every row to ``l_max``. Cached and read-only."""
+def _sentence_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One sentence's (S, l_max) word index of each span slot, clipped to
+    the sentence, and mask of the slots inside the span; then attention
+    pooling's (span, word) pairs by word, a (3, P) array of each pair's slot,
+    span and word, and each word's first pair (every word is in a span, so
+    no run is empty). Cached and read-only."""
     starts, ends, _ = span_layout(n, l_max)
     pos = starts[:, None] + np.arange(l_max)
     mask = pos <= ends[:, None]
     np.minimum(pos, n - 1, out=pos)
-    pos.setflags(write=False)
-    mask.setflags(write=False)
-    return pos, mask
+    spans, slots = np.nonzero(mask)
+    words = pos[spans, slots]
+    order = np.argsort(words, kind="stable")
+    pairs = np.stack([slots[order], spans[order], words[order]])
+    pair_starts = np.searchsorted(pairs[2], np.arange(n))
+    for arr in (pos, mask, pairs, pair_starts):
+        arr.setflags(write=False)
+    return pos, mask, pairs, pair_starts
 
 
 @lru_cache(maxsize=1024)
@@ -389,6 +375,70 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.T).max(axis=0)[:, None]
 
 
+# A batch with at least this many spans per word, when window pooling is
+# allowed, pools each start word's spans with one window product. That is
+# faster from about 5 spans per word; at 7 (15-word sentences at the default
+# l_max) it takes 0.8x the time. The shipped corpora's scoring groups reach
+# at most 6.2, so they keep the per-span products.
+WINDOW_SPANS_PER_WORD = 7
+
+
+@dataclass(eq=False)
+class SpanBatch:
+    """The chunks, words and spans of a batch of sentences, packed end to
+    end, as training and scoring read them. Sentence i owns chunk rows
+    ``bounds[i]:bounds[i + 1]``; its spans follow the previous sentence's,
+    in ``enumerate_spans`` order, each with ``width`` attention slots (the
+    batch's longest span, the rest masked out). The window arrays are set
+    only when the batch pools by window (``score_spans``)."""
+
+    ids: np.ndarray  # (M,) chunk ids
+    bounds: np.ndarray  # (n_b + 1,) first chunk of each sentence, then M
+    word_starts: np.ndarray  # (N,) first chunk of each word
+    word_sizes: np.ndarray  # (N,) chunks per word
+    word_size_col: np.ndarray  # (N, 1) ``word_sizes`` in the model's dtype
+    span_counts: list[int]  # spans per sentence
+    pos: np.ndarray  # (S, width) batch word index of each slot, clipped to its sentence
+    mask: np.ndarray  # (S, width)
+    windows: np.ndarray | None = None  # (N, width) ``pos`` row of each start word's spans
+    grid_rows: np.ndarray | None = None  # (N * width,) ``_window_layout`` rows, offset to the batch
+    grid_slots: np.ndarray | None = None  # (S,) ``_window_layout`` slots, offset to the batch
+
+    @property
+    def width(self) -> int:
+        return self.pos.shape[1]
+
+    @classmethod
+    def build(cls, toks: Sequence[Tokenization], l_max: int, dtype, windows: bool = False) -> "SpanBatch":
+        """The layout of the sentences ``toks``. With ``windows``, a batch of
+        at least ``WINDOW_SPANS_PER_WORD`` spans per word is pooled by window."""
+        ids = np.concatenate([tok.subword_ids for tok in toks])
+        bounds = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
+        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
+        word_starts = np.cumsum(word_sizes)
+        word_starts -= word_sizes
+        word_counts = [tok.n_words for tok in toks]
+        width = min(l_max, max(word_counts))
+        layouts = [_sentence_layout(n, l_max) for n in word_counts]
+        span_counts = [len(layout[0]) for layout in layouts]
+        span_word_offsets = np.repeat(_offsets(word_counts), span_counts)
+        pos = np.concatenate([layout[0][:, :width] for layout in layouts])
+        pos += span_word_offsets[:, None]
+        mask = np.concatenate([layout[1][:, :width] for layout in layouts])
+        batch = cls(
+            ids, bounds, word_starts, word_sizes, word_sizes[:, None].astype(dtype),
+            span_counts, pos, mask,
+        )
+        if windows and len(pos) >= WINDOW_SPANS_PER_WORD * len(word_sizes):
+            grids = [_window_layout(n, l_max, width) for n in word_counts]
+            rows = np.concatenate([grid[0] for grid in grids])
+            rows += np.repeat(_offsets(span_counts), [n * width for n in word_counts])
+            slots = np.concatenate([grid[1] for grid in grids])
+            slots += span_word_offsets * width
+            batch.windows, batch.grid_rows, batch.grid_slots = pos.take(rows[::width], axis=0), rows, slots
+        return batch
+
+
 def forward_sentence(params: EncoderParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The window-3 layer's product for one sentence, ``x @ w_ctx.T`` into
     ``out``: ``x`` and ``out`` are the sentence's rows of the packed window
@@ -403,7 +453,7 @@ def forward_sentence(params: EncoderParams, x: np.ndarray, out: np.ndarray) -> n
     return np.matmul(x, params.w_ctx.T, out=out)
 
 
-def encode_words(params: EncoderParams, chunks: ChunkLayout) -> tuple[np.ndarray, np.ndarray]:
+def encode_words(params: EncoderParams, batch: SpanBatch) -> tuple[np.ndarray, np.ndarray]:
     """Window input and word vectors of a batch of sentences, packed end to
     end: the chunk embeddings through the window-3 layer, with zero padding
     at each sentence's boundaries, then the mean over each word's chunks.
@@ -415,87 +465,51 @@ def encode_words(params: EncoderParams, chunks: ChunkLayout) -> tuple[np.ndarray
     sentence gets the bytes it gets alone.
     """
     d_e = params.embed.shape[1]
-    sub = params.embed.take(chunks.ids, axis=0)
+    sub = params.embed.take(batch.ids, axis=0)
     x = np.empty((len(sub), 3 * d_e), dtype=sub.dtype)
     x[:, d_e : 2 * d_e] = sub
     x[1:, :d_e] = sub[:-1]
     x[:-1, 2 * d_e :] = sub[1:]
-    x[chunks.bounds[:-1], :d_e] = 0.0
-    x[chunks.bounds[1:] - 1, 2 * d_e :] = 0.0
+    x[batch.bounds[:-1], :d_e] = 0.0
+    x[batch.bounds[1:] - 1, 2 * d_e :] = 0.0
     h_sub = np.empty((len(x), params.w_ctx.shape[0]), dtype=x.dtype)
-    bounds = chunks.bounds.tolist()
+    bounds = batch.bounds.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         forward_sentence(params, x[lo:hi], h_sub[lo:hi])
     h_sub += params.b_ctx
-    word_vecs = np.add.reduceat(h_sub, chunks.word_starts, axis=0)
-    word_vecs /= chunks.word_size_col
+    word_vecs = np.add.reduceat(h_sub, batch.word_starts, axis=0)
+    word_vecs /= batch.word_size_col
     return x, word_vecs
 
 
 @dataclass(eq=False)
 class SpanScores:
-    """Span-level activations of a batch of sentences, packed end to end.
+    """Span-level activations of a ``SpanBatch``, its spans in its order."""
 
-    Spans follow each other in sentence order, each sentence in
-    ``enumerate_spans`` order. Every span has ``width`` attention slots: the
-    longest span of the batch, the rest masked out.
-    """
-
-    span_counts: list[int]  # spans per sentence
-    word_vecs: np.ndarray  # (N, hidden_dim) the sentences' word vectors
     word_reps: np.ndarray  # (N, rep_dim) word_vecs @ w_proj.T
-    pos: np.ndarray  # (S, width) batch word index of each slot, clipped to its sentence
-    mask: np.ndarray  # (S, width)
     alpha: np.ndarray  # (S, width) attention, zero outside mask
     reps: np.ndarray  # (S, rep_dim)
     logits: np.ndarray  # (S, NUM_CLASSES)
 
-    @property
-    def width(self) -> int:
-        return self.pos.shape[1]
 
-
-def _gather_batch(word_counts: Sequence[int], l_max: int, windows: bool = False) -> tuple:
-    """Span counts, ``SpanScores.pos`` and ``mask`` of sentences of these
-    sizes. With ``windows``, also what ``score_spans`` pools each start
-    word's spans with: the word's window (the ``pos`` row its spans share),
-    and the grid rows and slots of ``_window_layout``, offset to the batch."""
-    width = min(l_max, max(word_counts))
-    layouts = [_gather_layout(n, l_max) for n in word_counts]
-    span_counts = [len(pos) for pos, _ in layouts]
-    span_word_offsets = np.repeat(_offsets(word_counts), span_counts)
-    pos = np.concatenate([pos[:, :width] for pos, _ in layouts])
-    pos += span_word_offsets[:, None]
-    mask = np.concatenate([mask[:, :width] for _, mask in layouts])
-    if not windows:
-        return span_counts, pos, mask
-    grids = [_window_layout(n, l_max, width) for n in word_counts]
-    rows = np.concatenate([grid_rows for grid_rows, _ in grids])
-    rows += np.repeat(_offsets(span_counts), [n * width for n in word_counts])
-    slots = np.concatenate([grid_slots for _, grid_slots in grids])
-    slots += span_word_offsets * width
-    return span_counts, pos, mask, pos.take(rows[::width], axis=0), rows, slots
-
-
-def score_spans(params: EncoderParams, word_vecs: np.ndarray, layout: tuple) -> SpanScores:
+def score_spans(params: EncoderParams, word_vecs: np.ndarray, batch: SpanBatch) -> SpanScores:
     """Attention pooling, projection and classifier logits for every span of
     a batch of sentences, in one pass, from their packed word vectors
-    (``encode_words``); ``layout`` is their ``_gather_batch``.
+    (``encode_words``).
 
     Pooling runs in projected space, on ``word_vecs @ w_proj.T``: it is the
     same linear map applied before the attention-weighted sum instead of
     after it, and the rows it gathers are rep_dim wide instead of hidden_dim.
-    A layout without windows pools each span over its own gathered copy of
-    its window. A layout with windows gathers each start word's window once
+    A batch without windows pools each span over its own gathered copy of
+    its window. A batch with windows gathers each start word's window once
     and pools all of that word's spans in one (width, width) @ (width,
     rep_dim) product, their attention rows set in a grid of per-word
     blocks. Whether the reps keep their bytes is up to the BLAS kernels: in
     float32 at the default rep_dim they do, at rep_dim 1 they do not.
     """
-    span_counts, pos, mask, *window = layout
-    width = pos.shape[1]
+    pos, width = batch.pos, batch.width
     scores = word_vecs @ params.w_attn  # (N,)
-    alpha = np.where(mask, scores.take(pos), -np.inf)
+    alpha = np.where(batch.mask, scores.take(pos), -np.inf)
     alpha -= _row_max(alpha)
     np.exp(alpha, out=alpha)
     # A matrix-vector product sums the short rows faster than sum(axis=1).
@@ -503,18 +517,17 @@ def score_spans(params: EncoderParams, word_vecs: np.ndarray, layout: tuple) -> 
 
     # alpha is exactly 0 outside the mask, so the clipped slots add nothing.
     word_reps = word_vecs @ params.w_proj.T
-    if window:
-        windows, rows, slots = window
+    if batch.windows is not None:
         # Rows past a word's widest span repeat it; their products are not read.
-        grid = alpha.take(rows, axis=0).reshape(len(windows), width, width)
-        pooled = grid @ word_reps.take(windows, axis=0)
-        reps = pooled.reshape(-1, pooled.shape[2]).take(slots, axis=0)
+        grid = alpha.take(batch.grid_rows, axis=0).reshape(len(batch.windows), width, width)
+        pooled = grid @ word_reps.take(batch.windows, axis=0)
+        reps = pooled.reshape(-1, pooled.shape[2]).take(batch.grid_slots, axis=0)
     else:
         reps = np.matmul(alpha[:, None, :], word_reps.take(pos, axis=0))[:, 0]
     reps += params.b_proj
     logits = reps @ params.w_cls.T
     logits += params.b_cls
-    return SpanScores(span_counts, word_vecs, word_reps, pos, mask, alpha, reps, logits)
+    return SpanScores(word_reps, alpha, reps, logits)
 
 
 def log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,26 +581,6 @@ def unit_prototypes(prototypes: PrototypeSet | None, dtype) -> tuple[np.ndarray 
     return unit, present
 
 
-@lru_cache(maxsize=1024)
-def _pair_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (span, word) pairs of attention pooling in one sentence, by word.
-
-    Returns a (3, P) array whose rows hold each pair's attention slot, its
-    span and its word, and the index of each word's first pair. Every word
-    is in at least one span, so the words split the pairs into non-empty
-    runs.
-    """
-    pos, mask = _gather_layout(n, l_max)
-    spans, slots = np.nonzero(mask)
-    words = pos[spans, slots]
-    order = np.argsort(words, kind="stable")
-    pairs = np.stack([slots[order], spans[order], words[order]])
-    word_starts = np.searchsorted(pairs[2], np.arange(n))
-    pairs.setflags(write=False)
-    word_starts.setflags(write=False)
-    return pairs, word_starts
-
-
 def _element_index(ids: np.ndarray, width: int) -> np.ndarray:
     """Flat index, in a C-contiguous table ``width`` wide, of each element
     of the rows ``ids``, row by row."""
@@ -613,8 +606,7 @@ class BatchPlan:
     weights. Spans, words and chunks are packed end to end; the ``_col``
     arrays are (rows, 1) columns in the model's dtype."""
 
-    toks: Sequence[Tokenization]
-    layout: tuple  # ``_gather_batch`` of the word counts
+    batch: SpanBatch  # the batch's chunks, words and spans, pooled per span
     gold_at: np.ndarray  # (S,) flat index of each span's gold class in an (S, C) array
     sel: np.ndarray  # (k,) spans of the prototype term, ascending
     sel_gold: np.ndarray  # (k,) gold class of each selected span
@@ -622,7 +614,6 @@ class BatchPlan:
     span_weight_col: np.ndarray  # (S, 1) ``span_weight``
     pairs: np.ndarray  # (3, P) alpha flat index, span and word of each (span, word) pair, by word
     word_starts: np.ndarray  # (N,) first pair of each word
-    chunks: ChunkLayout  # the chunks of the batch's sentences
     scatter_index: np.ndarray  # (M * embed_dim,) ``_element_index`` of the chunks in ``embed_rows``
     embed_rows: np.ndarray  # sorted unique chunk ids
     # The global prototypes as ``unit_prototypes`` gives them, and what the
@@ -638,17 +629,16 @@ class BatchPlan:
         spans, and the global prototypes as ``unit_prototypes`` gives them.
         ``config`` supplies ``l_max``, ``embed_dim`` and the dtype."""
         l_max, dtype = config.l_max, config.dtype
-        word_counts = [tok.n_words for tok in toks]
-        layout = span_counts, pos, _ = _gather_batch(word_counts, l_max)
-        layouts = [_pair_layout(n, l_max) for n in word_counts]
-        pair_counts = [pairs.shape[1] for pairs, _ in layouts]
-        pairs = np.concatenate([pairs for pairs, _ in layouts], axis=1)
+        batch = SpanBatch.build(toks, l_max, dtype)
+        span_counts, word_counts = batch.span_counts, [tok.n_words for tok in toks]
+        layouts = [_sentence_layout(n, l_max) for n in word_counts]
+        pair_counts = [layout[2].shape[1] for layout in layouts]
+        pairs = np.concatenate([layout[2] for layout in layouts], axis=1)
         pairs[1:] += np.repeat([_offsets(span_counts), _offsets(word_counts)], pair_counts, axis=1)
-        pairs[0] += pairs[1] * pos.shape[1]
-        word_starts = np.concatenate([starts for _, starts in layouts])
+        pairs[0] += pairs[1] * batch.width
+        word_starts = np.concatenate([layout[3] for layout in layouts])
         word_starts += np.repeat(_offsets(pair_counts), word_counts)
-        chunks = ChunkLayout.build(toks, dtype)
-        embed_rows = np.sort(chunks.ids)  # np.unique took 3x as long in training
+        embed_rows = np.sort(batch.ids)  # np.unique took 3x as long in training
         embed_rows = embed_rows[np.concatenate(([True], embed_rows[1:] != embed_rows[:-1]))]
         gold = gold.astype(np.int64)
         sel_gold = gold[sel]
@@ -660,10 +650,9 @@ class BatchPlan:
             gold_protos = unit_protos.take(sel_gold, axis=0)
             sel_gold_at = np.arange(len(sel)) * n_classes + sel_gold
         return cls(
-            toks, layout, np.arange(len(gold)) * NUM_CLASSES + gold, sel, sel_gold,
-            span_weight, span_weight[:, None].astype(dtype),
-            pairs, word_starts, chunks,
-            _element_index(np.searchsorted(embed_rows, chunks.ids), config.embed_dim), embed_rows,
+            batch, np.arange(len(gold)) * NUM_CLASSES + gold, sel, sel_gold,
+            span_weight, span_weight[:, None].astype(dtype), pairs, word_starts,
+            _element_index(np.searchsorted(embed_rows, batch.ids), config.embed_dim), embed_rows,
             unit_protos, rivals, gold_protos, sel_gold_at,
         )
 
@@ -682,7 +671,7 @@ class BatchPlan:
         plan = cls.build(
             toks, np.concatenate(golds), sel, config, *unit_prototypes(prototypes, config.dtype)
         )
-        if misaligned := [(len(g), n) for g, n in zip(golds, plan.layout[0]) if len(g) != n]:
+        if misaligned := [(len(g), n) for g, n in zip(golds, plan.batch.span_counts) if len(g) != n]:
             raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
         return plan
 
@@ -703,9 +692,9 @@ def batch_gradients(
     """
     d_e = params.embed.shape[1]
     dtype = params.w_proj.dtype
-    chunks = plan.chunks
-    x, word_vecs = encode_words(params, chunks)
-    spans = score_spans(params, word_vecs, plan.layout)
+    batch = plan.batch
+    x, word_vecs = encode_words(params, batch)
+    spans = score_spans(params, word_vecs, batch)
     reps = spans.reps
     log_probs, probs = log_softmax(spans.logits)
     sel = plan.sel
@@ -792,12 +781,12 @@ def batch_gradients(
 
     # Word mean over chunks, then the window-3 context layer. The window's
     # zero padding at each sentence boundary takes no gradient.
-    dh_sub = np.repeat(dword / chunks.word_size_col, chunks.word_sizes, axis=0)
+    dh_sub = np.repeat(dword / batch.word_size_col, batch.word_sizes, axis=0)
     np.matmul(dh_sub.T, x, out=grads.w_ctx)
     dh_sub.sum(axis=0, out=grads.b_ctx)
     dx = dh_sub @ params.w_ctx
-    dx[chunks.bounds[:-1], :d_e] = 0.0
-    dx[chunks.bounds[1:] - 1, 2 * d_e :] = 0.0
+    dx[batch.bounds[:-1], :d_e] = 0.0
+    dx[batch.bounds[1:] - 1, 2 * d_e :] = 0.0
     d_sub = dx[:, d_e : 2 * d_e].copy()
     d_sub[:-1] += dx[1:, :d_e]
     d_sub[1:] += dx[:-1, 2 * d_e :]

@@ -24,6 +24,7 @@ from .corpus import Corpus
 from .encoder import TrainingDivergedError
 from .model import SpanTagger
 from .prototypes import (
+    PayloadError,
     PrototypePayload,
     PrototypeSet,
     decode_payload,
@@ -82,23 +83,27 @@ def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
 
 
 def _aggregate(
-    payloads: Sequence[PrototypePayload], mode: str
+    payloads: Sequence[PrototypePayload], mode: str, round_index: int | None = None
 ) -> tuple[PrototypeSet, list[float], np.ndarray]:
-    """Aggregate, client weights, and the renormalized clients x classes weights."""
+    """Aggregate, client weights, and the renormalized clients x classes
+    weights. ``PayloadError`` names a client with a payload of another round
+    than ``round_index`` (by default the first payload's) or with two."""
     if not payloads:
         raise ValueError("no payloads to aggregate")
     payloads = sorted(payloads, key=lambda p: p.client_id)
     dim = payloads[0].prototypes.dim
-    round_index = payloads[0].round_index
-    for p in payloads:
+    round_index = payloads[0].round_index if round_index is None else round_index
+    for prev, p in zip([None, *payloads], payloads):
         if p.prototypes.dim != dim:
             raise ValueError(
                 f"client {p.client_id} payload has dim {p.prototypes.dim}, expected {dim}"
             )
         if p.round_index != round_index:
-            raise ValueError(
+            raise PayloadError(
                 f"client {p.client_id} payload is for round {p.round_index}, expected {round_index}"
             )
+        if prev is not None and prev.client_id == p.client_id:
+            raise PayloadError(f"client {p.client_id} sent more than one payload")
     base_weights = aggregation_weights([p.val_f1 for p in payloads], mode)
     reported = np.array([p.prototypes.present for p in payloads])
     class_weights = np.where(reported, np.array(base_weights)[:, None], 0.0)
@@ -144,6 +149,7 @@ class Server:
 
     def receive_and_aggregate(self, blobs: Sequence[bytes], round_index: int) -> PrototypeSet:
         payloads = [decode_payload(blob) for blob in blobs]
+        aggregated, base_weights, class_weights = _aggregate(payloads, self.aggregation, round_index)
         for payload, blob in zip(payloads, blobs):
             self.payload_log.append(
                 {
@@ -154,7 +160,6 @@ class Server:
                     "val_f1": payload.val_f1,
                 }
             )
-        aggregated, base_weights, class_weights = _aggregate(payloads, self.aggregation)
         self.global_prototypes = aggregated
         self.last_weights = base_weights
         self.last_class_weights = class_weights
@@ -203,8 +208,13 @@ def client_round(
 
 
 def _check_splits(corpora: Sequence[Corpus]) -> None:
+    """Every corpus has a distinct name, which keys the test F1 matrix, and
+    no empty split."""
     if not corpora:
         raise ValueError("need at least one corpus")
+    names = [corpus.name for corpus in corpora]
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ValueError(f"corpus names must be distinct, repeated: {repeated}")
     for corpus in corpora:
         for split, sentences in corpus.splits():
             if not sentences:

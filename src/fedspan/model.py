@@ -20,14 +20,13 @@ from .decoding import decode_batch
 from .encoder import (
     AdamState,
     BatchPlan,
-    ChunkLayout,
     EncoderConfig,
     EncoderParams,
     LossWeights,
     Range,
+    SpanBatch,
     Tokenization,
     Tokenizer,
-    _gather_batch,
     adam_step,
     batch_gradients,
     encode_words,
@@ -40,7 +39,7 @@ from .encoder import (
     unit_prototypes,
 )
 from .prototypes import PrototypeSet, build_local_prototypes, momentum_update
-from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags, span_count
+from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +50,6 @@ logger = logging.getLogger(__name__)
 # does not store: a loaded model scores as the model that saved it. 8 is the
 # default ``batch_size``.
 SCORE_GROUP = 8
-
-# A scoring group with at least this many spans per word pools each start
-# word's spans with one window product (``_gather_batch(..., windows=True)``).
-# That is faster from about 5 spans per word; at 7 (15-word sentences at the
-# default l_max) it takes 0.8x the time. The shipped corpora's groups reach
-# at most 6.2, so they keep the per-span products. At rep_dim 1 every group
-# does: there the window product sums in another order than the per-span
-# one, and a group's reps would depend on its length.
-WINDOW_SPANS_PER_WORD = 7
 
 
 class NotFittedError(RuntimeError):
@@ -324,23 +314,19 @@ class SpanTagger:
         validate_sentences(sentences)
         # Spans are scored SCORE_GROUP sentences at a time, in call order.
         l_max = self.config.l_max
-        pool_by_window = self.config.rep_dim > 1
+        # At rep_dim 1 the window product sums in another order than the
+        # per-span one, and a group's reps would depend on its length.
+        windows = self.config.rep_dim > 1
         dtype = self.params_.embed.dtype
         out = []
         for lo in range(0, len(sentences), SCORE_GROUP):
-            group = sentences[lo : lo + SCORE_GROUP]
-            toks = [self._tokenizer.tokenize(s.tokens) for s in group]
-            word_counts = [tok.n_words for tok in toks]
-            n_spans = sum(span_count(n, l_max) for n in word_counts)
-            windows = pool_by_window and n_spans >= WINDOW_SPANS_PER_WORD * sum(word_counts)
-            layout = _gather_batch(word_counts, l_max, windows)
-            _, word_vecs = encode_words(self.params_, ChunkLayout.build(toks, dtype))
-            spans = score_spans(self.params_, word_vecs, layout)
-            classes = spans.logits.argmax(axis=1).astype(np.int16)
+            toks = [self._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
+            batch = SpanBatch.build(toks, l_max, dtype, windows)
+            _, word_vecs = encode_words(self.params_, batch)
+            classes = score_spans(self.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
             lo_span = 0
-            for sentence, n_spans in zip(group, spans.span_counts):
-                part = classes[lo_span : lo_span + n_spans]
-                out.append(TagMatrix(len(sentence.tokens), l_max, part))
+            for tok, n_spans in zip(toks, batch.span_counts):
+                out.append(TagMatrix(tok.n_words, l_max, classes[lo_span : lo_span + n_spans]))
                 lo_span += n_spans
         return out
 

@@ -17,7 +17,7 @@ from typing import Annotated, Sequence
 import numpy as np
 
 from .corpus import Corpus, Polarity, Sentence, Span, Triplet
-from .encoder import Range, _has_type, check_fields
+from .encoder import Range, check_fields
 
 ASPECT_SLOT = "{ASP}"
 OPINION_SLOT = "{OPI}"
@@ -53,7 +53,14 @@ class SynthConfig:
         if not self.domains:
             raise SynthConfigError("no domains configured")
         lexicons = [("shared_aspects", self.shared_aspects), ("opinions", [t for t, _ in self.opinions])]
+        names = set()
         for i, domain in enumerate(self.domains):
+            check_fields(domain, lambda message: SynthConfigError(f"domains[{i}].{message}"))
+            # The name is the corpus's directory under the output directory.
+            name = domain.name
+            if name in ("", ".", "..") or "/" in name or "\\" in name or name in names:
+                raise SynthConfigError(f"domains[{i}].name must be a distinct file name, got {name!r}")
+            names.add(name)
             if not domain.aspects:
                 raise SynthConfigError(f"domain {domain.name!r} has an empty aspect lexicon")
             lexicons.append((f"domains[{i}].aspects", domain.aspects))
@@ -93,11 +100,7 @@ class SynthConfig:
         for i, domain in enumerate(data["domains"]):
             if not isinstance(domain, dict) or not {"name", "aspects"} <= set(domain):
                 raise SynthConfigError(f"domains[{i}] needs a name and aspects, got {domain!r}")
-            if not _has_type(domain["aspects"], list[str]):
-                raise SynthConfigError(
-                    f"domains[{i}].aspects must be a list of strings, got {domain['aspects']!r}"
-                )
-            values["domains"].append(DomainSpec(domain["name"], list(domain["aspects"])))
+            values["domains"].append(DomainSpec(domain["name"], domain["aspects"]))
         for i, opinion in enumerate(data["opinions"]):
             if not isinstance(opinion, list) or len(opinion) != 2:
                 raise SynthConfigError(f"opinions[{i}] must be [term, polarity], got {opinion!r}")

@@ -45,6 +45,16 @@ def small_config(tmp_path, **kw):
     return path
 
 
+def named(*names):
+    """A synth config edit that gives its first domains these names."""
+
+    def edit(data):
+        domains = [{**domain, "name": name} for domain, name in zip(data["domains"], names)]
+        return {**data, "domains": domains}
+
+    return edit
+
+
 class TestGenerate:
     def test_writes_four_corpus_dirs(self, tmp_path, capsys):
         config = small_config(tmp_path)
@@ -95,12 +105,20 @@ class TestGenerate:
             (lambda d: {**d, "shared_aspect_rate": "0.1"}, "shared_aspect_rate must be of type float"),
             (
                 lambda d: {**d, "domains": [{"name": "laptops", "aspects": "screen"}]},
-                "domains[0].aspects must be a list of strings",
+                "domains[0].aspects must be of type list[str], got 'screen'",
             ),
+            (named(5), "domains[0].name must be of type str, got 5"),
+            (named("../../escaped"), "domains[0].name must be a distinct file name, got '../../escaped'"),
+            (named(""), "domains[0].name must be a distinct file name, got ''"),
+            (named("."), "domains[0].name must be a distinct file name, got '.'"),
+            (named(".."), "domains[0].name must be a distinct file name, got '..'"),
+            (named("a\\b"), "domains[0].name must be a distinct file name, got 'a\\\\b'"),
+            (named("x", "y", "x"), "domains[2].name must be a distinct file name, got 'x'"),
         ],
         ids=[
             "no_domains", "domain_without_aspects", "top_level_list", "size_not_an_int",
-            "rate_not_a_float", "aspects_a_string",
+            "rate_not_a_float", "aspects_a_string", "name_not_a_string", "name_escapes_the_output",
+            "name_empty", "name_dot", "name_dot_dot", "name_with_a_backslash", "name_repeated",
         ],
     )
     def test_malformed_synth_config_is_an_error(self, tmp_path, capsys, make, message):
@@ -110,7 +128,7 @@ class TestGenerate:
         out = tmp_path / "gen"
         assert main(["generate", "--synth-config", str(path), "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
 class TestTrain:

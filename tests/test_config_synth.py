@@ -150,7 +150,7 @@ class TestSynthConfig:
             (lambda d: d.update(max_attempts=0), r"max_attempts must be in \[1, inf\)"),
             (
                 lambda d: d["domains"][0].update(aspects="screen"),
-                r"domains\[0\]\.aspects must be a list of strings, got 'screen'",
+                r"domains\[0\]\.aspects must be of type list\[str\], got 'screen'",
             ),
         ],
         ids=[

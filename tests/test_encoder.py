@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,17 +17,16 @@ from fedspan.encoder import (
     AdamState,
     BatchPlan,
     CheckpointError,
-    ChunkLayout,
     ConfigError,
     EncoderConfig,
     EncoderParams,
     GradientBundle,
     LossWeights,
+    SpanBatch,
     Tokenization,
     Tokenizer,
     TrainingDivergedError,
-    _gather_batch,
-    _gather_layout,
+    _sentence_layout,
     adam_step,
     batch_gradients,
     encode_words,
@@ -308,16 +308,16 @@ class TestTagLoss:
 
 def packed_words(params, toks):
     """``encode_words`` of a batch: the packed window input and word vectors."""
-    return encode_words(params, ChunkLayout.build(toks, params.embed.dtype))
+    return encode_words(params, SpanBatch.build(toks, 10, params.embed.dtype))
 
 
 def forward_batch(params, toks, l_max):
-    """The packed forward of a batch: encode_words, then score_spans once,
-    and the log-softmax training applies on top."""
-    layout = _gather_batch([tok.n_words for tok in toks], l_max)
-    spans = score_spans(params, packed_words(params, toks)[1], layout)
+    """The packed forward of a batch: its ``SpanBatch``, encode_words, then
+    score_spans once, and the log-softmax training applies on top."""
+    batch = SpanBatch.build(toks, l_max, params.embed.dtype)
+    spans = score_spans(params, encode_words(params, batch)[1], batch)
     log_probs, probs = log_softmax(spans.logits.copy())
-    return spans, log_probs, probs
+    return batch, spans, log_probs, probs
 
 
 def random_words(rng, n):
@@ -330,8 +330,8 @@ class TestForwardDeterminism:
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["the", "screen", "cracked"])
-        a_spans, _, a_probs = forward_batch(params, [tok], 5)
-        b_spans, _, b_probs = forward_batch(params, [tok], 5)
+        _, a_spans, _, a_probs = forward_batch(params, [tok], 5)
+        _, b_spans, _, b_probs = forward_batch(params, [tok], 5)
         assert np.array_equal(a_probs, b_probs)
         assert np.array_equal(a_spans.reps, b_spans.reps)
 
@@ -339,7 +339,7 @@ class TestForwardDeterminism:
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3, precision="float64")
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["a", "bb", "ccc", "dddd", "e"])
-        spans, _, probs = forward_batch(params, [tok], 3)
+        _, spans, _, probs = forward_batch(params, [tok], 3)
         assert spans.alpha.sum(axis=1) == pytest.approx(np.ones(len(spans.alpha)), abs=1e-6)
         assert probs.sum(axis=1) == pytest.approx(np.ones(len(probs)), abs=1e-6)
         assert np.all(probs > 0)
@@ -387,10 +387,10 @@ class TestForwardReference:
         config, params, rng = self.make(sum(order), "float64")
         tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
         toks = [tokenizer.tokenize(random_words(rng, n)) for n in order]
-        spans, log_probs, probs = forward_batch(params, toks, self.L_MAX)
+        batch, spans, log_probs, probs = forward_batch(params, toks, self.L_MAX)
         refs = [reference_forward(params, tok, self.L_MAX) for tok in toks]
-        assert spans.span_counts == [span_count(n, self.L_MAX) for n in order]
-        assert spans.width == self.L_MAX
+        assert batch.span_counts == [span_count(n, self.L_MAX) for n in order]
+        assert batch.width == self.L_MAX
         packed = {"reps": spans.reps, "log_probs": log_probs, "probs": probs}
         for name, got in packed.items():
             want = np.concatenate([getattr(ref, name) for ref in refs])
@@ -402,9 +402,9 @@ class TestForwardReference:
         for ref in refs:
             rows = slice(span_lo, span_lo + len(ref.alpha))
             width = ref.alpha.shape[1]
-            assert np.array_equal(spans.pos[rows, :width] - word_lo, ref.pos)
-            assert np.array_equal(spans.mask[rows, :width], ref.mask)
-            assert not spans.mask[rows, width:].any()
+            assert np.array_equal(batch.pos[rows, :width] - word_lo, ref.pos)
+            assert np.array_equal(batch.mask[rows, :width], ref.mask)
+            assert not batch.mask[rows, width:].any()
             assert np.abs(spans.alpha[rows, :width] - ref.alpha).max() <= 1e-12 * alpha_scale
             assert spans.alpha[rows, width:].tobytes() == bytes(spans.alpha[rows, width:].nbytes)
             span_lo += len(ref.alpha)
@@ -424,7 +424,7 @@ class TestForwardReference:
             tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
             lengths = rng.integers(1, 36, int(rng.integers(1, 9)))
             toks = [tokenizer.tokenize(random_words(rng, int(n))) for n in lengths]
-            spans, _, _ = forward_batch(params, toks, self.L_MAX)
+            _, spans, _, _ = forward_batch(params, toks, self.L_MAX)
             ref_probs = np.concatenate(
                 [reference_forward(params, tok, self.L_MAX).probs for tok in toks]
             )
@@ -432,19 +432,19 @@ class TestForwardReference:
 
     def test_cached_layout_is_read_only(self):
         for n, l_max in ((4, 3), (2, 5), (7, 7)):
-            pos, mask = _gather_layout(n, l_max)
+            pos, mask, pairs, pair_starts = _sentence_layout(n, l_max)
             assert pos.shape == mask.shape == (span_count(n, l_max), l_max)
-            with pytest.raises(ValueError):
-                pos[0, 0] = 1
-            with pytest.raises(ValueError):
-                mask[0, 0] = False
+            assert pairs.shape == (3, mask.sum()) and pair_starts.shape == (n,)
+            for arr in (pos, mask, pairs, pair_starts):
+                with pytest.raises(ValueError):
+                    arr.reshape(-1)[0] = 1
         config = EncoderConfig(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
         params = EncoderParams.initialize(config, 7)
         tok = Tokenizer(64, 3).tokenize(["the", "screen", "cracked", "twice"])
-        spans, _, _ = forward_batch(params, [tok], 3)
-        again, _, _ = forward_batch(params, [tok], 3)
+        batch, _, _, _ = forward_batch(params, [tok], 3)
+        again, _, _, _ = forward_batch(params, [tok], 3)
         ref = reference_forward(params, tok, 3)
-        assert np.array_equal(spans.pos, ref.pos) and np.array_equal(again.pos, ref.pos)
+        assert np.array_equal(batch.pos, ref.pos) and np.array_equal(again.pos, ref.pos)
         assert np.array_equal(again.mask, ref.mask)
 
 
@@ -485,8 +485,7 @@ class TestPackedEncoder:
         self, seed, lengths, chunk_size, embed_dim, hidden_dim, precision
     ):
         config, params, toks = packed_case(seed, lengths, chunk_size, embed_dim, hidden_dim, precision)
-        chunks = ChunkLayout.build(toks, config.dtype)
-        x, word_vecs = encode_words(params, chunks)
+        x, word_vecs = encode_words(params, SpanBatch.build(toks, config.l_max, config.dtype))
         refs = [reference_forward(params, tok, config.l_max) for tok in toks]
         for name, got in (("x", x), ("word_vecs", word_vecs)):
             want = np.concatenate([getattr(ref, name) for ref in refs])
@@ -496,23 +495,23 @@ class TestPackedEncoder:
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_chunk_layout_of_a_batch(self, precision):
         _, _, toks = packed_case(5, [3, 0, 12, 1], 3, 4, 4, "float64")
-        chunks = ChunkLayout.build(toks, np.dtype(precision))
+        batch = SpanBatch.build(toks, 10, np.dtype(precision))
         sizes = [len(tok.subword_ids) for tok in toks]
         assert sizes[1] == 1
-        assert chunks.ids.tolist() == [i for tok in toks for i in tok.subword_ids.tolist()]
-        assert chunks.bounds.tolist() == [0, *np.cumsum(sizes)]
-        assert chunks.word_starts.tolist() == [
+        assert batch.ids.tolist() == [i for tok in toks for i in tok.subword_ids.tolist()]
+        assert batch.bounds.tolist() == [0, *np.cumsum(sizes)]
+        assert batch.word_starts.tolist() == [
             start + offset
-            for tok, start in zip(toks, chunks.bounds.tolist())
+            for tok, start in zip(toks, batch.bounds.tolist())
             for offset in tok.word_offsets[:-1].tolist()
         ]
-        assert chunks.word_sizes.tolist() == [s for tok in toks for s in tok.word_sizes.tolist()]
-        assert chunks.word_size_col.dtype == np.dtype(precision)
-        assert np.array_equal(chunks.word_size_col[:, 0], chunks.word_sizes)
+        assert batch.word_sizes.tolist() == [s for tok in toks for s in tok.word_sizes.tolist()]
+        assert batch.word_size_col.dtype == np.dtype(precision)
+        assert np.array_equal(batch.word_size_col[:, 0], batch.word_sizes)
 
     def test_forward_sentence_writes_the_product_into_out(self):
         _, params, [tok] = packed_case(9, [6], 2, 5, 7, "float32")
-        x, _ = encode_words(params, ChunkLayout.build([tok], np.float32))
+        x, _ = encode_words(params, SpanBatch.build([tok], 10, np.float32))
         out = np.full((len(x), 7), np.nan, np.float32)
         assert forward_sentence(params, x, out) is out
         assert out.tobytes() == (x @ params.w_ctx.T).tobytes()
@@ -526,7 +525,7 @@ class TestPackedEncoder:
             "forward_sentence",
             lambda params, x, out: calls.append((x.copy(), len(out))) or product(params, x, out),
         )
-        x, _ = encode_words(params, ChunkLayout.build(toks, config.dtype))
+        x, _ = encode_words(params, SpanBatch.build(toks, config.l_max, config.dtype))
         bounds = np.cumsum([0] + [len(tok.subword_ids) for tok in toks])
         assert [rows for _, rows in calls] == np.diff(bounds).tolist()
         for (got, _), lo, hi in zip(calls, bounds[:-1], bounds[1:]):
@@ -535,16 +534,20 @@ class TestPackedEncoder:
 
 def pooled_both_ways(seed, lengths, l_max, **dims):
     """``score_spans`` of one group of random sentences of these lengths,
-    pooled per span and pooled by window."""
+    pooled per span and, with no spans-per-word threshold, by window."""
     config = EncoderConfig(vocab_size=97, chunk_size=3, **dims)
     params = EncoderParams.initialize(config, seed)
     rng = np.random.default_rng(seed)
     params.w_attn[:] = rng.normal(0.0, 1.0, params.w_attn.shape)  # attention far from uniform
     tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
     toks = [tokenizer.tokenize(random_words(rng, n)) for n in lengths]
-    _, word_vecs = packed_words(params, toks)
-    per_span = score_spans(params, word_vecs, _gather_batch(lengths, l_max))
-    windows = score_spans(params, word_vecs, _gather_batch(lengths, l_max, windows=True))
+    per_span_batch = SpanBatch.build(toks, l_max, config.dtype)
+    with mock.patch.object(encoder_module, "WINDOW_SPANS_PER_WORD", 0):
+        window_batch = SpanBatch.build(toks, l_max, config.dtype, windows=True)
+    assert per_span_batch.windows is None and window_batch.windows is not None
+    _, word_vecs = encode_words(params, per_span_batch)
+    per_span = score_spans(params, word_vecs, per_span_batch)
+    windows = score_spans(params, word_vecs, window_batch)
     assert np.array_equal(per_span.alpha, windows.alpha)
     return per_span, windows
 
@@ -595,21 +598,21 @@ class TestWindowPooling:
         tagger.fit(shipped[:8], epochs=1)
 
         chosen = []
-        gather = model_module._gather_batch
+        score = model_module.score_spans
         monkeypatch.setattr(
             model_module,
-            "_gather_batch",
-            lambda counts, l_max, windows: chosen.append(windows) or gather(counts, l_max, windows),
+            "score_spans",
+            lambda params, word_vecs, batch: chosen.append(batch.windows is not None)
+            or score(params, word_vecs, batch),
         )
         tagger.predict_tags(shipped)
         assert len(chosen) == -(-len(shipped) // 8) and not any(chosen)
         chosen.clear()
         by_window = tagger.predict_tags(long)
         assert chosen == [True, True, True]
-        monkeypatch.setattr(
-            model_module, "_gather_batch", lambda counts, l_max, windows: gather(counts, l_max)
-        )
+        monkeypatch.setattr(encoder_module, "WINDOW_SPANS_PER_WORD", math.inf)
         per_span = tagger.predict_tags(long)
+        assert chosen == [True, True, True, False, False, False]
         for a, b in zip(by_window, per_span):
             assert np.array_equal(a.classes, b.classes)
 
@@ -629,25 +632,63 @@ class TestWindowPooling:
         scored = []
         score = model_module.score_spans
 
-        def recording(params, word_vecs, layout):
-            spans = score(params, word_vecs, layout)
-            scored.append((word_vecs, spans))
+        def recording(params, word_vecs, batch):
+            spans = score(params, word_vecs, batch)
+            scored.append((word_vecs, batch, spans))
             return spans
 
         monkeypatch.setattr(model_module, "score_spans", recording)
         tags = tagger.predict_tags(long)
         assert len(scored) == 2
         lo = 0
-        for word_vecs, got in scored:
-            group = long[lo : lo + len(got.span_counts)]
-            counts = [len(s.tokens) for s in group]
-            assert sum(got.span_counts) >= 7 * sum(counts)  # the window threshold
-            want = score(tagger.params_, word_vecs, _gather_batch(counts, 10))
+        for word_vecs, batch, got in scored:
+            group = long[lo : lo + len(batch.span_counts)]
+            assert batch.windows is None
+            assert len(batch.pos) >= 7 * len(batch.word_sizes)  # the window threshold
+            toks = [tagger._tokenizer.tokenize(s.tokens) for s in group]
+            want = score(tagger.params_, word_vecs, SpanBatch.build(toks, 10, np.float32))
             assert got.reps.tobytes() == want.reps.tobytes()
             assert got.logits.tobytes() == want.logits.tobytes()
             classes = np.concatenate([t.classes for t in tags[lo : lo + len(group)]])
             assert np.array_equal(classes, want.logits.argmax(axis=1))
             lo += len(group)
+
+
+    def test_threshold_at_seven_spans_per_word(self, monkeypatch):
+        """At l_max 10 a lone 15-word sentence has 105 spans, 7 per word, and
+        pools by window; a 14-word one has 95, 6.8 per word, and pools per
+        span. Training plans and rep_dim-1 models never pool by window."""
+        rng = np.random.default_rng(2)
+        long, short = (Sentence(tuple(random_words(rng, n))) for n in (15, 14))
+        assert (span_count(15, 10), span_count(14, 10)) == (105, 95)
+        tokenizer = Tokenizer(256, 4)
+        tok_long, tok_short = (tokenizer.tokenize(s.tokens) for s in (long, short))
+        assert SpanBatch.build([tok_long], 10, np.float32, windows=True).windows is not None
+        assert SpanBatch.build([tok_short], 10, np.float32, windows=True).windows is None
+        assert SpanBatch.build([tok_long], 10, np.float32).windows is None
+        config = EncoderConfig(vocab_size=256)
+        plan = BatchPlan.build([tok_long], np.zeros(105, np.int16), np.arange(3), config, None, None)
+        assert plan.batch.windows is None
+
+        pooled = {"train": [], "score": []}
+
+        def recording(key, score):
+            def recorded(params, word_vecs, batch):
+                pooled[key].append(batch.windows is not None)
+                return score(params, word_vecs, batch)
+
+            return recorded
+
+        monkeypatch.setattr(encoder_module, "score_spans", recording("train", encoder_module.score_spans))
+        monkeypatch.setattr(model_module, "score_spans", recording("score", model_module.score_spans))
+        for rep_dim, want in ((16, [True, False]), (1, [False, False])):
+            tagger = SpanTagger(vocab_size=256, embed_dim=8, hidden_dim=8, rep_dim=rep_dim)
+            tagger.fit([long, long, short], epochs=2)
+            pooled["score"].clear()
+            tagger.predict_tags([long])
+            tagger.predict_tags([short])
+            assert pooled["score"] == want, rep_dim
+        assert len(pooled["train"]) == 4 and not any(pooled["train"])
 
 
 class TestOptimizers:

@@ -26,7 +26,7 @@ from fedspan.federation import (
     run_federated,
 )
 from fedspan.model import SpanTagger
-from fedspan.prototypes import PrototypeSet, encode_payload, make_payload
+from fedspan.prototypes import PayloadError, PrototypeSet, encode_payload, make_payload
 from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import NUM_CLASSES
 
@@ -130,6 +130,11 @@ class TestAggregateGlobal:
         b = payload(1, 0.5, {1: [1.0, 0.0]}, round_index=2)
         with pytest.raises(ValueError):
             aggregate_global([a, b], "uniform")
+
+    def test_repeated_client_rejected(self):
+        pays = [payload(cid, 0.5, {1: [1.0, 0.0]}) for cid in (3, 1, 3)]
+        with pytest.raises(PayloadError, match="client 3 sent more than one payload"):
+            aggregate_global(pays, "f1_weighted")
 
     def test_equal_f1_matches_uniform_bitwise(self):
         rng = np.random.default_rng(1)
@@ -468,6 +473,16 @@ class TestRunFederated:
         with pytest.raises(ValueError):
             run_federated(broken, tiny_config())
 
+    @pytest.mark.parametrize("mode", ["federated", "merged"])
+    def test_repeated_corpus_names_rejected_before_training(self, small_corpora, tmp_path, mode):
+        """The test F1 matrix is keyed by corpus name, so two corpora of one
+        name would share an entry; such runs fail before anything is written."""
+        a, b, *rest = small_corpora
+        twins = [a, Corpus(a.name, b.train, b.val, b.test), *rest]
+        with pytest.raises(ValueError, match=f"repeated: \\['{a.name}'\\]"):
+            run_federated(twins, tiny_config(mode=mode, track_test_matrix=True), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
     def test_single_mode_counts(self, small_corpora):
         config = tiny_config(rounds=2, mode="single")
@@ -530,6 +545,22 @@ class TestServer:
         totals = server.last_class_weights.sum(axis=0)
         assert totals[aggregated.present] == pytest.approx(1.0, abs=1e-9)
         assert np.all(totals[~aggregated.present] == 0.0)
+
+    def test_stale_or_repeated_payloads_rejected(self):
+        """Payloads of another round than the server's, or two from one
+        client, are refused, naming the client, and leave the server as it was."""
+        server = Server("f1_weighted")
+        fresh = [encode_payload(payload(cid, 0.5, {1: [1.0, 0.0]}, round_index=7)) for cid in (0, 1)]
+        stale = [encode_payload(payload(cid, 0.5, {1: [1.0, 0.0]}, round_index=3)) for cid in (0, 0, 1)]
+        with pytest.raises(PayloadError, match="client 0 payload is for round 3, expected 7"):
+            server.receive_and_aggregate(stale, 7)
+        with pytest.raises(PayloadError, match="client 1 payload is for round 7, expected 6"):
+            server.receive_and_aggregate(fresh[1:], 6)
+        with pytest.raises(PayloadError, match="client 0 sent more than one payload"):
+            server.receive_and_aggregate([fresh[0], *fresh], 7)
+        assert server.global_prototypes is None and server.payload_log == []
+        server.receive_and_aggregate(fresh, 7)
+        assert [entry["client"] for entry in server.payload_log] == [0, 1]
 
     def test_broadcast_before_aggregate_fails(self):
         with pytest.raises(RuntimeError):

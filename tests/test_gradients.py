@@ -10,10 +10,10 @@ import fedspan.encoder as encoder_module
 import fedspan.model as model_module
 from fedspan.encoder import (
     BatchPlan,
-    ChunkLayout,
     EncoderConfig,
     EncoderParams,
     LossWeights,
+    SpanBatch,
     Tokenizer,
     TrainingDivergedError,
     _element_index,
@@ -414,8 +414,7 @@ class TestShippedBundle:
         config = tagger.config
         assert len(bundles) == math.ceil(len(corpus.train) / config.batch_size)
         for plan, grads in bundles:
-            ids = np.concatenate([tok.subword_ids for tok in plan.toks])
-            assert np.array_equal(plan.embed_rows, np.unique(ids))
+            assert np.array_equal(plan.embed_rows, np.unique(plan.batch.ids))
             assert grads.embed_rows is plan.embed_rows
             assert grads.embed.shape == (len(plan.embed_rows), config.embed_dim)
             assert len(plan.embed_rows) < config.vocab_size // 10
@@ -462,15 +461,17 @@ class TestFromSentences:
         packed = BatchPlan.build(
             toks, np.concatenate(golds), sel, config, *unit_prototypes(protos, config.dtype)
         )
-        assert listed.toks == packed.toks
-        (counts, pos, mask), (want_counts, want_pos, want_mask) = listed.layout, packed.layout
-        assert counts == want_counts
-        assert np.array_equal(pos, want_pos) and np.array_equal(mask, want_mask)
-        for name in (f.name for f in dataclasses.fields(ChunkLayout)):
-            got, want = getattr(listed.chunks, name), getattr(packed.chunks, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert listed.batch.span_counts == packed.batch.span_counts
+        for name in (f.name for f in dataclasses.fields(SpanBatch)):
+            got, want = getattr(listed.batch, name), getattr(packed.batch, name)
+            if name == "span_counts":
+                continue
+            if want is None:  # training pools per span
+                assert got is None, name
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
         for name in (f.name for f in dataclasses.fields(BatchPlan)):
-            if name in ("toks", "layout", "chunks"):
+            if name == "batch":
                 continue
             got, want = getattr(listed, name), getattr(packed, name)
             if want is None:
@@ -488,7 +489,7 @@ class TestFromSentences:
         plan = plan_of(params.astype(precision), toks, golds, selections, config.l_max, protos)
         for name in ("span_weight_col", "unit_protos", "gold_protos"):
             assert getattr(plan, name).dtype == np.dtype(precision), name
-        assert plan.chunks.word_size_col.dtype == np.dtype(precision)
+        assert plan.batch.word_size_col.dtype == np.dtype(precision)
         assert plan.span_weight.dtype == np.float64
 
     @pytest.mark.parametrize("case_seed", range(10))

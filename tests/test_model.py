@@ -355,11 +355,11 @@ class TestTraining:
         tagger = small_tagger().fit(sentences, epochs=1)
         other = small_tagger(seed=1).fit(sentences[2:], epochs=1)
         scored = []
-        build = model_module.ChunkLayout.build
+        build = model_module.SpanBatch.build
         monkeypatch.setattr(
             model_module,
-            "ChunkLayout",
-            types.SimpleNamespace(build=lambda toks, dtype: scored.extend(toks) or build(toks, dtype)),
+            "SpanBatch",
+            types.SimpleNamespace(build=lambda toks, *args: scored.extend(toks) or build(toks, *args)),
         )
         tagger.predict_tags(sentences)
         other.predict_tags(sentences)
@@ -522,8 +522,8 @@ class TestInference:
         monkeypatch.setattr(
             model_module,
             "score_spans",
-            lambda params, word_vecs, layout: groups.append((len(word_vecs), layout[0]))
-            or score(params, word_vecs, layout),
+            lambda params, word_vecs, batch: groups.append((len(word_vecs), batch.span_counts))
+            or score(params, word_vecs, batch),
         )
         sentences = tiny_corpus.train[:41]
         tags = tagger.predict_tags(sentences)
