@@ -18,8 +18,15 @@ import typing
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
-from .corpus import Corpus, dedup_report_json, deduplicate, read_corpus_dir, write_corpus_dir
-from .federation import comm_ledger, prototype_similarity, run_federated
+from .corpus import (
+    Corpus,
+    dedup_report_json,
+    deduplicate,
+    read_corpus_dir,
+    repeated_names,
+    write_corpus_dir,
+)
+from .federation import check_corpora, comm_ledger, prototype_similarity, run_federated
 from .model import SpanTagger
 from .prototypes import decode_payload
 from .synth import SynthConfig, default_synth_config, generate_synthetic
@@ -83,6 +90,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _resolve_output(config)
     corpora, report = _load_corpora(config)
+    check_corpora(corpora)  # before anything is written, so a refused run leaves no directory
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json(), encoding="utf-8")
     (out / "dedup_report.json").write_text(dedup_report_json(report), encoding="utf-8")
@@ -92,7 +100,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # The metrics are keyed by checkpoint file name and corpus name.
+    if repeated := repeated_names([Path(p).name for p in args.checkpoint]):
+        raise ValueError(f"checkpoint file names must be distinct, repeated: {repeated}")
     corpora = [read_corpus_dir(d) for d in args.corpus]
+    if repeated := repeated_names([corpus.name for corpus in corpora]):
+        raise ValueError(f"corpus names must be distinct, repeated: {repeated}")
     for corpus in corpora:
         if not corpus.split(args.split):
             raise ValueError(f"corpus {corpus.name!r} has an empty {args.split} split")

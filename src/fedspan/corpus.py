@@ -186,6 +186,11 @@ def _find_split_file(directory: Path, candidates: Sequence[str]) -> Path | None:
     return None
 
 
+def repeated_names(names: Sequence[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def read_corpus_dir(directory: str | Path, name: str | None = None) -> Corpus:
     """Load a corpus from a directory holding train/val(or dev)/test files."""
     directory = Path(directory)

@@ -15,7 +15,8 @@ which runs one sentence at a time (``forward_sentence``); its spans are
 scored in one packed pass (``score_spans``). ``batch_gradients`` reads what
 does not depend on the weights (the batch, targets, the embedding scatter
 index, the prototype term's constants) from a ``BatchPlan``, and the
-optimizer steps update the parameters in place.
+optimizer steps update the parameters in place. An epoch's plans are packed
+a few batches at a time (``BatchPlan.build_epoch``).
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -46,7 +47,7 @@ from typing import Annotated, Callable, Literal, Sequence
 import numpy as np
 
 from .prototypes import PrototypeSet
-from .tagging import NUM_CLASSES, span_layout
+from .tagging import NUM_CLASSES, span_count, span_layout
 
 logger = logging.getLogger(__name__)
 
@@ -329,20 +330,22 @@ class GradientBundle(EncoderParams):
 
 
 @lru_cache(maxsize=1024)
-def _sentence_layout(n: int, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One sentence's (S, l_max) word index of each span slot, clipped to
-    the sentence, and mask of the slots inside the span; then attention
-    pooling's (span, word) pairs by word, a (3, P) array of each pair's slot,
-    span and word, and each word's first pair (every word is in a span, so
-    no run is empty). Cached and read-only."""
+def _sentence_layout(n: int, l_max: int, width: int) -> tuple[np.ndarray, ...]:
+    """One sentence's layout in a batch whose spans have ``width`` slots, at
+    least its longest span's: the (S, width) word index of each span slot,
+    clipped to the sentence, and mask of the slots inside the span; then
+    attention pooling's (span, word) pairs by word, a (3, P) array of each
+    pair's flat index in the sentence's (S, width) attention rows, its span
+    and its word, and each word's first pair (every word is in a span, so no
+    run is empty). Cached and read-only."""
     starts, ends, _ = span_layout(n, l_max)
-    pos = starts[:, None] + np.arange(l_max)
+    pos = starts[:, None] + np.arange(width)
     mask = pos <= ends[:, None]
     np.minimum(pos, n - 1, out=pos)
     spans, slots = np.nonzero(mask)
     words = pos[spans, slots]
     order = np.argsort(words, kind="stable")
-    pairs = np.stack([slots[order], spans[order], words[order]])
+    pairs = np.stack([(spans * width + slots)[order], spans[order], words[order]])
     pair_starts = np.searchsorted(pairs[2], np.arange(n))
     for arr in (pos, mask, pairs, pair_starts):
         arr.setflags(write=False)
@@ -412,31 +415,106 @@ class SpanBatch:
     def build(cls, toks: Sequence[Tokenization], l_max: int, dtype, windows: bool = False) -> "SpanBatch":
         """The layout of the sentences ``toks``. With ``windows``, a batch of
         at least ``WINDOW_SPANS_PER_WORD`` spans per word is pooled by window."""
-        ids = np.concatenate([tok.subword_ids for tok in toks])
-        bounds = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
-        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
-        word_starts = np.cumsum(word_sizes)
-        word_starts -= word_sizes
-        word_counts = [tok.n_words for tok in toks]
-        width = min(l_max, max(word_counts))
-        layouts = [_sentence_layout(n, l_max) for n in word_counts]
-        span_counts = [len(layout[0]) for layout in layouts]
-        span_word_offsets = np.repeat(_offsets(word_counts), span_counts)
-        pos = np.concatenate([layout[0][:, :width] for layout in layouts])
-        pos += span_word_offsets[:, None]
-        mask = np.concatenate([layout[1][:, :width] for layout in layouts])
-        batch = cls(
-            ids, bounds, word_starts, word_sizes, word_sizes[:, None].astype(dtype),
-            span_counts, pos, mask,
-        )
-        if windows and len(pos) >= WINDOW_SPANS_PER_WORD * len(word_sizes):
+        packing = _Packing.of(toks, [len(toks)], l_max, dtype)
+        batch = packing.batch(0)
+        pos, width, word_counts = batch.pos, batch.width, packing.word_counts
+        if windows and len(pos) >= WINDOW_SPANS_PER_WORD * len(batch.word_sizes):
             grids = [_window_layout(n, l_max, width) for n in word_counts]
             rows = np.concatenate([grid[0] for grid in grids])
-            rows += np.repeat(_offsets(span_counts), [n * width for n in word_counts])
+            rows += np.repeat(packing.local_spans, [n * width for n in word_counts])
             slots = np.concatenate([grid[1] for grid in grids])
-            slots += span_word_offsets * width
+            slots += packing.span_words * width
             batch.windows, batch.grid_rows, batch.grid_slots = pos.take(rows[::width], axis=0), rows, slots
         return batch
+
+
+def _group_offsets(counts: Sequence[int], groups: Sequence[int]) -> tuple[list[int], list[int]]:
+    """For parts of these sizes, group g being parts ``groups[g]:groups[g +
+    1]``: the start of each part in its group, and the start of each group
+    in the whole, then the total."""
+    local, edges = [], [0]
+    for lo, hi in zip(groups, groups[1:]):
+        *starts, total = accumulate(counts[lo:hi], initial=0)
+        local += starts
+        edges.append(edges[-1] + total)
+    return local, edges
+
+
+def _spread(values: Sequence, edges: Sequence[int]):
+    """``values[g]`` for each element of group g, which holds elements
+    ``edges[g]:edges[g + 1]``; with one group, ``values[0]`` alone, which
+    broadcasts alike."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).repeat([hi - lo for lo, hi in zip(edges, edges[1:])])
+
+
+@dataclass(eq=False, slots=True)
+class _Packing:
+    """Consecutive groups of sentences packed end to end, every offset local
+    to its group: one group is ``SpanBatch.build``'s batch, and an epoch's
+    consecutive batches are ``BatchPlan.build_pass``'s. Group g holds
+    sentences ``groups[g]:groups[g + 1]``. The arrays of chunks and words
+    are packed once for the whole pass, and a group's are views of them;
+    ``batch(g)`` packs the group's span slots, at its width."""
+
+    groups: list[int]
+    widths: list[int]  # each group's span width
+    layouts: list[tuple]  # ``_sentence_layout`` of each sentence, at its group's width
+    word_counts: list[int]
+    span_counts: list[int]
+    # Each sentence's first word, span and chunk in its group, and each
+    # group's first word, span and chunk in the pass, then the totals.
+    local_words: list[int]
+    local_spans: list[int]
+    local_chunks: list[int]
+    word_edges: list[int]
+    span_edges: list[int]
+    chunk_edges: list[int]
+    ids: np.ndarray  # (M,) chunk ids
+    word_starts: np.ndarray  # (N,) first chunk of each word in its group
+    word_sizes: np.ndarray  # (N,)
+    word_size_col: np.ndarray  # (N, 1)
+    span_words: np.ndarray  # (S,) ``local_words`` of each span's sentence
+
+    @classmethod
+    def of(cls, toks: Sequence[Tokenization], sizes: Sequence[int], l_max: int, dtype) -> "_Packing":
+        """The packing of ``toks`` in consecutive groups of ``sizes``
+        sentences."""
+        groups = list(accumulate(sizes, initial=0))
+        word_counts = [tok.n_words for tok in toks]
+        widths = [min(l_max, max(word_counts[lo:hi])) for lo, hi in zip(groups, groups[1:])]
+        layouts = [_sentence_layout(n, l_max, w) for lo, hi, w in zip(groups, groups[1:], widths)
+                   for n in word_counts[lo:hi]]
+        span_counts = [len(layout[0]) for layout in layouts]
+        local_words, word_edges = _group_offsets(word_counts, groups)
+        local_spans, span_edges = _group_offsets(span_counts, groups)
+        local_chunks, chunk_edges = _group_offsets([len(tok.subword_ids) for tok in toks], groups)
+        word_sizes = np.concatenate([tok.word_sizes for tok in toks])
+        word_starts = word_sizes.cumsum()
+        word_starts -= word_sizes
+        if len(sizes) > 1:  # from each group's first chunk; one group's is 0
+            word_starts -= _spread(chunk_edges[:-1], word_edges)
+        return cls(
+            groups, widths, layouts, word_counts, span_counts, local_words, local_spans, local_chunks,
+            word_edges, span_edges, chunk_edges, np.concatenate([tok.subword_ids for tok in toks]),
+            word_starts, word_sizes, word_sizes[:, None].astype(dtype),
+            np.array(local_words).repeat(span_counts),
+        )
+
+    def batch(self, g: int) -> SpanBatch:
+        """Group g's ``SpanBatch``, pooled per span."""
+        lo, hi = self.groups[g], self.groups[g + 1]
+        layouts, span_counts = self.layouts[lo:hi], self.span_counts[lo:hi]
+        c0, c1 = self.chunk_edges[g], self.chunk_edges[g + 1]
+        words = slice(self.word_edges[g], self.word_edges[g + 1])
+        pos = np.concatenate([layout[0] for layout in layouts])
+        pos += self.span_words[self.span_edges[g] : self.span_edges[g + 1], None]
+        return SpanBatch(
+            self.ids[c0:c1], np.array([*self.local_chunks[lo:hi], c1 - c0]), self.word_starts[words],
+            self.word_sizes[words], self.word_size_col[words], span_counts, pos,
+            np.concatenate([layout[1] for layout in layouts]),
+        )
 
 
 def forward_sentence(params: EncoderParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -624,37 +702,66 @@ class BatchPlan:
     sel_gold_at: np.ndarray | None  # (k,) flat index of the gold class in a (k, C) array
 
     @classmethod
-    def build(cls, toks, gold, sel, config: EncoderConfig, unit_protos, proto_present):
+    def build(cls, toks, gold, sel, config: EncoderConfig, unit_protos, proto_present) -> "BatchPlan":
         """The plan of packed inputs: ``gold`` and ``sel`` over the batch's
         spans, and the global prototypes as ``unit_prototypes`` gives them.
-        ``config`` supplies ``l_max``, ``embed_dim`` and the dtype."""
-        l_max, dtype = config.l_max, config.dtype
-        batch = SpanBatch.build(toks, l_max, dtype)
-        span_counts, word_counts = batch.span_counts, [tok.n_words for tok in toks]
-        layouts = [_sentence_layout(n, l_max) for n in word_counts]
-        pair_counts = [layout[2].shape[1] for layout in layouts]
-        pairs = np.concatenate([layout[2] for layout in layouts], axis=1)
-        pairs[1:] += np.repeat([_offsets(span_counts), _offsets(word_counts)], pair_counts, axis=1)
-        pairs[0] += pairs[1] * batch.width
-        word_starts = np.concatenate([layout[3] for layout in layouts])
-        word_starts += np.repeat(_offsets(pair_counts), word_counts)
-        embed_rows = np.sort(batch.ids)  # np.unique took 3x as long in training
-        embed_rows = embed_rows[np.concatenate(([True], embed_rows[1:] != embed_rows[:-1]))]
-        gold = gold.astype(np.int64)
-        sel_gold = gold[sel]
-        span_weight = np.repeat(1.0 / (np.array(span_counts) * len(toks)), span_counts)
-        rivals = gold_protos = sel_gold_at = None
+        ``config`` supplies ``l_max``, ``embed_dim`` and the dtype. It is the
+        one-batch pass of ``build_pass``."""
+        return next(cls.build_pass(toks, [len(toks)], gold, sel, config, unit_protos, proto_present))
+
+    @classmethod
+    def build_pass(cls, toks, sizes, gold, sel, config: EncoderConfig, unit_protos, proto_present):
+        """The plans of consecutive batches from one packed pass, batch g the
+        next ``sizes[g]`` sentences of ``toks``: ``gold`` gives the classes
+        of the pass's spans and ``sel`` its selected spans, ascending. What
+        is per span, per word or per chunk is packed for the whole pass up
+        front, and a plan's are views of it; a batch's span slots, attention
+        pairs and touched rows are packed as its plan is drawn."""
+        packing = _Packing.of(toks, sizes, config.l_max, config.dtype)
+        span_edges, span_counts = packing.span_edges, packing.span_counts
+        sel = np.asarray(sel, dtype=np.int64)
+        sel_edges = sel.searchsorted(span_edges).tolist()
+        span_index = np.arange(len(gold)) - _spread(span_edges[:-1], span_edges)
+        gold_at = span_index * NUM_CLASSES
+        gold_at += gold
+        local_sel, sel_gold = span_index[sel], gold[sel].astype(np.int64)
+        span_weight = 1.0 / np.multiply(span_counts, _spread(sizes, packing.groups))
+        span_weight = span_weight.repeat(span_counts)
+        span_weight_col = span_weight[:, None].astype(config.dtype)
+        proto_terms = []  # rivals, gold_protos and sel_gold_at, when the term is on
         if unit_protos is not None:
             n_classes = len(unit_protos)
+            sel_gold_at = (np.arange(len(sel)) - _spread(sel_edges[:-1], sel_edges)) * n_classes
+            sel_gold_at += sel_gold
             rivals = proto_present & (np.arange(n_classes) != sel_gold[:, None])
-            gold_protos = unit_protos.take(sel_gold, axis=0)
-            sel_gold_at = np.arange(len(sel)) * n_classes + sel_gold
-        return cls(
-            batch, np.arange(len(gold)) * NUM_CLASSES + gold, sel, sel_gold,
-            span_weight, span_weight[:, None].astype(dtype), pairs, word_starts,
-            _element_index(np.searchsorted(embed_rows, batch.ids), config.embed_dim), embed_rows,
-            unit_protos, rivals, gold_protos, sel_gold_at,
-        )
+            proto_terms = [rivals, unit_protos.take(sel_gold, axis=0), sel_gold_at]
+
+        # Each pair's shift from its sentence's layout to its batch's: the
+        # sentence's first span, times the batch's width for the flat index,
+        # and its first word. Each word's first pair is shifted the same way.
+        groups, layouts = packing.groups, packing.layouts
+        pair_counts = [layout[2].shape[1] for layout in layouts]
+        local_pairs, _ = _group_offsets(pair_counts, groups)
+        shifts = np.array([packing.local_spans, packing.local_spans, packing.local_words])
+        shifts[0] *= _spread(packing.widths, groups)
+        pair_starts = np.concatenate([layout[3] for layout in layouts])
+        pair_starts += np.array(local_pairs).repeat(packing.word_counts)
+        word_edges = packing.word_edges
+
+        for g, (lo, hi) in enumerate(zip(groups, groups[1:])):
+            batch = packing.batch(g)
+            spans, picked = slice(span_edges[g], span_edges[g + 1]), slice(sel_edges[g], sel_edges[g + 1])
+            pairs = np.concatenate([layout[2] for layout in layouts[lo:hi]], axis=1)
+            pairs += shifts[:, lo:hi].repeat(pair_counts[lo:hi], axis=1)
+            # The touched rows, sorted and unique; np.unique took 3x as long.
+            rows = np.sort(batch.ids)
+            rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
+            yield cls(
+                batch, gold_at[spans], local_sel[picked], sel_gold[picked], span_weight[spans],
+                span_weight_col[spans], pairs, pair_starts[word_edges[g] : word_edges[g + 1]],
+                _element_index(rows.searchsorted(batch.ids), config.embed_dim), rows, unit_protos,
+                *([a[picked] for a in proto_terms] or (None, None, None)),
+            )
 
     @classmethod
     def from_sentences(cls, toks, golds, selections, config: EncoderConfig, prototypes):
@@ -666,14 +773,55 @@ class BatchPlan:
             raise ValueError("toks, golds and selections must be aligned")
         if len(toks) == 0:
             raise ValueError("empty batch")
+        counts = [(len(g), span_count(tok.n_words, config.l_max)) for g, tok in zip(golds, toks)]
+        if misaligned := [(a, b) for a, b in counts if a != b]:
+            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
         sel = np.concatenate(selections).astype(np.int64, copy=False)
         sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
-        plan = cls.build(
-            toks, np.concatenate(golds), sel, config, *unit_prototypes(prototypes, config.dtype)
-        )
-        if misaligned := [(len(g), n) for g, n in zip(golds, plan.batch.span_counts) if len(g) != n]:
-            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
-        return plan
+        protos = unit_prototypes(prototypes, config.dtype)
+        return cls.build(toks, np.concatenate(golds), sel, config, *protos)
+
+    @classmethod
+    def build_epoch(
+        cls, toks, starts, gold, selected, batch_size: int, config: EncoderConfig, unit_protos, proto_present
+    ):
+        """The plans of an epoch's batches, in order. ``toks`` are the
+        epoch's sentences in order, sentence i owning spans ``starts[i]:
+        starts[i + 1]`` of the epoch's ``gold`` classes and ``selected``
+        mask; batch j holds sentences ``j * batch_size`` onward. The batches
+        are planned in passes of at most ``PASS_SPANS`` spans
+        (``epoch_passes``)."""
+        firsts = [*range(0, len(toks), batch_size), len(toks)]
+        passes = epoch_passes(np.diff(starts[firsts]).tolist(), PASS_SPANS)
+        for lo, hi in zip(passes, passes[1:]):
+            spans = slice(starts[firsts[lo]], starts[firsts[hi]])
+            yield from cls.build_pass(
+                toks[firsts[lo] : firsts[hi]], np.diff(firsts[lo : hi + 1]).tolist(), gold[spans],
+                np.flatnonzero(selected[spans]), config, unit_protos, proto_present,
+            )
+
+
+# An epoch's batch plans are built in passes of at most this many spans
+# (``BatchPlan.build_epoch``); a batch with more is a pass of its own. What a
+# pass packs up front, about 50 bytes per span, lives until its last plan is
+# drawn, so this bounds it. A shipped client's epoch (about 7,000 spans) is
+# one pass; a batch of 8 long sentences (25-35 words, about 2,100 spans)
+# shares one with two others.
+PASS_SPANS = 8192
+
+
+def epoch_passes(batch_spans: Sequence[int], bound: int) -> list[int]:
+    """The first batch of each pass over batches of ``batch_spans`` spans,
+    then the batch count: consecutive batches go in one pass while it holds
+    at most ``bound`` spans, and a batch over it is a pass of its own."""
+    edges, total = [0], 0
+    for i, spans in enumerate(batch_spans):
+        if total and total + spans > bound:
+            edges.append(i)
+            total = 0
+        total += spans
+    edges.append(len(batch_spans))
+    return edges
 
 
 def batch_gradients(

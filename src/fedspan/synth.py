@@ -100,6 +100,8 @@ class SynthConfig:
         for i, domain in enumerate(data["domains"]):
             if not isinstance(domain, dict) or not {"name", "aspects"} <= set(domain):
                 raise SynthConfigError(f"domains[{i}] needs a name and aspects, got {domain!r}")
+            if unknown := set(domain) - {"name", "aspects"}:
+                raise SynthConfigError(f"unknown keys in domains[{i}]: {sorted(unknown)}")
             values["domains"].append(DomainSpec(domain["name"], domain["aspects"]))
         for i, opinion in enumerate(data["opinions"]):
             if not isinstance(opinion, list) or len(opinion) != 2:

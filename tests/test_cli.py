@@ -185,6 +185,27 @@ class TestTrain:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "run" / "records.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "val, message",
+        [
+            (True, "corpus names must be distinct, repeated: ['14lap']"),
+            (False, "corpus '14lap' has an empty val split"),
+        ],
+        ids=["repeated_name", "empty_split"],
+    )
+    def test_refused_corpora_leave_no_run_directory(self, tmp_path, capsys, val, message):
+        """Corpora that ``run_federated`` would refuse are refused before
+        the run directory, its config or its dedup report is written."""
+        sentences = parse_corpus(OVERFIT_FIXTURE)
+        train, test = sentences[:3], sentences[3:]
+        dirs = [tmp_path / "v1" / "14lap", tmp_path / "v2" / "14lap"]
+        for directory in dirs:
+            write_corpus_dir(Corpus("14lap", train, train if val else [], test), directory)
+        config = small_config(tmp_path, corpus_dirs=[str(d) for d in dirs[: 2 if val else 1]])
+        assert main(["train", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_flag_overrides_config(self, tmp_path):
         config = small_config(tmp_path)
         assert main(["train", "--config", str(config), "--rounds", "1"]) == 0
@@ -219,15 +240,41 @@ class TestEval:
 
     def test_matrix_shape_multiple_corpora(self, tmp_path, capsys):
         ckpt = self.prepare_checkpoint(tmp_path)
-        corpus_dir = str(tmp_path / "corpus")
+        other = tmp_path / "other.ckpt"
+        other.write_bytes(ckpt.read_bytes())
+        write_corpus_dir(read_corpus_dir(tmp_path / "corpus"), tmp_path / "corpus2")
         code = main(
-            ["eval", "--checkpoint", str(ckpt), "--checkpoint", str(ckpt),
-             "--corpus", corpus_dir, "--corpus", corpus_dir]
+            ["eval", "--checkpoint", str(ckpt), "--checkpoint", str(other),
+             "--corpus", str(tmp_path / "corpus"), "--corpus", str(tmp_path / "corpus2")]
         )
         assert code == 0
         result = json.loads(capsys.readouterr().out)
         assert len(result["f1_matrix"]) == 2
         assert len(result["f1_matrix"][0]) == 2
+        assert len(result["metrics"]) == 4
+
+    @pytest.mark.parametrize("repeat", ["corpus", "checkpoint"])
+    def test_repeated_names_fail(self, tmp_path, capsys, repeat):
+        """The metrics are keyed by checkpoint file name and corpus name, so
+        two inputs of one name would share an entry: they are refused."""
+        ckpt = self.prepare_checkpoint(tmp_path)
+        checkpoints, corpora = [ckpt], [tmp_path / "corpus"]
+        if repeat == "corpus":
+            corpora = [tmp_path / "v1" / "14lap", tmp_path / "v2" / "14lap"]
+            for directory in corpora:
+                write_corpus_dir(read_corpus_dir(tmp_path / "corpus", name="14lap"), directory)
+            message = "corpus names must be distinct, repeated: ['14lap']"
+        else:
+            checkpoints = [tmp_path / "a" / "model.ckpt", tmp_path / "b" / "model.ckpt"]
+            for path in checkpoints:
+                path.parent.mkdir()
+                path.write_bytes(ckpt.read_bytes())
+            message = "checkpoint file names must be distinct, repeated: ['model.ckpt']"
+        args = ["eval"] + [a for p in checkpoints for a in ("--checkpoint", str(p))]
+        args += [a for d in corpora for a in ("--corpus", str(d))]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_empty_split_errors(self, tmp_path, capsys):
         ckpt = self.prepare_checkpoint(tmp_path)

@@ -152,11 +152,15 @@ class TestSynthConfig:
                 lambda d: d["domains"][0].update(aspects="screen"),
                 r"domains\[0\]\.aspects must be of type list\[str\], got 'screen'",
             ),
+            (
+                lambda d: d["domains"][2].update(aspect_weights=[1, 2], Name="x"),
+                r"unknown keys in domains\[2\]: \['Name', 'aspect_weights'\]",
+            ),
         ],
         ids=[
             "no_domains", "domain_without_aspects", "domains_not_a_list", "opinion_not_a_pair",
             "opinion_term_not_a_string", "size_not_an_int", "negative_size", "rate_not_a_float",
-            "rate_above_one", "no_attempts", "aspects_a_string",
+            "rate_above_one", "no_attempts", "aspects_a_string", "unknown_domain_keys",
         ],
     )
     def test_malformed_dict_names_the_bad_entry(self, edit, message):

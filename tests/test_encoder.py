@@ -432,7 +432,7 @@ class TestForwardReference:
 
     def test_cached_layout_is_read_only(self):
         for n, l_max in ((4, 3), (2, 5), (7, 7)):
-            pos, mask, pairs, pair_starts = _sentence_layout(n, l_max)
+            pos, mask, pairs, pair_starts = _sentence_layout(n, l_max, l_max)
             assert pos.shape == mask.shape == (span_count(n, l_max), l_max)
             assert pairs.shape == (3, mask.sum()) and pair_starts.shape == (n,)
             for arr in (pos, mask, pairs, pair_starts):

@@ -27,6 +27,7 @@ from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import span_count
 
 from reference_gradients import batch_loss, dense_gradients, reference_batch_gradients, with_flat
+from reference_plans import reference_plan
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -450,7 +451,7 @@ def assert_same_gradients(got, want):
 
 class TestFromSentences:
     """``BatchPlan.from_sentences`` packs per-sentence lists into the plan
-    ``BatchPlan.build`` makes of the packed batch."""
+    the per-batch oracle (``reference_plan``) makes of the packed batch."""
 
     @pytest.mark.parametrize("case_seed", range(50))
     def test_matches_build_on_packed_batch(self, case_seed):
@@ -458,7 +459,7 @@ class TestFromSentences:
         listed = plan_of(params, toks, golds, selections, config.l_max, protos)
         starts = np.cumsum([0] + [span_count(tok.n_words, config.l_max) for tok in toks])
         sel = np.concatenate([s + start for s, start in zip(selections, starts)])
-        packed = BatchPlan.build(
+        packed = reference_plan(
             toks, np.concatenate(golds), sel, config, *unit_prototypes(protos, config.dtype)
         )
         assert listed.batch.span_counts == packed.batch.span_counts
