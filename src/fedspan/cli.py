@@ -104,11 +104,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if repeated := repeated_names([Path(p).name for p in args.checkpoint]):
         raise ValueError(f"checkpoint file names must be distinct, repeated: {repeated}")
     corpora = [read_corpus_dir(d) for d in args.corpus]
-    if repeated := repeated_names([corpus.name for corpus in corpora]):
-        raise ValueError(f"corpus names must be distinct, repeated: {repeated}")
-    for corpus in corpora:
-        if not corpus.split(args.split):
-            raise ValueError(f"corpus {corpus.name!r} has an empty {args.split} split")
+    check_corpora(corpora, [args.split])
     models = [(Path(p).name, SpanTagger.load(p)) for p in args.checkpoint]
     matrix = []
     detailed = {}

@@ -15,8 +15,8 @@ which runs one sentence at a time (``forward_sentence``); its spans are
 scored in one packed pass (``score_spans``). ``batch_gradients`` reads what
 does not depend on the weights (the batch, targets, the embedding scatter
 index, the prototype term's constants) from a ``BatchPlan``, and the
-optimizer steps update the parameters in place. An epoch's plans are packed
-a few batches at a time (``BatchPlan.build_epoch``).
+optimizer steps update the parameters in place. Training batches and
+scoring groups alike are packed a few at a time (``packed_passes``).
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Annotated, Callable, Literal, Sequence
+from typing import Annotated, Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -411,22 +411,6 @@ class SpanBatch:
     def width(self) -> int:
         return self.pos.shape[1]
 
-    @classmethod
-    def build(cls, toks: Sequence[Tokenization], l_max: int, dtype, windows: bool = False) -> "SpanBatch":
-        """The layout of the sentences ``toks``. With ``windows``, a batch of
-        at least ``WINDOW_SPANS_PER_WORD`` spans per word is pooled by window."""
-        packing = _Packing.of(toks, [len(toks)], l_max, dtype)
-        batch = packing.batch(0)
-        pos, width, word_counts = batch.pos, batch.width, packing.word_counts
-        if windows and len(pos) >= WINDOW_SPANS_PER_WORD * len(batch.word_sizes):
-            grids = [_window_layout(n, l_max, width) for n in word_counts]
-            rows = np.concatenate([grid[0] for grid in grids])
-            rows += np.repeat(packing.local_spans, [n * width for n in word_counts])
-            slots = np.concatenate([grid[1] for grid in grids])
-            slots += packing.span_words * width
-            batch.windows, batch.grid_rows, batch.grid_slots = pos.take(rows[::width], axis=0), rows, slots
-        return batch
-
 
 def _group_offsets(counts: Sequence[int], groups: Sequence[int]) -> tuple[list[int], list[int]]:
     """For parts of these sizes, group g being parts ``groups[g]:groups[g +
@@ -452,12 +436,12 @@ def _spread(values: Sequence, edges: Sequence[int]):
 @dataclass(eq=False, slots=True)
 class _Packing:
     """Consecutive groups of sentences packed end to end, every offset local
-    to its group: one group is ``SpanBatch.build``'s batch, and an epoch's
-    consecutive batches are ``BatchPlan.build_pass``'s. Group g holds
-    sentences ``groups[g]:groups[g + 1]``. The arrays of chunks and words
-    are packed once for the whole pass, and a group's are views of them;
-    ``batch(g)`` packs the group's span slots, at its width."""
+    to its group: a pass of ``packed_passes``. Group g holds sentences
+    ``groups[g]:groups[g + 1]``. The arrays of chunks and words are packed
+    once for the whole pass, and a group's are views of them; ``batch(g)``
+    packs the group's span slots, at its width."""
 
+    l_max: int
     groups: list[int]
     widths: list[int]  # each group's span width
     layouts: list[tuple]  # ``_sentence_layout`` of each sentence, at its group's width
@@ -478,10 +462,10 @@ class _Packing:
     span_words: np.ndarray  # (S,) ``local_words`` of each span's sentence
 
     @classmethod
-    def of(cls, toks: Sequence[Tokenization], sizes: Sequence[int], l_max: int, dtype) -> "_Packing":
-        """The packing of ``toks`` in consecutive groups of ``sizes``
-        sentences."""
-        groups = list(accumulate(sizes, initial=0))
+    def of(cls, toks: Sequence[Tokenization], group_size: int, l_max: int, dtype) -> "_Packing":
+        """The packing of ``toks`` in consecutive groups of ``group_size``
+        sentences, the last maybe shorter."""
+        groups = [*range(0, len(toks), group_size), len(toks)]
         word_counts = [tok.n_words for tok in toks]
         widths = [min(l_max, max(word_counts[lo:hi])) for lo, hi in zip(groups, groups[1:])]
         layouts = [_sentence_layout(n, l_max, w) for lo, hi, w in zip(groups, groups[1:], widths)
@@ -493,28 +477,63 @@ class _Packing:
         word_sizes = np.concatenate([tok.word_sizes for tok in toks])
         word_starts = word_sizes.cumsum()
         word_starts -= word_sizes
-        if len(sizes) > 1:  # from each group's first chunk; one group's is 0
+        if len(groups) > 2:  # from each group's first chunk; one group's is 0
             word_starts -= _spread(chunk_edges[:-1], word_edges)
         return cls(
-            groups, widths, layouts, word_counts, span_counts, local_words, local_spans, local_chunks,
+            l_max, groups, widths, layouts, word_counts, span_counts, local_words, local_spans, local_chunks,
             word_edges, span_edges, chunk_edges, np.concatenate([tok.subword_ids for tok in toks]),
             word_starts, word_sizes, word_sizes[:, None].astype(dtype),
             np.array(local_words).repeat(span_counts),
         )
 
-    def batch(self, g: int) -> SpanBatch:
-        """Group g's ``SpanBatch``, pooled per span."""
+    def batch(self, g: int, windows: bool = False) -> SpanBatch:
+        """Group g's ``SpanBatch``. With ``windows``, a group of at least
+        ``WINDOW_SPANS_PER_WORD`` spans per word is pooled by window."""
         lo, hi = self.groups[g], self.groups[g + 1]
         layouts, span_counts = self.layouts[lo:hi], self.span_counts[lo:hi]
         c0, c1 = self.chunk_edges[g], self.chunk_edges[g + 1]
         words = slice(self.word_edges[g], self.word_edges[g + 1])
+        span_words = self.span_words[self.span_edges[g] : self.span_edges[g + 1]]
         pos = np.concatenate([layout[0] for layout in layouts])
-        pos += self.span_words[self.span_edges[g] : self.span_edges[g + 1], None]
-        return SpanBatch(
+        pos += span_words[:, None]
+        batch = SpanBatch(
             self.ids[c0:c1], np.array([*self.local_chunks[lo:hi], c1 - c0]), self.word_starts[words],
             self.word_sizes[words], self.word_size_col[words], span_counts, pos,
             np.concatenate([layout[1] for layout in layouts]),
         )
+        if windows and len(pos) >= WINDOW_SPANS_PER_WORD * len(batch.word_sizes):
+            width, word_counts = batch.width, self.word_counts[lo:hi]
+            grids = [_window_layout(n, self.l_max, width) for n in word_counts]
+            rows = np.concatenate([grid[0] for grid in grids])
+            rows += np.repeat(self.local_spans[lo:hi], [n * width for n in word_counts])
+            slots = np.concatenate([grid[1] for grid in grids])
+            slots += span_words * width
+            batch.windows, batch.grid_rows, batch.grid_slots = pos.take(rows[::width], axis=0), rows, slots
+        return batch
+
+
+# Training batches and scoring groups are packed in passes of at most this
+# many spans (``packed_passes``); a group with more is a pass of its own.
+# What a pass packs up front, about 50 bytes per span, lives until its last
+# group is drawn, so this bounds it. A shipped client's epoch (about 7,000
+# spans) is one pass; a group of 8 long sentences (25-35 words, about 2,100
+# spans) shares one with two others.
+PASS_SPANS = 8192
+
+
+def packed_passes(toks: Sequence[Tokenization], group_size: int, l_max: int, dtype) -> Iterator[_Packing]:
+    """``toks`` in consecutive groups of ``group_size`` sentences, the last
+    maybe shorter, packed a pass at a time (``_Packing.of``): consecutive
+    groups go in one pass while it holds at most ``PASS_SPANS`` spans, and a
+    group over it is a pass of its own."""
+    lo = total = 0
+    for first in range(0, len(toks), group_size):
+        spans = sum(span_count(tok.n_words, l_max) for tok in toks[first : first + group_size])
+        if total and total + spans > PASS_SPANS:
+            yield _Packing.of(toks[lo:first], group_size, l_max, dtype)
+            lo, total = first, 0
+        total += spans
+    yield _Packing.of(toks[lo:], group_size, l_max, dtype)
 
 
 def forward_sentence(params: EncoderParams, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -673,11 +692,6 @@ def _scatter_rows(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> Non
     np.add.at(table.reshape(-1), index, rows.ravel())
 
 
-def _offsets(sizes: Sequence[int]) -> list[int]:
-    """Start of each part in a concatenation of parts with these sizes."""
-    return list(accumulate(sizes[:-1], initial=0))
-
-
 @dataclass(eq=False)
 class BatchPlan:
     """The part of a batch's gradient pass that does not depend on the
@@ -702,22 +716,13 @@ class BatchPlan:
     sel_gold_at: np.ndarray | None  # (k,) flat index of the gold class in a (k, C) array
 
     @classmethod
-    def build(cls, toks, gold, sel, config: EncoderConfig, unit_protos, proto_present) -> "BatchPlan":
-        """The plan of packed inputs: ``gold`` and ``sel`` over the batch's
-        spans, and the global prototypes as ``unit_prototypes`` gives them.
-        ``config`` supplies ``l_max``, ``embed_dim`` and the dtype. It is the
-        one-batch pass of ``build_pass``."""
-        return next(cls.build_pass(toks, [len(toks)], gold, sel, config, unit_protos, proto_present))
-
-    @classmethod
-    def build_pass(cls, toks, sizes, gold, sel, config: EncoderConfig, unit_protos, proto_present):
-        """The plans of consecutive batches from one packed pass, batch g the
-        next ``sizes[g]`` sentences of ``toks``: ``gold`` gives the classes
-        of the pass's spans and ``sel`` its selected spans, ascending. What
-        is per span, per word or per chunk is packed for the whole pass up
-        front, and a plan's are views of it; a batch's span slots, attention
-        pairs and touched rows are packed as its plan is drawn."""
-        packing = _Packing.of(toks, sizes, config.l_max, config.dtype)
+    def of_packing(cls, packing: _Packing, gold, sel, config: EncoderConfig, unit_protos, proto_present):
+        """The plans of a pass's batches, its groups: ``gold`` gives the
+        classes of the pass's spans and ``sel`` its selected spans,
+        ascending. What is per span, per word or per chunk is packed for the
+        whole pass up front, and a plan's are views of it; a batch's span
+        slots, attention pairs and touched rows are packed as its plan is
+        drawn."""
         span_edges, span_counts = packing.span_edges, packing.span_counts
         sel = np.asarray(sel, dtype=np.int64)
         sel_edges = sel.searchsorted(span_edges).tolist()
@@ -725,7 +730,7 @@ class BatchPlan:
         gold_at = span_index * NUM_CLASSES
         gold_at += gold
         local_sel, sel_gold = span_index[sel], gold[sel].astype(np.int64)
-        span_weight = 1.0 / np.multiply(span_counts, _spread(sizes, packing.groups))
+        span_weight = 1.0 / np.multiply(span_counts, _spread(np.diff(packing.groups), packing.groups))
         span_weight = span_weight.repeat(span_counts)
         span_weight_col = span_weight[:, None].astype(config.dtype)
         proto_terms = []  # rivals, gold_protos and sel_gold_at, when the term is on
@@ -764,64 +769,20 @@ class BatchPlan:
             )
 
     @classmethod
-    def from_sentences(cls, toks, golds, selections, config: EncoderConfig, prototypes):
-        """The plan of a batch given per sentence: one gold class array per
-        sentence (``enumerate_spans`` order) and the indices of its spans in
-        the prototype term. ``prototypes`` is the global ``PrototypeSet`` or
-        None, read as ``unit_prototypes`` in the model's dtype."""
-        if not (len(toks) == len(golds) == len(selections)):
-            raise ValueError("toks, golds and selections must be aligned")
-        if len(toks) == 0:
-            raise ValueError("empty batch")
-        counts = [(len(g), span_count(tok.n_words, config.l_max)) for g, tok in zip(golds, toks)]
-        if misaligned := [(a, b) for a, b in counts if a != b]:
-            raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
-        sel = np.concatenate(selections).astype(np.int64, copy=False)
-        sel += np.repeat(_offsets([len(gold) for gold in golds]), [len(s) for s in selections])
-        protos = unit_prototypes(prototypes, config.dtype)
-        return cls.build(toks, np.concatenate(golds), sel, config, *protos)
-
-    @classmethod
-    def build_epoch(
-        cls, toks, starts, gold, selected, batch_size: int, config: EncoderConfig, unit_protos, proto_present
-    ):
+    def build_epoch(cls, toks, gold, selected, batch_size: int, config: EncoderConfig, unit_protos, proto_present):
         """The plans of an epoch's batches, in order. ``toks`` are the
-        epoch's sentences in order, sentence i owning spans ``starts[i]:
-        starts[i + 1]`` of the epoch's ``gold`` classes and ``selected``
-        mask; batch j holds sentences ``j * batch_size`` onward. The batches
-        are planned in passes of at most ``PASS_SPANS`` spans
-        (``epoch_passes``)."""
-        firsts = [*range(0, len(toks), batch_size), len(toks)]
-        passes = epoch_passes(np.diff(starts[firsts]).tolist(), PASS_SPANS)
-        for lo, hi in zip(passes, passes[1:]):
-            spans = slice(starts[firsts[lo]], starts[firsts[hi]])
-            yield from cls.build_pass(
-                toks[firsts[lo] : firsts[hi]], np.diff(firsts[lo : hi + 1]).tolist(), gold[spans],
-                np.flatnonzero(selected[spans]), config, unit_protos, proto_present,
+        epoch's sentences in order, and ``gold`` and ``selected`` the gold
+        classes and selection mask of their spans, sentence after sentence;
+        batch j holds sentences ``j * batch_size`` onward. ``config``
+        supplies ``l_max``, ``embed_dim`` and the dtype, and the global
+        prototypes are as ``unit_prototypes`` gives them."""
+        lo = 0
+        for packing in packed_passes(toks, batch_size, config.l_max, config.dtype):
+            spans = slice(lo, lo + packing.span_edges[-1])
+            yield from cls.of_packing(
+                packing, gold[spans], np.flatnonzero(selected[spans]), config, unit_protos, proto_present
             )
-
-
-# An epoch's batch plans are built in passes of at most this many spans
-# (``BatchPlan.build_epoch``); a batch with more is a pass of its own. What a
-# pass packs up front, about 50 bytes per span, lives until its last plan is
-# drawn, so this bounds it. A shipped client's epoch (about 7,000 spans) is
-# one pass; a batch of 8 long sentences (25-35 words, about 2,100 spans)
-# shares one with two others.
-PASS_SPANS = 8192
-
-
-def epoch_passes(batch_spans: Sequence[int], bound: int) -> list[int]:
-    """The first batch of each pass over batches of ``batch_spans`` spans,
-    then the batch count: consecutive batches go in one pass while it holds
-    at most ``bound`` spans, and a batch over it is a pass of its own."""
-    edges, total = [0], 0
-    for i, spans in enumerate(batch_spans):
-        if total and total + spans > bound:
-            edges.append(i)
-            total = 0
-        total += spans
-    edges.append(len(batch_spans))
-    return edges
+            lo = spans.stop
 
 
 def batch_gradients(

@@ -207,16 +207,16 @@ def client_round(
     return payload, metrics
 
 
-def check_corpora(corpora: Sequence[Corpus]) -> None:
-    """Every corpus has a distinct name, which keys the test F1 matrix, and
-    no empty split."""
+def check_corpora(corpora: Sequence[Corpus], splits: Sequence[str] = ("train", "val", "test")) -> None:
+    """Every corpus has a distinct name, which keys the test F1 matrix and
+    the metrics of ``fedspan eval``, and none of ``splits`` empty."""
     if not corpora:
         raise ValueError("need at least one corpus")
     if repeated := repeated_names([corpus.name for corpus in corpora]):
         raise ValueError(f"corpus names must be distinct, repeated: {repeated}")
     for corpus in corpora:
-        for split, sentences in corpus.splits():
-            if not sentences:
+        for split in splits:
+            if not corpus.split(split):
                 raise ValueError(f"corpus {corpus.name!r} has an empty {split} split")
 
 

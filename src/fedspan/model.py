@@ -24,7 +24,6 @@ from .encoder import (
     EncoderParams,
     LossWeights,
     Range,
-    SpanBatch,
     Tokenization,
     Tokenizer,
     adam_step,
@@ -33,6 +32,7 @@ from .encoder import (
     # Called by encode_words; perfbench's tracer patches this binding too.
     forward_sentence,  # noqa: F401
     load_params,
+    packed_passes,
     save_params,
     score_spans,
     sgd_step,
@@ -261,7 +261,7 @@ class SpanTagger:
             starts = np.cumsum([0] + [len(golds[i]) for i in order])
             selected = select_spans(self._rng, gold, starts, config.null_span_ratio)
             epoch = [toks[i] for i in order]
-            plans = BatchPlan.build_epoch(epoch, starts, gold, selected, config.batch_size, config, *protos)
+            plans = BatchPlan.build_epoch(epoch, gold, selected, config.batch_size, config, *protos)
             # ``plan`` keeps the last plan alive while the next is built.
             # Freed first, a pass of long sentences lets glibc trim the heap
             # and fault it back in: about 13,000 page faults per 160-sentence
@@ -314,22 +314,20 @@ class SpanTagger:
     def predict_tags(self, sentences: Sequence[Sentence]) -> list[TagMatrix]:
         self._require_fitted()
         validate_sentences(sentences)
-        # Spans are scored SCORE_GROUP sentences at a time, in call order.
         l_max = self.config.l_max
         # At rep_dim 1 the window product sums in another order than the
         # per-span one, and a group's reps would depend on its length.
         windows = self.config.rep_dim > 1
-        dtype = self.params_.embed.dtype
+        toks = [self._tokenizer.tokenize(s.tokens) for s in sentences]
         out = []
-        for lo in range(0, len(sentences), SCORE_GROUP):
-            toks = [self._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
-            batch = SpanBatch.build(toks, l_max, dtype, windows)
-            _, word_vecs = encode_words(self.params_, batch)
-            classes = score_spans(self.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
-            lo_span = 0
-            for tok, n_spans in zip(toks, batch.span_counts):
-                out.append(TagMatrix(tok.n_words, l_max, classes[lo_span : lo_span + n_spans]))
-                lo_span += n_spans
+        # Spans are scored SCORE_GROUP sentences at a time, in call order.
+        for packing in packed_passes(toks, SCORE_GROUP, l_max, self.params_.embed.dtype):
+            for g, (lo, hi) in enumerate(zip(packing.groups, packing.groups[1:])):
+                batch = packing.batch(g, windows)
+                _, word_vecs = encode_words(self.params_, batch)
+                classes = score_spans(self.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
+                spans = zip(packing.word_counts[lo:hi], packing.local_spans[lo:hi], batch.span_counts)
+                out += [TagMatrix(n, l_max, classes[first : first + count]) for n, first, count in spans]
         return out
 
     def predict(self, sentences: Sequence[Sentence]) -> list[list[Triplet]]:

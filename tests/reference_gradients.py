@@ -185,7 +185,7 @@ def reference_forward(params, tok, l_max):
 
 def reference_batch_gradients(params, toks, golds, selections, l_max, prototypes, weights):
     """Same contract as ``batch_gradients`` on the plan
-    ``BatchPlan.from_sentences`` makes of these arguments; each sentence is
+    ``plan_from_sentences`` makes of these arguments; each sentence is
     its own pass."""
     if not (len(toks) == len(golds) == len(selections)):
         raise ValueError("toks, golds and selections must be aligned")

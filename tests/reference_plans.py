@@ -1,20 +1,26 @@
-"""Per-batch reference form of batch planning.
+"""Per-batch reference forms of batch packing, and the per-sentence
+batch planner.
 
-``BatchPlan.build_epoch`` plans an epoch's batches in a few packed passes
-(``BatchPlan.build_pass``), each batch's arrays views of its pass's. This
-module keeps the planner it replaced, which packs one batch at a time from
-the cached per-sentence layouts, so tests can check the two field by field:
+Training and scoring pack their batches a few at a time
+(``fedspan.encoder.packed_passes``), each batch's arrays views of its
+pass's. This module keeps the planner that packed one batch at a time
+from the per-sentence layouts, so tests can check the two field by field:
 
-- ``reference_span_batch`` is a training batch's ``SpanBatch``, pooled per
-  span;
-- ``reference_plan`` is its ``BatchPlan``, with the same arguments as
-  ``BatchPlan.build``.
+- ``reference_span_batch`` is a batch's ``SpanBatch``, pooled per span or,
+  with ``windows``, by window when it has enough spans per word;
+- ``reference_plan`` is a training batch's ``BatchPlan``, from its packed
+  gold classes and selected spans.
+
+``one_group`` and ``plan_from_sentences`` are the production forms of one
+batch on its own: its ``SpanBatch`` as every group is packed, and the plan
+``BatchPlan.build_epoch`` makes of a batch given sentence by sentence.
 """
 
 import numpy as np
 
-from fedspan.encoder import BatchPlan, SpanBatch, _element_index
-from fedspan.tagging import NUM_CLASSES, enumerate_spans
+import fedspan.encoder as encoder_module
+from fedspan.encoder import BatchPlan, SpanBatch, _element_index, _Packing, unit_prototypes
+from fedspan.tagging import NUM_CLASSES, enumerate_spans, span_count
 
 
 def offsets(sizes):
@@ -38,8 +44,10 @@ def sentence_layout(n, l_max):
     return pos, mask, pairs, pair_starts
 
 
-def reference_span_batch(toks, l_max, dtype):
-    """The layout of the sentences ``toks``, packed one batch at a time."""
+def reference_span_batch(toks, l_max, dtype, windows=False):
+    """The layout of the sentences ``toks``, packed one batch at a time.
+    With ``windows``, a batch of at least ``WINDOW_SPANS_PER_WORD`` spans per
+    word also gets its window arrays, built span by span."""
     ids = np.concatenate([tok.subword_ids for tok in toks])
     bounds = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
     word_sizes = np.concatenate([tok.word_sizes for tok in toks])
@@ -52,13 +60,35 @@ def reference_span_batch(toks, l_max, dtype):
     pos = np.concatenate([layout[0][:, :width] for layout in layouts])
     pos += np.repeat(offsets(word_counts), span_counts)[:, None]
     mask = np.concatenate([layout[1][:, :width] for layout in layouts])
-    return SpanBatch(
+    batch = SpanBatch(
         ids, bounds, word_starts, word_sizes, word_sizes[:, None].astype(dtype), span_counts, pos, mask
     )
+    if windows and len(pos) >= encoder_module.WINDOW_SPANS_PER_WORD * len(word_sizes):
+        # Word i's window is its one-word span's slots; grid row k of word i
+        # holds its span of k + 1 words, or its widest; each span's grid slot
+        # is row (its start word, its width - 1) of that grid.
+        rows, slots = [], []
+        for n, first_word, first_span in zip(word_counts, offsets(word_counts), offsets(span_counts)):
+            spans = enumerate_spans(n, l_max)
+            index = {(span.start, span.end): first_span + s for s, span in enumerate(spans)}
+            for i in range(n):
+                rows += [index[i, min(i + k, i + l_max - 1, n - 1)] for k in range(width)]
+            slots += [(first_word + span.start) * width + span.end - span.start for span in spans]
+        batch.grid_rows, batch.grid_slots = np.array(rows), np.array(slots)
+        batch.windows = pos[batch.grid_rows[::width]]
+    return batch
+
+
+def one_group(toks, l_max, dtype, windows=False):
+    """The ``SpanBatch`` of ``toks`` packed as one group, as training and
+    scoring pack every group."""
+    return _Packing.of(toks, len(toks), l_max, dtype).batch(0, windows)
 
 
 def reference_plan(toks, gold, sel, config, unit_protos, proto_present):
-    """``BatchPlan.build`` of one batch, packed on its own."""
+    """The ``BatchPlan`` of one batch, packed on its own: ``gold`` and
+    ``sel`` over the batch's spans, and the global prototypes as
+    ``unit_prototypes`` gives them."""
     batch = reference_span_batch(toks, config.l_max, config.dtype)
     span_counts, word_counts = batch.span_counts, [tok.n_words for tok in toks]
     layouts = [sentence_layout(n, config.l_max) for n in word_counts]
@@ -85,3 +115,25 @@ def reference_plan(toks, gold, sel, config, unit_protos, proto_present):
         _element_index(np.searchsorted(embed_rows, batch.ids), config.embed_dim), embed_rows,
         unit_protos, rivals, gold_protos, sel_gold_at,
     )
+
+
+def plan_from_sentences(toks, golds, selections, config, prototypes):
+    """The plan ``BatchPlan.build_epoch`` makes of one batch given per
+    sentence: one gold class array per sentence (``enumerate_spans`` order)
+    and the ascending indices of its spans in the prototype term.
+    ``prototypes`` is the global ``PrototypeSet`` or None, read as
+    ``unit_prototypes`` in the model's dtype."""
+    if not (len(toks) == len(golds) == len(selections)):
+        raise ValueError("toks, golds and selections must be aligned")
+    if len(toks) == 0:
+        raise ValueError("empty batch")
+    counts = [(len(g), span_count(tok.n_words, config.l_max)) for g, tok in zip(golds, toks)]
+    if misaligned := [(a, b) for a, b in counts if a != b]:
+        raise ValueError("gold classes misaligned: %d vs %d spans" % misaligned[0])
+    gold = np.concatenate(golds)
+    selected = np.zeros(len(gold), bool)
+    starts = offsets([len(g) for g in golds])
+    selected[np.concatenate([np.asarray(s, np.int64) + start for s, start in zip(selections, starts)])] = True
+    protos = unit_prototypes(prototypes, config.dtype)
+    [plan] = BatchPlan.build_epoch(toks, gold, selected, len(toks), config, *protos)
+    return plan

@@ -9,14 +9,16 @@ the two bit for bit:
   spans with one ``rng.choice`` call, the sampling oracle;
 - ``reference_partial_fit`` is the training loop that calls them batch by
   batch and plans each batch from per-sentence gold classes and selections
-  with ``BatchPlan.from_sentences``.
+  with ``plan_from_sentences``.
 """
 
 import numpy as np
 
-from fedspan.encoder import BatchPlan, LossWeights, adam_step, batch_gradients, sgd_step
+from fedspan.encoder import LossWeights, adam_step, batch_gradients, sgd_step
 from fedspan.prototypes import build_local_prototypes, momentum_update
 from fedspan.tagging import derive_gold_tags
+
+from reference_plans import plan_from_sentences
 
 
 def split_spans(gold_classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +67,7 @@ def reference_partial_fit(tagger, sentences, epochs=1, global_prototypes=None):
                 select_proto_spans(splits[i], tagger._rng, config.null_span_ratio)
                 for i in batch_ids
             ]
-            plan = BatchPlan.from_sentences(
+            plan = plan_from_sentences(
                 [toks[i] for i in batch_ids],
                 [golds[i] for i in batch_ids],
                 selections,

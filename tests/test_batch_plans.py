@@ -1,11 +1,14 @@
-"""An epoch's batch plans, built in packed passes, against the per-batch
-oracle (``reference_plans``): every field, values and dtype."""
+"""Training batches and scoring groups, packed in passes, against the
+per-batch oracle (``reference_plans``): every field, values and dtype, and
+the classes scoring gives."""
 
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedspan.encoder as encoder_module
@@ -15,14 +18,16 @@ from fedspan.encoder import (
     EncoderConfig,
     SpanBatch,
     Tokenizer,
-    epoch_passes,
+    _Packing,
+    encode_words,
+    score_spans,
     unit_prototypes,
 )
-from fedspan.model import SpanTagger, select_spans
+from fedspan.model import SCORE_GROUP, SpanTagger, select_spans
 from fedspan.prototypes import PrototypeSet
 from fedspan.tagging import span_count
 
-from reference_plans import reference_plan, reference_span_batch
+from reference_plans import one_group, reference_plan, reference_span_batch
 
 
 def random_words(rng, n):
@@ -76,8 +81,8 @@ def oracle_epoch(toks, starts, gold, selected, batch_size, config, protos):
 
 
 def build_epoch(case, batch_size):
-    config, toks, starts, gold, selected, protos = case
-    return list(BatchPlan.build_epoch(toks, starts, gold, selected, batch_size, config, *protos))
+    config, toks, _, gold, selected, protos = case
+    return list(BatchPlan.build_epoch(toks, gold, selected, batch_size, config, *protos))
 
 
 def assert_matches_oracle(case, batch_size):
@@ -89,18 +94,25 @@ def assert_matches_oracle(case, batch_size):
         assert_same_fields(plan, oracle)
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """The span total and the batch count of each ``build_pass`` call."""
+@contextlib.contextmanager
+def recording_passes():
+    """The span total and the group count of each pass packed inside."""
     totals = []
-    build_pass = BatchPlan.build_pass.__func__
+    of = _Packing.of.__func__
 
-    def recording(cls, toks, sizes, gold, *args):
-        totals.append((len(gold), len(sizes)))
-        return build_pass(cls, toks, sizes, gold, *args)
+    def recording(cls, *args):
+        packing = of(cls, *args)
+        totals.append((packing.span_edges[-1], len(packing.groups) - 1))
+        return packing
 
-    monkeypatch.setattr(BatchPlan, "build_pass", classmethod(recording))
-    return totals
+    with mock.patch.object(_Packing, "of", classmethod(recording)):
+        yield totals
+
+
+@pytest.fixture
+def passes():
+    with recording_passes() as totals:
+        yield totals
 
 
 # Sentence lengths of 1 to 9 words at l_max 4, so some are longer than l_max.
@@ -152,18 +164,41 @@ class TestEpochPasses:
         assert passes == [(60, 1), (60, 1), (8, 2)]
 
 
-@given(st.lists(st.integers(1, 3000), min_size=1, max_size=40), st.integers(1, 10_000))
-def test_no_pass_over_the_bound_unless_one_batch(batch_spans, bound):
-    """Passes cover the batches in order; each holds at most ``bound``
-    spans or is a single batch, and takes batches while the next fits."""
-    edges = epoch_passes(batch_spans, bound)
-    assert edges[0] == 0 and edges[-1] == len(batch_spans)
-    for lo, hi in zip(edges, edges[1:]):
+def assert_passes_cover(passes, group_spans, bound):
+    """Passes, as (span total, group count), cover the groups of
+    ``group_spans`` spans in order; each holds at most ``bound`` spans or is
+    a single group, and takes groups while the next fits."""
+    edges = np.cumsum([0, *(groups for _, groups in passes)]).tolist()
+    assert edges[-1] == len(group_spans)
+    for (total, _), lo, hi in zip(passes, edges, edges[1:]):
         assert lo < hi
-        total = sum(batch_spans[lo:hi])
+        assert total == sum(group_spans[lo:hi])
         assert total <= bound or hi - lo == 1
-        if hi < len(batch_spans):
-            assert total + batch_spans[hi] > bound
+        if hi < len(group_spans):
+            assert total + group_spans[hi] > bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=40), st.integers(1, 10), st.integers(1, 3000))
+def test_no_pass_over_the_bound_unless_one_batch(lengths, batch_size, bound):
+    """Both callers of ``packed_passes`` keep the bound: training, in
+    batches of ``batch_size``, and scoring, in groups of ``SCORE_GROUP``."""
+    tagger = SpanTagger(vocab_size=64, embed_dim=4, hidden_dim=4, rep_dim=3)
+    tagger._initialize()
+    rng = np.random.default_rng(len(lengths))
+    sentences = [Sentence(tuple(random_words(rng, n))) for n in lengths]
+    toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences]
+    spans = [span_count(n, tagger.config.l_max) for n in lengths]
+    gold = np.zeros(sum(spans), np.int16)
+    with mock.patch.object(encoder_module, "PASS_SPANS", bound), recording_passes() as passes:
+        for _ in BatchPlan.build_epoch(toks, gold, gold != 0, batch_size, tagger.config, None, None):
+            pass
+        training = passes[:]
+        passes.clear()
+        tagger.predict_tags(sentences)
+    for group_size, recorded in ((batch_size, training), (SCORE_GROUP, passes)):
+        group_spans = [sum(spans[lo : lo + group_size]) for lo in range(0, len(spans), group_size)]
+        assert_passes_cover(recorded, group_spans, bound)
 
 
 def test_training_plans_passes_within_the_bound(passes, monkeypatch):
@@ -182,13 +217,51 @@ def test_training_plans_passes_within_the_bound(passes, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_scoring_groups_match_the_oracle(seed):
-    """``SpanBatch.build`` without windows, the one-group packing, against
-    the per-batch oracle."""
+def test_scoring_groups_match_the_oracle(seed, monkeypatch):
+    """A group packed on its own, pooled per span and, with no spans-per-word
+    threshold, by window, against the per-batch oracle."""
     rng = np.random.default_rng(seed)
     tokenizer = Tokenizer(97, 2)
     lengths = rng.integers(1, 14, int(rng.integers(1, 9)))
     toks = [tokenizer.tokenize(random_words(rng, int(n))) for n in lengths]
     for precision in ("float32", "float64"):
         want = reference_span_batch(toks, 5, precision)
-        assert_same_fields(SpanBatch.build(toks, 5, np.dtype(precision)), want)
+        assert_same_fields(one_group(toks, 5, np.dtype(precision)), want)
+    monkeypatch.setattr(encoder_module, "WINDOW_SPANS_PER_WORD", 0)
+    want = reference_span_batch(toks, 5, "float32", windows=True)
+    assert want.windows is not None
+    assert_same_fields(one_group(toks, 5, np.dtype("float32"), windows=True), want)
+
+
+@pytest.mark.parametrize("rep_dim", [1, 4], ids=["per_span", "by_window"])
+@pytest.mark.parametrize("n_sentences", [1, 8, 9, 40])
+def test_scoring_passes_match_the_per_group_oracle(n_sentences, rep_dim, passes, monkeypatch):
+    """``predict_tags`` scores its groups of ``SCORE_GROUP`` sentences in
+    passes, and each sentence's classes are those its group's oracle batch
+    (``reference_span_batch``) scores, byte for byte. At rep_dim 1 no group
+    pools by window; at rep_dim 4, with no spans-per-word threshold, every
+    group does. 40 sentences take several passes, some of several groups."""
+    monkeypatch.setattr(encoder_module, "PASS_SPANS", 500)
+    monkeypatch.setattr(encoder_module, "WINDOW_SPANS_PER_WORD", 0)
+    rng = np.random.default_rng(n_sentences)
+    sentences = [Sentence(tuple(random_words(rng, int(n)))) for n in rng.integers(1, 13, n_sentences)]
+    tagger = SpanTagger(vocab_size=97, embed_dim=6, hidden_dim=6, rep_dim=rep_dim)
+    tagger._initialize()
+    tagger.params_.w_attn[:] = rng.normal(0.0, 1.0, tagger.params_.w_attn.shape)
+    tags = tagger.predict_tags(sentences)
+    if n_sentences < 40:
+        assert len(passes) == 1
+    else:
+        assert len(passes) > 2 and any(groups > 1 for _, groups in passes)
+
+    want = []
+    for lo in range(0, n_sentences, SCORE_GROUP):
+        toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
+        batch = reference_span_batch(toks, tagger.config.l_max, np.float32, windows=rep_dim > 1)
+        assert (batch.windows is not None) == (rep_dim > 1)
+        _, word_vecs = encode_words(tagger.params_, batch)
+        classes = score_spans(tagger.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
+        parts = np.split(classes, np.cumsum(batch.span_counts[:-1]))
+        want += [(tok.n_words, part.dtype, part.tobytes()) for tok, part in zip(toks, parts)]
+    assert [(tag.n, tag.classes.dtype, tag.classes.tobytes()) for tag in tags] == want
+    assert len(np.unique(np.concatenate([tag.classes for tag in tags]))) > 1

@@ -15,14 +15,12 @@ import fedspan.model as model_module
 from fedspan.corpus import Sentence, Span
 from fedspan.encoder import (
     AdamState,
-    BatchPlan,
     CheckpointError,
     ConfigError,
     EncoderConfig,
     EncoderParams,
     GradientBundle,
     LossWeights,
-    SpanBatch,
     Tokenization,
     Tokenizer,
     TrainingDivergedError,
@@ -54,6 +52,7 @@ from reference_gradients import (
     with_flat,
     word_representations,
 )
+from reference_plans import one_group, plan_from_sentences
 
 
 class TestSplitSubwords:
@@ -308,13 +307,13 @@ class TestTagLoss:
 
 def packed_words(params, toks):
     """``encode_words`` of a batch: the packed window input and word vectors."""
-    return encode_words(params, SpanBatch.build(toks, 10, params.embed.dtype))
+    return encode_words(params, one_group(toks, 10, params.embed.dtype))
 
 
 def forward_batch(params, toks, l_max):
     """The packed forward of a batch: its ``SpanBatch``, encode_words, then
     score_spans once, and the log-softmax training applies on top."""
-    batch = SpanBatch.build(toks, l_max, params.embed.dtype)
+    batch = one_group(toks, l_max, params.embed.dtype)
     spans = score_spans(params, encode_words(params, batch)[1], batch)
     log_probs, probs = log_softmax(spans.logits.copy())
     return batch, spans, log_probs, probs
@@ -485,7 +484,7 @@ class TestPackedEncoder:
         self, seed, lengths, chunk_size, embed_dim, hidden_dim, precision
     ):
         config, params, toks = packed_case(seed, lengths, chunk_size, embed_dim, hidden_dim, precision)
-        x, word_vecs = encode_words(params, SpanBatch.build(toks, config.l_max, config.dtype))
+        x, word_vecs = encode_words(params, one_group(toks, config.l_max, config.dtype))
         refs = [reference_forward(params, tok, config.l_max) for tok in toks]
         for name, got in (("x", x), ("word_vecs", word_vecs)):
             want = np.concatenate([getattr(ref, name) for ref in refs])
@@ -495,7 +494,7 @@ class TestPackedEncoder:
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_chunk_layout_of_a_batch(self, precision):
         _, _, toks = packed_case(5, [3, 0, 12, 1], 3, 4, 4, "float64")
-        batch = SpanBatch.build(toks, 10, np.dtype(precision))
+        batch = one_group(toks, 10, np.dtype(precision))
         sizes = [len(tok.subword_ids) for tok in toks]
         assert sizes[1] == 1
         assert batch.ids.tolist() == [i for tok in toks for i in tok.subword_ids.tolist()]
@@ -511,7 +510,7 @@ class TestPackedEncoder:
 
     def test_forward_sentence_writes_the_product_into_out(self):
         _, params, [tok] = packed_case(9, [6], 2, 5, 7, "float32")
-        x, _ = encode_words(params, SpanBatch.build([tok], 10, np.float32))
+        x, _ = encode_words(params, one_group([tok], 10, np.float32))
         out = np.full((len(x), 7), np.nan, np.float32)
         assert forward_sentence(params, x, out) is out
         assert out.tobytes() == (x @ params.w_ctx.T).tobytes()
@@ -525,7 +524,7 @@ class TestPackedEncoder:
             "forward_sentence",
             lambda params, x, out: calls.append((x.copy(), len(out))) or product(params, x, out),
         )
-        x, _ = encode_words(params, SpanBatch.build(toks, config.l_max, config.dtype))
+        x, _ = encode_words(params, one_group(toks, config.l_max, config.dtype))
         bounds = np.cumsum([0] + [len(tok.subword_ids) for tok in toks])
         assert [rows for _, rows in calls] == np.diff(bounds).tolist()
         for (got, _), lo, hi in zip(calls, bounds[:-1], bounds[1:]):
@@ -541,9 +540,9 @@ def pooled_both_ways(seed, lengths, l_max, **dims):
     params.w_attn[:] = rng.normal(0.0, 1.0, params.w_attn.shape)  # attention far from uniform
     tokenizer = Tokenizer(config.vocab_size, config.chunk_size)
     toks = [tokenizer.tokenize(random_words(rng, n)) for n in lengths]
-    per_span_batch = SpanBatch.build(toks, l_max, config.dtype)
+    per_span_batch = one_group(toks, l_max, config.dtype)
     with mock.patch.object(encoder_module, "WINDOW_SPANS_PER_WORD", 0):
-        window_batch = SpanBatch.build(toks, l_max, config.dtype, windows=True)
+        window_batch = one_group(toks, l_max, config.dtype, windows=True)
     assert per_span_batch.windows is None and window_batch.windows is not None
     _, word_vecs = encode_words(params, per_span_batch)
     per_span = score_spans(params, word_vecs, per_span_batch)
@@ -646,7 +645,7 @@ class TestWindowPooling:
             assert batch.windows is None
             assert len(batch.pos) >= 7 * len(batch.word_sizes)  # the window threshold
             toks = [tagger._tokenizer.tokenize(s.tokens) for s in group]
-            want = score(tagger.params_, word_vecs, SpanBatch.build(toks, 10, np.float32))
+            want = score(tagger.params_, word_vecs, one_group(toks, 10, np.float32))
             assert got.reps.tobytes() == want.reps.tobytes()
             assert got.logits.tobytes() == want.logits.tobytes()
             classes = np.concatenate([t.classes for t in tags[lo : lo + len(group)]])
@@ -663,11 +662,11 @@ class TestWindowPooling:
         assert (span_count(15, 10), span_count(14, 10)) == (105, 95)
         tokenizer = Tokenizer(256, 4)
         tok_long, tok_short = (tokenizer.tokenize(s.tokens) for s in (long, short))
-        assert SpanBatch.build([tok_long], 10, np.float32, windows=True).windows is not None
-        assert SpanBatch.build([tok_short], 10, np.float32, windows=True).windows is None
-        assert SpanBatch.build([tok_long], 10, np.float32).windows is None
+        assert one_group([tok_long], 10, np.float32, windows=True).windows is not None
+        assert one_group([tok_short], 10, np.float32, windows=True).windows is None
+        assert one_group([tok_long], 10, np.float32).windows is None
         config = EncoderConfig(vocab_size=256)
-        plan = BatchPlan.build([tok_long], np.zeros(105, np.int16), np.arange(3), config, None, None)
+        plan = plan_from_sentences([tok_long], [np.zeros(105, np.int16)], [np.arange(3)], config, None)
         assert plan.batch.windows is None
 
         pooled = {"train": [], "score": []}
@@ -916,7 +915,7 @@ def layout_case(precision):
     toks = [tokenizer.tokenize(words) for words in (["the", "keyboard", "is", "great"], ["ok"])]
     golds = [np.arange(span_count(tok.n_words, config.l_max)) % NUM_CLASSES for tok in toks]
     selections = [np.arange(len(gold)) for gold in golds]
-    plan = BatchPlan.from_sentences(toks, golds, selections, config, None)
+    plan = plan_from_sentences(toks, golds, selections, config, None)
     _, grads, _ = batch_gradients(params, plan, LossWeights(1.0, 0.5, 0.5))
     return config, params, grads
 

@@ -20,6 +20,7 @@ from fedspan.federation import (
     Server,
     aggregate_global,
     aggregation_weights,
+    check_corpora,
     client_round,
     comm_ledger,
     prototype_similarity,
@@ -472,6 +473,17 @@ class TestRunFederated:
         broken = [Corpus("x", [], [], [])]
         with pytest.raises(ValueError):
             run_federated(broken, tiny_config())
+
+    def test_only_the_named_splits_must_be_filled(self, small_corpora):
+        """Training needs all three splits; evaluation (``fedspan eval``)
+        only the one it scores."""
+        test_only = Corpus("t", [], [], small_corpora[0].test)
+        check_corpora([test_only], ["test"])
+        for splits, empty in ((["train", "test"], "train"), (["val"], "val")):
+            with pytest.raises(ValueError, match=f"^corpus 't' has an empty {empty} split$"):
+                check_corpora([test_only], splits)
+        with pytest.raises(ValueError, match="^corpus 't' has an empty train split$"):
+            check_corpora([test_only])
 
     @pytest.mark.parametrize("mode", ["federated", "merged"])
     def test_repeated_corpus_names_rejected_before_training(self, small_corpora, tmp_path, mode):

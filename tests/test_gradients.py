@@ -27,7 +27,7 @@ from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import span_count
 
 from reference_gradients import batch_loss, dense_gradients, reference_batch_gradients, with_flat
-from reference_plans import reference_plan
+from reference_plans import plan_from_sentences, reference_plan
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -81,13 +81,12 @@ def random_case(case_seed):
 
 
 def plan_of(params, toks, golds, selections, l_max, protos):
-    """``BatchPlan.from_sentences`` for ``params``'s embedding table and
-    dtype."""
+    """``plan_from_sentences`` for ``params``'s embedding table and dtype."""
     config = EncoderConfig(
         vocab_size=len(params.embed), embed_dim=params.embed.shape[1], l_max=l_max,
         precision=params.w_proj.dtype.name,
     )
-    return BatchPlan.from_sentences(toks, golds, selections, config, protos)
+    return plan_from_sentences(toks, golds, selections, config, protos)
 
 
 def gradients(params, args):
@@ -450,8 +449,9 @@ def assert_same_gradients(got, want):
 
 
 class TestFromSentences:
-    """``BatchPlan.from_sentences`` packs per-sentence lists into the plan
-    the per-batch oracle (``reference_plan``) makes of the packed batch."""
+    """``BatchPlan.build_epoch`` of one batch given per sentence
+    (``plan_from_sentences``) is the plan the per-batch oracle
+    (``reference_plan``) makes of the packed batch."""
 
     @pytest.mark.parametrize("case_seed", range(50))
     def test_matches_build_on_packed_batch(self, case_seed):

@@ -1,7 +1,6 @@
 """SpanTagger estimator surface: fit/predict/score, params protocol, persistence."""
 
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -355,11 +354,9 @@ class TestTraining:
         tagger = small_tagger().fit(sentences, epochs=1)
         other = small_tagger(seed=1).fit(sentences[2:], epochs=1)
         scored = []
-        build = model_module.SpanBatch.build
+        passes = model_module.packed_passes
         monkeypatch.setattr(
-            model_module,
-            "SpanBatch",
-            types.SimpleNamespace(build=lambda toks, *args: scored.extend(toks) or build(toks, *args)),
+            model_module, "packed_passes", lambda toks, *args: scored.extend(toks) or passes(toks, *args)
         )
         tagger.predict_tags(sentences)
         other.predict_tags(sentences)
