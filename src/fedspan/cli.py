@@ -127,10 +127,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_records_file(path: Path) -> list[dict]:
+    """A run's records; each line must be a JSON object holding the fields ledger and analyze read."""
     if not path.is_file():
         raise FileNotFoundError(f"no record file at {path}")
+    fields = ("round", "client", "corpus", "val_f1", "test_f1_matrix", "uploaded_floats", "downloaded_floats")
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {line_no}: not JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path} line {line_no}: a record must be a JSON object")
+            if missing := [name for name in fields if name not in rec]:
+                raise ValueError(f"{path} line {line_no}: record lacks {', '.join(missing)}")
+            records.append(rec)
+    return records
 
 
 def _in_domain_f1(rec: dict, mode: str) -> float | str:

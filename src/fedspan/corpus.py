@@ -61,8 +61,23 @@ class Triplet:
 
 @dataclass(frozen=True)
 class Sentence:
+    """A tokenized sentence and its gold triplets, checked when built."""
+
     tokens: tuple[str, ...]
     triplets: tuple[Triplet, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.tokens:
+            raise ValueError("sentence has no tokens")
+        if not all(self.tokens):
+            raise ValueError("sentence contains an empty token")
+        n = len(self.tokens)
+        for t in self.triplets:
+            for role, span in (("aspect", t.aspect), ("opinion", t.opinion)):
+                if not (0 <= span.start <= span.end < n):
+                    raise ValueError(f"{role} span {span.start}-{span.end} out of range for length {n}")
+            if t.aspect == t.opinion:
+                raise ValueError(f"aspect and opinion intervals coincide: {t.aspect}")
 
     @property
     def text(self) -> str:
@@ -93,23 +108,6 @@ class Corpus:
             raise KeyError(f"unknown split {name!r}") from None
 
 
-def validate_sentence(sentence: Sentence) -> None:
-    """Raise ValueError if tokens are empty or a triplet index is out of range."""
-    if not sentence.tokens:
-        raise ValueError("sentence has no tokens")
-    if any(not tok for tok in sentence.tokens):
-        raise ValueError("sentence contains an empty token")
-    n = len(sentence.tokens)
-    for t in sentence.triplets:
-        for role, span in (("aspect", t.aspect), ("opinion", t.opinion)):
-            if not (0 <= span.start <= span.end < n):
-                raise ValueError(
-                    f"{role} span {span.start}-{span.end} out of range for length {n}"
-                )
-        if t.aspect == t.opinion:
-            raise ValueError(f"aspect and opinion intervals coincide: {t.aspect}")
-
-
 def _parse_interval(raw: object, line_no: int, role: str) -> Span:
     if not isinstance(raw, list) or not raw or not all(isinstance(i, int) for i in raw):
         raise CorpusFormatError(line_no, f"{role} index list must be non-empty ints: {raw!r}")
@@ -122,9 +120,6 @@ def _parse_line(line: str, line_no: int) -> Sentence:
     head, sep, tail = line.rpartition(LINE_SEPARATOR)
     if not sep:
         raise CorpusFormatError(line_no, f"missing {LINE_SEPARATOR!r} separator")
-    tokens = tuple(head.split())
-    if not tokens:
-        raise CorpusFormatError(line_no, "empty sentence")
     try:
         entries = ast.literal_eval(tail.strip())
     except (ValueError, SyntaxError) as exc:
@@ -142,12 +137,10 @@ def _parse_line(line: str, line_no: int) -> Sentence:
         except ValueError:
             raise CorpusFormatError(line_no, f"unknown polarity {entry[2]!r}") from None
         triplets.append(Triplet(aspect, opinion, polarity))
-    sentence = Sentence(tokens, tuple(triplets))
     try:
-        validate_sentence(sentence)
+        return Sentence(tuple(head.split()), tuple(triplets))
     except ValueError as exc:
         raise CorpusFormatError(line_no, str(exc)) from exc
-    return sentence
 
 
 def parse_corpus(text: str) -> list[Sentence]:

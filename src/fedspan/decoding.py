@@ -70,17 +70,9 @@ class _Covers(NamedTuple):
 
 
 def _covers(chunk: Sequence[TagMatrix], l_max: int) -> _Covers:
-    """The first candidate step: find the covers of sentences sharing
-    ``l_max``, after checking that each has one class per span."""
+    """The first candidate step: find the covers of sentences sharing ``l_max``."""
     lengths = np.array([tags.n for tags in chunk], dtype=np.int64)
-    if l_max < 1 or lengths.min() < 1:
-        raise ValueError("need n >= 1 and l_max >= 1")
-    arrays = [np.asarray(tags.classes) for tags in chunk]
-    rows = np.minimum(l_max, lengths)
-    for arr, total in zip(arrays, (lengths * rows - rows * (rows - 1) // 2).tolist()):
-        if arr.shape != (total,):
-            raise ValueError(f"need one class per span: {arr.shape} vs {total} spans")
-    classes = np.concatenate(arrays)
+    classes = np.concatenate([tags.classes for tags in chunk])
     # Spans are packed sentence after sentence, each row-major (span_layout):
     # word i's row holds min(l_max, n - i) spans.
     word_sentence = np.arange(len(chunk)).repeat(lengths)

@@ -15,7 +15,7 @@ from typing import Annotated, Literal, Sequence
 
 import numpy as np
 
-from .corpus import Sentence, Triplet, TripletMetrics, evaluate_triplets, validate_sentence
+from .corpus import Sentence, Triplet, TripletMetrics, evaluate_triplets
 from .decoding import decode_batch
 from .encoder import (
     AdamState,
@@ -84,14 +84,9 @@ class TaggerConfig(EncoderConfig):
 
 
 def validate_sentences(sentences: Sequence[Sentence]) -> None:
-    """Input check shared by fit/predict entry points."""
+    """Input check shared by fit/predict entry points; sentences check themselves."""
     if len(sentences) == 0:
         raise ValueError("need at least one sentence")
-    for i, sentence in enumerate(sentences):
-        try:
-            validate_sentence(sentence)
-        except ValueError as exc:
-            raise ValueError(f"sentence {i}: {exc}") from exc
 
 
 def _check_epochs(epochs: int) -> None:

@@ -9,7 +9,6 @@ payload instead of model weights.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -98,12 +97,16 @@ def momentum_update(previous: PrototypeSet, batch: PrototypeSet, momentum: float
 
 @dataclass(frozen=True, eq=False)
 class PrototypePayload:
-    """The only object crossing the client/server boundary."""
+    """The only object crossing the client/server boundary, checked when built."""
 
     client_id: int
     round_index: int
     val_f1: float
     prototypes: PrototypeSet
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.val_f1 <= 1.0:  # NaN fails too
+            raise PayloadError(f"validation F1 out of range: {self.val_f1}")
 
     def float_count(self) -> int:
         return self.prototypes.float_count()
@@ -113,7 +116,7 @@ def make_payload(
     client_id: int, round_index: int, val_f1: float, prototypes: PrototypeSet
 ) -> PrototypePayload:
     """Build a payload at wire precision (float32) so codec round-trips exactly."""
-    if not 0.0 <= val_f1 <= 1.0:
+    if not 0.0 <= val_f1 <= 1.0:  # as given: float32 rounding can bring it into range
         raise PayloadError(f"validation F1 out of range: {val_f1}")
     snapped = PrototypeSet.from_arrays(
         prototypes.matrix.astype(np.float32), prototypes.present.copy()
@@ -139,8 +142,6 @@ def _first_non_finite(classes: np.ndarray, rows: np.ndarray) -> None:
 
 def encode_payload(payload: PrototypePayload) -> bytes:
     protos = payload.prototypes
-    if not 0.0 <= payload.val_f1 <= 1.0:
-        raise PayloadError(f"validation F1 out of range: {payload.val_f1}")
     classes = np.flatnonzero(protos.present)
     entries = np.empty(len(classes), dtype=_entry_dtype(protos.dim))
     entries["cls"] = classes
@@ -166,8 +167,6 @@ def decode_payload(blob: bytes) -> PrototypePayload:
         raise PayloadError("bad payload magic")
     if version != PAYLOAD_VERSION:
         raise PayloadError(f"unsupported payload version {version}")
-    if not 0.0 <= val_f1 <= 1.0 or not math.isfinite(val_f1):
-        raise PayloadError(f"validation F1 out of range: {val_f1}")
     entry = _entry_dtype(dim)
     expected = _HEADER.size + n_classes * entry.itemsize
     if len(blob) != expected:

@@ -87,15 +87,20 @@ def span_position(n: int, l_max: int, span: Span) -> int:
     return int(offsets[span.start]) + (span.end - span.start)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TagMatrix:
-    """One class index per candidate span, aligned with enumerate_spans order."""
+    """One class index per candidate span, in enumerate_spans order; checked when built."""
 
     n: int
     l_max: int
     classes: np.ndarray
     warnings: tuple[str, ...] = ()
     conflicts: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        total = span_count(self.n, self.l_max)  # refuses n or l_max below 1
+        if np.shape(self.classes) != (total,):
+            raise ValueError(f"need one class per span: {np.shape(self.classes)} vs {total} spans")
 
     def tag_of(self, span: Span) -> int:
         return int(self.classes[span_position(self.n, self.l_max, span)])

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -442,6 +443,41 @@ class TestLedgerCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["prototype_floats"] == 3200
         assert report["classifier_floats"] == 3216
+
+    RECORD = {
+        "round": 1, "client": 0, "corpus": "laptops", "val_f1": 0.5,
+        "test_f1_matrix": {}, "uploaded_floats": 10, "downloaded_floats": 20,
+    }
+
+    def test_counts_the_floats_of_each_round(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n\n" + json.dumps({**self.RECORD, "client": 1}) + "\n")
+        assert main(["ledger", "--records", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["per_round"] == [{"round": 1, "uploaded_floats": 20, "downloaded_floats": 40}]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "not JSON"),
+            ("[1, 2]", "a record must be a JSON object"),
+            (json.dumps({"round": 1}), "record lacks client, corpus, val_f1, test_f1_matrix, uploaded_floats"),
+            (json.dumps({k: v for k, v in RECORD.items() if k != "uploaded_floats"}), "record lacks uploaded_floats$"),
+        ],
+        ids=["not_json", "not_an_object", "one_field", "no_uploaded_floats"],
+    )
+    @pytest.mark.parametrize("command", ["ledger", "analyze"])
+    def test_malformed_record_is_an_error_naming_file_and_line(self, tmp_path, capsys, command, line, message):
+        """The bad line is the second; the run directory holds a valid
+        config, so only the records can fail."""
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
+        (tmp_path / "config.json").write_text(ExperimentConfig().to_json())
+        args = ["ledger", "--records", str(path)] if command == "ledger" else ["analyze", "--run", str(tmp_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {path} line 2: ")
+        assert re.search(message, err)
 
     def test_closed_stdout_is_quiet(self):
         """A reader that goes away, as in ``fedspan ledger | head -1``, gets

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedspan.corpus import (
     CorpusFormatError,
@@ -20,9 +22,9 @@ from fedspan.corpus import (
     read_corpus_dir,
     serialize_corpus,
     serialize_sentence,
-    validate_sentence,
     write_corpus_dir,
 )
+from fedspan.tagging import TagMatrix, derive_gold_tags
 
 WORKED_LINE = "I especially like the backlit keyboard .####[([4, 5], [2], 'POS')]"
 
@@ -119,8 +121,8 @@ class TestRoundTrip:
     def test_token_with_whitespace_not_written(self, token, tmp_path):
         """Tokens are written space-separated, so a token with whitespace
         in it would read back as several and shift every span after it."""
+        # A sentence's own check does not look at whitespace: only the writer refuses it.
         sentence = Sentence(("the", token, "is", "great"), (Triplet(Span(1, 1), Span(3, 3), Polarity.POS),))
-        validate_sentence(sentence)  # the scoring path's check does not look at whitespace
         for write in (
             lambda: serialize_sentence(sentence),
             lambda: serialize_corpus([sentence]),
@@ -240,11 +242,76 @@ class TestEvaluate:
         assert metrics.f1 == 0.0
 
 
-def test_validate_sentence_rejects_bad_spans():
-    with pytest.raises(ValueError):
-        validate_sentence(make_sentence("a b", [Triplet(Span(0, 2), Span(1, 1), Polarity.POS)]))
-    with pytest.raises(ValueError):
-        validate_sentence(Sentence(()))
+def test_sentence_rejects_bad_spans():
+    with pytest.raises(ValueError, match="aspect span 0-2 out of range for length 2"):
+        make_sentence("a b", [Triplet(Span(0, 2), Span(1, 1), Polarity.POS)])
+    with pytest.raises(ValueError, match="sentence has no tokens"):
+        Sentence(())
+
+
+def broken_rule(tokens, triplets):
+    """The message of the first sentence rule ``tokens`` and ``triplets``
+    break, or None: tokens present and none empty, spans in range, aspect
+    and opinion apart."""
+    if not tokens:
+        return "sentence has no tokens"
+    if "" in tokens:
+        return "sentence contains an empty token"
+    n = len(tokens)
+    for t in triplets:
+        for role, span in (("aspect", t.aspect), ("opinion", t.opinion)):
+            if not 0 <= span.start <= span.end < n:
+                return f"{role} span {span.start}-{span.end} out of range for length {n}"
+        if t.aspect == t.opinion:
+            return f"aspect and opinion intervals coincide: {t.aspect}"
+    return None
+
+
+@st.composite
+def sentence_parts(draw):
+    """Tokens (some empty, or none at all) and 0-3 triplets whose span ends
+    lie in [-1, n + 1]."""
+    tokens = tuple(draw(st.lists(st.sampled_from(["a", "bb", "c.", ""]), max_size=6)))
+    end = st.integers(-1, len(tokens) + 1)
+    span = st.builds(Span, end, end)
+    triplets = draw(st.lists(st.builds(Triplet, span, span, st.sampled_from(list(Polarity))), max_size=3))
+    return tokens, tuple(triplets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_parts(), st.integers(1, 4))
+def test_sentence_checks_itself(parts, l_max):
+    """A sentence is refused when it is built exactly when it breaks a
+    rule, and a corpus line holding it is refused with its line number."""
+    tokens, triplets = parts
+    if message := broken_rule(tokens, triplets):
+        with pytest.raises(ValueError) as err:
+            Sentence(tokens, triplets)
+        assert str(err.value) == message
+    else:
+        sentence = Sentence(tokens, triplets)
+        # Its tag matrix is refused with one class too few, one too many, or a column of classes.
+        classes = derive_gold_tags(sentence, l_max).classes
+        assert len(TagMatrix(len(tokens), l_max, classes).classes) == len(classes)
+        for bad in (classes[:-1], np.append(classes, 0), classes[:, None]):
+            with pytest.raises(ValueError, match="need one class per span"):
+                TagMatrix(len(tokens), l_max, bad)
+
+    # Written out, empty tokens vanish between the spaces.
+    def indices(span):
+        return list(range(span.start, span.end + 1))
+
+    entries = [(indices(t.aspect), indices(t.opinion), t.polarity.value) for t in triplets]
+    text = f"fine .####[]\n{' '.join(tokens)}####{entries!r}\n"
+    written = tuple(tok for tok in tokens if tok)
+    if message := broken_rule(written, triplets):
+        with pytest.raises(CorpusFormatError) as err:
+            parse_corpus(text)
+        assert err.value.line_no == 2
+        if all(t.aspect.start <= t.aspect.end and t.opinion.start <= t.opinion.end for t in triplets):
+            assert str(err.value) == f"line 2: {message}"  # else the index list is empty
+    else:
+        assert parse_corpus(text)[1] == Sentence(written, triplets)
 
 
 def test_read_corpus_dir_accepts_benchmark_file_names(tmp_path):

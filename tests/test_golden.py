@@ -1,6 +1,9 @@
 """Golden bytes: the sha256 of every file a two-round ``fedspan train``
 writes that the model determines (``records.jsonl``, each checkpoint and
 each payload), in six configs, against the manifest ``tests/golden.json``.
+Each config also records the sha256 of the scoring logits of its first
+checkpoint on the laptops test split, which the records cannot show: an
+argmax, and so an F1, can hold while the logits move.
 
 The bytes are those of one environment: float sums depend on numpy and
 on the BLAS kernels it runs. The manifest records that environment, and
@@ -16,11 +19,16 @@ import platform
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import fedspan.model
 from fedspan.cli import main
+from fedspan.corpus import deduplicate
+from fedspan.model import SpanTagger
+from fedspan.synth import default_synth_config, generate_synthetic
 
 MANIFEST = Path(__file__).with_name("golden.json")
 ROUNDS = 2
@@ -32,6 +40,8 @@ CONFIGS = {
     "sgd": {"optimizer": "sgd"},
     "rep_dim_1_chunk_size_1": {"rep_dim": 1, "chunk_size": 1},
 }
+# The manifest key of the scoring hash, beside the file paths.
+SCORING = "scoring_logits:laptops/test"
 
 
 def _blas_core() -> str | None:
@@ -60,15 +70,37 @@ def environment() -> dict:
     }
 
 
+def scoring_hash(checkpoint: Path) -> str:
+    """The sha256 of the logits ``score_spans`` returns, in call order,
+    while the loaded checkpoint tags the laptops test split of the
+    deduplicated default corpus (seed 7)."""
+    corpora, _ = deduplicate(generate_synthetic(default_synth_config(), 7))
+    (laptops,) = [c for c in corpora if c.name == "laptops"]
+    model = SpanTagger.load(checkpoint)
+    digest = hashlib.sha256()
+    score_spans = fedspan.model.score_spans
+
+    def hashing(*args, **kwargs):
+        out = score_spans(*args, **kwargs)
+        digest.update(np.ascontiguousarray(out.logits).tobytes())
+        return out
+
+    with mock.patch.object(fedspan.model, "score_spans", hashing):
+        model.predict_tags(laptops.test)
+    return digest.hexdigest()
+
+
 def run_hashes(config: dict, out: Path) -> dict[str, str]:
     """Train ``config`` for ``ROUNDS`` rounds into ``out``; the sha256 of
     each file it wrote but ``config.json`` and ``dedup_report.json``, by
-    path relative to ``out``."""
+    path relative to ``out``, and the scoring hash of its first checkpoint."""
     config_path = out.with_name(out.name + ".json")
     config_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(config_path), "--rounds", str(ROUNDS), "--output-dir", str(out)]) == 0
-    files = [out / "records.jsonl", *sorted(out.glob("checkpoints/*")), *sorted(out.glob("payloads/*"))]
-    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    checkpoints = sorted(out.glob("checkpoints/*"))
+    files = [out / "records.jsonl", *checkpoints, *sorted(out.glob("payloads/*"))]
+    hashes = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
+    return hashes | {SCORING: scoring_hash(checkpoints[0])}
 
 
 def _manifest() -> dict:

@@ -78,14 +78,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_sentences([])
 
-    def test_bad_triplet_named_with_index(self):
-        bad = Sentence(("a", "b"), (Triplet(Span(0, 5), Span(1, 1), Polarity.POS),))
-        with pytest.raises(ValueError, match="sentence 1"):
-            validate_sentences([Sentence(("ok",)), bad])
+    def test_bad_triplet_refused_at_construction(self):
+        """A sentence checks itself when built, so no batch can hold a bad one."""
+        with pytest.raises(ValueError, match="^aspect span 0-5 out of range for length 2$"):
+            Sentence(("a", "b"), (Triplet(Span(0, 5), Span(1, 1), Polarity.POS),))
 
     def test_fit_validates(self):
-        with pytest.raises(ValueError):
-            small_tagger().fit([Sentence(())], epochs=1)
+        with pytest.raises(ValueError, match="need at least one sentence"):
+            small_tagger().fit([], epochs=1)
 
 
 def epoch_selections(rng, golds, null_ratio):
