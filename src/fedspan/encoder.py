@@ -412,34 +412,22 @@ class SpanBatch:
         return self.pos.shape[1]
 
 
-def _group_offsets(counts: Sequence[int], groups: Sequence[int]) -> tuple[list[int], list[int]]:
-    """For parts of these sizes, group g being parts ``groups[g]:groups[g +
-    1]``: the start of each part in its group, and the start of each group
-    in the whole, then the total."""
-    local, edges = [], [0]
-    for lo, hi in zip(groups, groups[1:]):
-        *starts, total = accumulate(counts[lo:hi], initial=0)
-        local += starts
-        edges.append(edges[-1] + total)
-    return local, edges
-
-
-def _spread(values: Sequence, edges: Sequence[int]):
-    """``values[g]`` for each element of group g, which holds elements
-    ``edges[g]:edges[g + 1]``; with one group, ``values[0]`` alone, which
-    broadcasts alike."""
-    if len(values) == 1:
-        return values[0]
-    return np.array(values).repeat([hi - lo for lo, hi in zip(edges, edges[1:])])
+def _spread(values, edges: Sequence[int]) -> np.ndarray:
+    """``values[..., g]`` for each element of group g, which holds elements
+    ``edges[g]:edges[g + 1]``, along the last axis."""
+    return np.asarray(values).repeat([hi - lo for lo, hi in zip(edges, edges[1:])], axis=-1)
 
 
 @dataclass(eq=False, slots=True)
 class _Packing:
-    """Consecutive groups of sentences packed end to end, every offset local
-    to its group: a pass of ``packed_passes``. Group g holds sentences
-    ``groups[g]:groups[g + 1]``. The arrays of chunks and words are packed
-    once for the whole pass, and a group's are views of them; ``batch(g)``
-    packs the group's span slots, at its width."""
+    """Consecutive groups of sentences packed end to end: a pass of
+    ``packed_passes``. Group g holds sentences ``groups[g]:groups[g + 1]``.
+    The arrays of chunks and words are packed once for the whole pass, and a
+    group's are views of them; ``batch(g)`` packs the group's span slots, at
+    its width. The running totals ``words``, ``spans`` and ``chunks`` hold
+    each sentence's first word, span and chunk in the pass, then the pass's
+    total: group g's start in the pass is ``x[groups[g]]``, and sentence i's
+    start in its group is ``x[i] - x[groups[g]]``."""
 
     l_max: int
     groups: list[int]
@@ -447,19 +435,14 @@ class _Packing:
     layouts: list[tuple]  # ``_sentence_layout`` of each sentence, at its group's width
     word_counts: list[int]
     span_counts: list[int]
-    # Each sentence's first word, span and chunk in its group, and each
-    # group's first word, span and chunk in the pass, then the totals.
-    local_words: list[int]
-    local_spans: list[int]
-    local_chunks: list[int]
-    word_edges: list[int]
-    span_edges: list[int]
-    chunk_edges: list[int]
+    words: list[int]
+    spans: list[int]
+    chunks: np.ndarray  # int64, so that a group's chunk bounds are one array subtraction
     ids: np.ndarray  # (M,) chunk ids
     word_starts: np.ndarray  # (N,) first chunk of each word in its group
     word_sizes: np.ndarray  # (N,)
     word_size_col: np.ndarray  # (N, 1)
-    span_words: np.ndarray  # (S,) ``local_words`` of each span's sentence
+    span_words: np.ndarray  # (S,) first word of each span's sentence in its group
 
     @classmethod
     def of(cls, toks: Sequence[Tokenization], group_size: int, l_max: int, dtype) -> "_Packing":
@@ -471,19 +454,18 @@ class _Packing:
         layouts = [_sentence_layout(n, l_max, w) for lo, hi, w in zip(groups, groups[1:], widths)
                    for n in word_counts[lo:hi]]
         span_counts = [len(layout[0]) for layout in layouts]
-        local_words, word_edges = _group_offsets(word_counts, groups)
-        local_spans, span_edges = _group_offsets(span_counts, groups)
-        local_chunks, chunk_edges = _group_offsets([len(tok.subword_ids) for tok in toks], groups)
+        words = [*accumulate(word_counts, initial=0)]
+        chunks = np.cumsum([0, *(len(tok.subword_ids) for tok in toks)])
+        group_words = [words[i] for i in groups]
         word_sizes = np.concatenate([tok.word_sizes for tok in toks])
         word_starts = word_sizes.cumsum()
         word_starts -= word_sizes
-        if len(groups) > 2:  # from each group's first chunk; one group's is 0
-            word_starts -= _spread(chunk_edges[:-1], word_edges)
+        word_starts -= _spread(chunks[groups[:-1]], group_words)
         return cls(
-            l_max, groups, widths, layouts, word_counts, span_counts, local_words, local_spans, local_chunks,
-            word_edges, span_edges, chunk_edges, np.concatenate([tok.subword_ids for tok in toks]),
-            word_starts, word_sizes, word_sizes[:, None].astype(dtype),
-            np.array(local_words).repeat(span_counts),
+            l_max, groups, widths, layouts, word_counts, span_counts, words, [*accumulate(span_counts, initial=0)],
+            chunks, np.concatenate([tok.subword_ids for tok in toks]), word_starts, word_sizes,
+            word_sizes[:, None].astype(dtype),
+            np.subtract(words[:-1], _spread(group_words[:-1], groups)).repeat(span_counts),
         )
 
     def batch(self, g: int, windows: bool = False) -> SpanBatch:
@@ -491,13 +473,13 @@ class _Packing:
         ``WINDOW_SPANS_PER_WORD`` spans per word is pooled by window."""
         lo, hi = self.groups[g], self.groups[g + 1]
         layouts, span_counts = self.layouts[lo:hi], self.span_counts[lo:hi]
-        c0, c1 = self.chunk_edges[g], self.chunk_edges[g + 1]
-        words = slice(self.word_edges[g], self.word_edges[g + 1])
-        span_words = self.span_words[self.span_edges[g] : self.span_edges[g + 1]]
+        bounds = self.chunks[lo : hi + 1] - self.chunks[lo]
+        words = slice(self.words[lo], self.words[hi])
+        span_words = self.span_words[self.spans[lo] : self.spans[hi]]
         pos = np.concatenate([layout[0] for layout in layouts])
         pos += span_words[:, None]
         batch = SpanBatch(
-            self.ids[c0:c1], np.array([*self.local_chunks[lo:hi], c1 - c0]), self.word_starts[words],
+            self.ids[self.chunks[lo] : self.chunks[hi]], bounds, self.word_starts[words],
             self.word_sizes[words], self.word_size_col[words], span_counts, pos,
             np.concatenate([layout[1] for layout in layouts]),
         )
@@ -505,7 +487,7 @@ class _Packing:
             width, word_counts = batch.width, self.word_counts[lo:hi]
             grids = [_window_layout(n, self.l_max, width) for n in word_counts]
             rows = np.concatenate([grid[0] for grid in grids])
-            rows += np.repeat(self.local_spans[lo:hi], [n * width for n in word_counts])
+            rows += np.repeat(np.subtract(self.spans[lo:hi], self.spans[lo]), [n * width for n in word_counts])
             slots = np.concatenate([grid[1] for grid in grids])
             slots += span_words * width
             batch.windows, batch.grid_rows, batch.grid_slots = pos.take(rows[::width], axis=0), rows, slots
@@ -723,14 +705,15 @@ class BatchPlan:
         whole pass up front, and a plan's are views of it; a batch's span
         slots, attention pairs and touched rows are packed as its plan is
         drawn."""
-        span_edges, span_counts = packing.span_edges, packing.span_counts
+        groups, layouts, span_counts = packing.groups, packing.layouts, packing.span_counts
         sel = np.asarray(sel, dtype=np.int64)
-        sel_edges = sel.searchsorted(span_edges).tolist()
-        span_index = np.arange(len(gold)) - _spread(span_edges[:-1], span_edges)
+        group_spans = [packing.spans[i] for i in groups]
+        sel_edges = sel.searchsorted(group_spans).tolist()
+        span_index = np.arange(len(gold)) - _spread(group_spans[:-1], group_spans)
         gold_at = span_index * NUM_CLASSES
         gold_at += gold
         local_sel, sel_gold = span_index[sel], gold[sel].astype(np.int64)
-        span_weight = 1.0 / np.multiply(span_counts, _spread(np.diff(packing.groups), packing.groups))
+        span_weight = 1.0 / np.multiply(span_counts, _spread(np.diff(groups), groups))
         span_weight = span_weight.repeat(span_counts)
         span_weight_col = span_weight[:, None].astype(config.dtype)
         proto_terms = []  # rivals, gold_protos and sel_gold_at, when the term is on
@@ -743,27 +726,27 @@ class BatchPlan:
 
         # Each pair's shift from its sentence's layout to its batch's: the
         # sentence's first span, times the batch's width for the flat index,
-        # and its first word. Each word's first pair is shifted the same way.
-        groups, layouts = packing.groups, packing.layouts
+        # and its first word. Each word's first pair is shifted by the
+        # sentence's first pair. All four are running totals less their
+        # value at the sentence's group start.
         pair_counts = [layout[2].shape[1] for layout in layouts]
-        local_pairs, _ = _group_offsets(pair_counts, groups)
-        shifts = np.array([packing.local_spans, packing.local_spans, packing.local_words])
+        totals = np.array([packing.spans, packing.spans, packing.words, [*accumulate(pair_counts, initial=0)]])
+        shifts = totals[:, :-1] - _spread(totals[:, groups[:-1]], groups)
         shifts[0] *= _spread(packing.widths, groups)
         pair_starts = np.concatenate([layout[3] for layout in layouts])
-        pair_starts += np.array(local_pairs).repeat(packing.word_counts)
-        word_edges = packing.word_edges
+        pair_starts += shifts[3].repeat(packing.word_counts)
 
         for g, (lo, hi) in enumerate(zip(groups, groups[1:])):
             batch = packing.batch(g)
-            spans, picked = slice(span_edges[g], span_edges[g + 1]), slice(sel_edges[g], sel_edges[g + 1])
+            spans, picked = slice(packing.spans[lo], packing.spans[hi]), slice(sel_edges[g], sel_edges[g + 1])
             pairs = np.concatenate([layout[2] for layout in layouts[lo:hi]], axis=1)
-            pairs += shifts[:, lo:hi].repeat(pair_counts[lo:hi], axis=1)
+            pairs += shifts[:3, lo:hi].repeat(pair_counts[lo:hi], axis=1)
             # The touched rows, sorted and unique; np.unique took 3x as long.
             rows = np.sort(batch.ids)
             rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]
             yield cls(
                 batch, gold_at[spans], local_sel[picked], sel_gold[picked], span_weight[spans],
-                span_weight_col[spans], pairs, pair_starts[word_edges[g] : word_edges[g + 1]],
+                span_weight_col[spans], pairs, pair_starts[packing.words[lo] : packing.words[hi]],
                 _element_index(rows.searchsorted(batch.ids), config.embed_dim), rows, unit_protos,
                 *([a[picked] for a in proto_terms] or (None, None, None)),
             )
@@ -778,7 +761,7 @@ class BatchPlan:
         prototypes are as ``unit_prototypes`` gives them."""
         lo = 0
         for packing in packed_passes(toks, batch_size, config.l_max, config.dtype):
-            spans = slice(lo, lo + packing.span_edges[-1])
+            spans = slice(lo, lo + packing.spans[-1])
             yield from cls.of_packing(
                 packing, gold[spans], np.flatnonzero(selected[spans]), config, unit_protos, proto_present
             )

@@ -53,10 +53,9 @@ def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
     """Per-client aggregation weights from validation F1 scores.
 
     ``f1_weighted`` normalizes the scores to sum to 1; ``uniform`` ignores
-    them. Equal scores short-circuit to the uniform weights so both modes
-    produce bit-identical aggregates in that case. An all-zero score vector
-    falls back to uniform (logged). Scores outside [0, 1], NaN included,
-    are rejected in both modes.
+    them. Equal scores, all-zero ones included, short-circuit to the uniform
+    weights so both modes produce bit-identical aggregates in that case.
+    Scores outside [0, 1], NaN included, are rejected in both modes.
     """
     if not scores:
         raise ValueError("need at least one score")
@@ -76,9 +75,6 @@ def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
     if min(scores) == max(scores):
         return uniform
     total = sum(scores)
-    if total == 0.0:
-        logger.info("all validation F1 scores are 0, falling back to uniform weights")
-        return uniform
     return [s / total for s in scores]
 
 

@@ -321,8 +321,9 @@ class SpanTagger:
                 batch = packing.batch(g, windows)
                 _, word_vecs = encode_words(self.params_, batch)
                 classes = score_spans(self.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
-                spans = zip(packing.word_counts[lo:hi], packing.local_spans[lo:hi], batch.span_counts)
-                out += [TagMatrix(n, l_max, classes[first : first + count]) for n, first, count in spans]
+                first, spans = packing.spans[lo], packing.spans[lo : hi + 1]
+                out += [TagMatrix(n, l_max, classes[a - first : b - first])
+                        for n, a, b in zip(packing.word_counts[lo:hi], spans, spans[1:])]
         return out
 
     def predict(self, sentences: Sequence[Sentence]) -> list[list[Triplet]]:

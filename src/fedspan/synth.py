@@ -106,14 +106,21 @@ class SynthConfig:
         for i, opinion in enumerate(data["opinions"]):
             if not isinstance(opinion, list) or len(opinion) != 2:
                 raise SynthConfigError(f"opinions[{i}] must be [term, polarity], got {opinion!r}")
-            values["opinions"].append((opinion[0], Polarity(opinion[1])))
+            try:
+                values["opinions"].append((opinion[0], Polarity(opinion[1])))
+            except ValueError as exc:
+                raise SynthConfigError(f"opinions[{i}]: {exc}") from exc
         config = cls(**values)
         config.validate()
         return config
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SynthConfigError(f"{path}: {exc}") from exc
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         data = asdict(self)

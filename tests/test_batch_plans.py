@@ -102,7 +102,7 @@ def recording_passes():
 
     def recording(cls, *args):
         packing = of(cls, *args)
-        totals.append((packing.span_edges[-1], len(packing.groups) - 1))
+        totals.append((packing.spans[-1], len(packing.groups) - 1))
         return packing
 
     with mock.patch.object(_Packing, "of", classmethod(recording)):

@@ -115,11 +115,16 @@ class TestGenerate:
             (named(".."), "domains[0].name must be a distinct file name, got '..'"),
             (named("a\\b"), "domains[0].name must be a distinct file name, got 'a\\\\b'"),
             (named("x", "y", "x"), "domains[2].name must be a distinct file name, got 'x'"),
+            (
+                lambda d: {**d, "opinions": [["odd", "XYZ"], *d["opinions"]]},
+                "opinions[0]: 'XYZ' is not a valid Polarity",
+            ),
         ],
         ids=[
             "no_domains", "domain_without_aspects", "top_level_list", "size_not_an_int",
             "rate_not_a_float", "aspects_a_string", "name_not_a_string", "name_escapes_the_output",
             "name_empty", "name_dot", "name_dot_dot", "name_with_a_backslash", "name_repeated",
+            "unknown_polarity",
         ],
     )
     def test_malformed_synth_config_is_an_error(self, tmp_path, capsys, make, message):
@@ -129,6 +134,13 @@ class TestGenerate:
         out = tmp_path / "gen"
         assert main(["generate", "--synth-config", str(path), "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_synth_config_bad_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("{not json")
+        assert main(["generate", "--synth-config", str(path), "--output-dir", str(tmp_path / "gen")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: Expecting property name")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 

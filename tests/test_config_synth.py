@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,10 @@ class TestSynthConfig:
             (lambda d: d.update(domains="laptops"), "domains must be a list"),
             (lambda d: d["opinions"].append(["great"]), r"opinions\[\d+\] must be \[term, polarity\]"),
             (lambda d: d["opinions"].append([5, "POS"]), r"opinions must be of type list"),
+            (
+                lambda d: d["opinions"].insert(2, ["odd", "XYZ"]),
+                r"opinions\[2\]: 'XYZ' is not a valid Polarity",
+            ),
             (lambda d: d.update(train_size="5"), "train_size must be of type int, got '5'"),
             (lambda d: d.update(train_size=-1), r"train_size must be in \[0, inf\)"),
             (lambda d: d.update(shared_aspect_rate="0.1"), "shared_aspect_rate must be of type float"),
@@ -159,8 +164,8 @@ class TestSynthConfig:
         ],
         ids=[
             "no_domains", "domain_without_aspects", "domains_not_a_list", "opinion_not_a_pair",
-            "opinion_term_not_a_string", "size_not_an_int", "negative_size", "rate_not_a_float",
-            "rate_above_one", "no_attempts", "aspects_a_string", "unknown_domain_keys",
+            "opinion_term_not_a_string", "unknown_polarity", "size_not_an_int", "negative_size",
+            "rate_not_a_float", "rate_above_one", "no_attempts", "aspects_a_string", "unknown_domain_keys",
         ],
     )
     def test_malformed_dict_names_the_bad_entry(self, edit, message):
@@ -172,6 +177,12 @@ class TestSynthConfig:
     def test_non_object_rejected(self):
         with pytest.raises(SynthConfigError, match="must be an object, got list"):
             SynthConfig.from_dict([default_synth_config().to_dict()])
+
+    def test_bad_json_names_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("{not json")
+        with pytest.raises(SynthConfigError, match=f"^{re.escape(str(path))}: Expecting property name"):
+            SynthConfig.from_file(path)
 
     def test_default_config_valid(self):
         config = default_synth_config()
