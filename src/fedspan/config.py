@@ -60,7 +60,10 @@ class ExperimentConfig(TaggerConfig):
             raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def override(self, **updates) -> "ExperimentConfig":
         """New config with the given fields replaced (None values ignored)."""

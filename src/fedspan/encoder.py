@@ -817,36 +817,44 @@ def batch_gradients(
         z = batch_reps.reps
         # A zero-norm span has no direction: it goes through the term with
         # norm 1, and its rows of the term's outputs are zeroed at the end.
-        norm = np.linalg.norm(z, axis=1)
-        zero = norm == 0
-        if zero.any():
-            logger.debug("%d zero-norm span representations skipped", int(zero.sum()))
-        norm[zero] = 1.0
-        zhat = z / norm[:, None]
+        # The norm is np.linalg.norm's for real rows, without its wrapper.
+        norm = np.sqrt(np.add.reduce(z * z, axis=1))
+        zero = np.flatnonzero(norm == 0)
+        if len(zero):
+            logger.debug("%d zero-norm span representations skipped", len(zero))
+            norm[zero] = 1.0
+        norm = norm[:, None]
+        zhat = z / norm
         cos = zhat @ unit_prot.T  # (k, C); absent/zero prototypes give 0
 
         # Alignment: -cos(z, prototype of the gold class).
-        cos_y = cos.take(plan.sel_gold_at)
-        d_align = (cos_y[:, None] * zhat - plan.gold_protos) / norm[:, None]
+        align = cos.take(plan.sel_gold_at)
+        d_proto = align[:, None] * zhat
+        d_proto -= plan.gold_protos
+        d_proto /= norm
+        d_proto *= weights.align_weight
+        np.negative(align, out=align)
 
         # Separation: log-sum-exp of cosines to the other present classes.
         # A span with no rival has a zero sum; the guard gives it log 1 = 0
         # and zero weights, so a zero gradient.
-        exp_cos = np.exp(cos)
-        exp_cos *= plan.rivals
-        row_sum = exp_cos.sum(axis=1)
+        w = np.exp(cos)
+        w *= plan.rivals
+        row_sum = w.sum(axis=1)
         row_sum = np.where(row_sum > 0, row_sum, 1.0)
-        w = exp_cos / row_sum[:, None]
-        w_dot_cos = (w * cos).sum(axis=1)
-        d_sep = (w @ unit_prot - w_dot_cos[:, None] * zhat) / norm[:, None]
+        w /= row_sum[:, None]
+        cos *= w
+        zhat *= cos.sum(axis=1)[:, None]
+        d_sep = w @ unit_prot
+        d_sep -= zhat
+        d_sep /= norm
+        d_sep *= weights.sep_weight
+        d_proto += d_sep
+        sep = np.log(row_sum)
 
-        vals = np.concatenate([-cos_y, np.log(row_sum)]).reshape(2, -1)  # alignment, separation
-        d_proto = weights.align_weight * d_align + weights.sep_weight * d_sep
-        vals[:, zero] = 0.0
-        d_proto[zero] = 0.0
-        proto_total = float(
-            weights.align_weight * vals[0].sum() + weights.sep_weight * vals[1].sum()
-        )
+        if len(zero):
+            align[zero] = sep[zero] = d_proto[zero] = 0.0
+        proto_total = float(weights.align_weight * align.sum() + weights.sep_weight * sep.sum())
         d_proto *= weights.proto_weight / n_selected
         dreps[sel] += d_proto
 

@@ -38,7 +38,7 @@ from .encoder import (
     sgd_step,
     unit_prototypes,
 )
-from .prototypes import PrototypeSet, build_local_prototypes, momentum_update
+from .prototypes import PrototypeSet, smooth_prototypes
 from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
 
 logger = logging.getLogger(__name__)
@@ -229,9 +229,11 @@ class SpanTagger:
 
         The prototype regularizer is active only when ``global_prototypes``
         is given with a class present (from the second federated round
-        onward); they are normalized once per call. Local prototypes
-        are rebuilt every batch from the selected spans and smoothed with the
-        configured momentum.
+        onward); they are normalized once per call. Local prototypes are
+        smoothed with the configured momentum by each batch's class means of
+        its selected spans, batch after batch, once an epoch's steps are done.
+        A step that raises ``TrainingDivergedError`` leaves ``prototypes_`` at
+        the previous epoch's set; ``client_round`` re-raises, ending the run.
         """
         _check_epochs(epochs)
         validate_sentences(sentences)
@@ -245,6 +247,7 @@ class SpanTagger:
             )
         protos = unit_prototypes(global_prototypes, config.dtype)
         weights = LossWeights(config.proto_weight, config.align_weight, config.sep_weight)
+        predicted = config.prototype_assignment == "predicted"
 
         loss_sums = np.zeros(3)
         n_batches = 0
@@ -256,15 +259,19 @@ class SpanTagger:
             starts = np.cumsum([0] + [len(golds[i]) for i in order])
             selected = select_spans(self._rng, gold, starts, config.null_span_ratio)
             epoch = [toks[i] for i in order]
+            reps, classes = [], []  # of the epoch's batches, for the prototypes
             plans = BatchPlan.build_epoch(epoch, gold, selected, config.batch_size, config, *protos)
             # ``plan`` keeps the last plan alive while the next is built.
             # Freed first, a pass of long sentences lets glibc trim the heap
             # and fault it back in: about 13,000 page faults per 160-sentence
             # epoch, 1.3x its time.
             for plan in plans:
-                breakdown = self._train_batch(plan, weights)
+                breakdown, batch_reps = self._train_batch(plan, weights)
                 loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
                 n_batches += 1
+                reps.append(batch_reps.reps)
+                classes.append(batch_reps.pred_classes if predicted else batch_reps.gold_classes)
+            self.prototypes_ = smooth_prototypes(self.prototypes_, reps, classes, config.prototype_momentum)
         train, tag, proto = (loss_sums / n_batches).tolist()
         self.last_fit_metrics_ = dict(train_loss=train, tag_loss=tag, proto_loss=proto, batches=n_batches)
         return self
@@ -291,18 +298,7 @@ class SpanTagger:
         else:
             self.params_ = sgd_step(self.params_, grads, lr)
         self.n_steps_ += 1
-
-        if len(batch_reps.reps):
-            classes = (
-                batch_reps.pred_classes
-                if config.prototype_assignment == "predicted"
-                else batch_reps.gold_classes
-            )
-            batch_protos = build_local_prototypes(batch_reps.reps, classes)
-            self.prototypes_ = momentum_update(
-                self.prototypes_, batch_protos, config.prototype_momentum
-            )
-        return breakdown
+        return breakdown, batch_reps
 
     # -- inference -------------------------------------------------------------------
 

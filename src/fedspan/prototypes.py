@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,16 @@ class PrototypeSet:
         return int(self.present.sum()) * self.dim
 
 
+def _group_means(reps: np.ndarray, keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the rows of ``reps`` per key in ``range(n_keys)``, in the dtype
+    of ``reps``, and which keys have rows. Each key's rows are summed in
+    order from +0.0 and divided in float64."""
+    sums = np.zeros((n_keys, reps.shape[1]), dtype=reps.dtype)
+    np.add.at(sums, keys, reps)
+    counts = np.bincount(keys, minlength=n_keys)
+    return (sums / np.maximum(counts, 1.0)[:, None]).astype(reps.dtype), counts > 0
+
+
 def build_local_prototypes(reps: np.ndarray, classes: np.ndarray) -> PrototypeSet:
     """Group-by-class mean of span representations, in the dtype of ``reps``.
 
@@ -71,11 +81,7 @@ def build_local_prototypes(reps: np.ndarray, classes: np.ndarray) -> PrototypeSe
         raise ValueError(f"{reps.shape[0]} reps but {classes.shape[0]} class labels")
     if len(classes) and (classes.min() < 0 or classes.max() >= NUM_CLASSES):
         raise ValueError("class index out of range")
-    sums = np.zeros((NUM_CLASSES, reps.shape[1]), dtype=reps.dtype)
-    np.add.at(sums, classes, reps)
-    counts = np.bincount(classes, minlength=NUM_CLASSES)
-    matrix = (sums / np.maximum(counts, 1.0)[:, None]).astype(reps.dtype)
-    return PrototypeSet.from_arrays(matrix, counts > 0)
+    return PrototypeSet.from_arrays(*_group_means(reps, classes, NUM_CLASSES))
 
 
 def momentum_update(previous: PrototypeSet, batch: PrototypeSet, momentum: float) -> PrototypeSet:
@@ -93,6 +99,23 @@ def momentum_update(previous: PrototypeSet, batch: PrototypeSet, momentum: float
     both = (previous.present & batch.present)[:, None]
     matrix = np.where(both, momentum * previous.matrix + (1.0 - momentum) * batch.matrix, adopted)
     return PrototypeSet.from_arrays(matrix, previous.present | batch.present)
+
+
+def smooth_prototypes(
+    previous: PrototypeSet, reps: Sequence[np.ndarray], classes: Sequence[np.ndarray], momentum: float
+) -> PrototypeSet:
+    """``previous`` after ``momentum_update`` with ``build_local_prototypes``
+    of each batch's ``reps`` and ``classes`` in turn, skipping batches with
+    no rows: the same bits, with every batch's class means taken in one
+    scatter over (batch, class) keys. ``previous``' arrays are not written.
+    """
+    sizes = [len(r) for r in reps]
+    keys = np.repeat(np.arange(len(sizes)) * NUM_CLASSES, sizes) + np.concatenate(classes)
+    means, present = _group_means(np.concatenate(reps), keys, len(sizes) * NUM_CLASSES)
+    for b in np.flatnonzero(sizes):
+        rows = slice(b * NUM_CLASSES, (b + 1) * NUM_CLASSES)
+        previous = momentum_update(previous, PrototypeSet.from_arrays(means[rows], present[rows]), momentum)
+    return previous
 
 
 @dataclass(frozen=True, eq=False)

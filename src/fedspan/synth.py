@@ -120,7 +120,10 @@ class SynthConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise SynthConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except SynthConfigError as exc:
+            raise SynthConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         data = asdict(self)

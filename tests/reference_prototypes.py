@@ -10,6 +10,9 @@ definitions one span, one class or one client pair at a time, over plain
 - ``reference_build``, ``reference_momentum`` and ``reference_aggregate`` are
   the dict implementations of the prototype build, the momentum merge and the
   server aggregation, which the array versions must match bit for bit;
+- ``replay_local_prototypes`` smooths local prototypes one batch at a time,
+  the oracle of ``fedspan.prototypes.smooth_prototypes``, which
+  ``SpanTagger.partial_fit`` calls once per epoch;
 - ``reference_similarity`` is the per-pair form of ``prototype_similarity``;
 - ``payload_to_json``/``payload_from_json`` mirror the binary codec.
 """
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from fedspan.federation import aggregation_weights
-from fedspan.prototypes import PrototypePayload, PrototypeSet
+from fedspan.prototypes import PrototypePayload, PrototypeSet, build_local_prototypes, momentum_update
 
 
 def vectors(protos: PrototypeSet) -> dict[int, np.ndarray]:
@@ -97,6 +100,19 @@ def reference_momentum(
         if cls not in out:
             out[cls] = batch_vec.copy()
     return out
+
+
+def replay_local_prototypes(
+    previous: PrototypeSet, batches: list[tuple[np.ndarray, np.ndarray]], momentum: float
+) -> PrototypeSet:
+    """``previous`` after one ``build_local_prototypes`` and one
+    ``momentum_update`` per batch of (reps, classes), in order, skipping a
+    batch with no rows: the per-step smoothing training did before it
+    smoothed once per epoch."""
+    for reps, classes in batches:
+        if len(reps):
+            previous = momentum_update(previous, build_local_prototypes(reps, classes), momentum)
+    return previous
 
 
 def reference_aggregate(

@@ -8,17 +8,18 @@ the two bit for bit:
 - ``split_spans`` and ``select_proto_spans`` choose one sentence's prototype
   spans with one ``rng.choice`` call, the sampling oracle;
 - ``reference_partial_fit`` is the training loop that calls them batch by
-  batch and plans each batch from per-sentence gold classes and selections
-  with ``plan_from_sentences``.
+  batch, plans each batch from per-sentence gold classes and selections
+  with ``plan_from_sentences``, and smooths the local prototypes after
+  each step.
 """
 
 import numpy as np
 
 from fedspan.encoder import LossWeights, adam_step, batch_gradients, sgd_step
-from fedspan.prototypes import build_local_prototypes, momentum_update
 from fedspan.tagging import derive_gold_tags
 
 from reference_plans import plan_from_sentences
+from reference_prototypes import replay_local_prototypes
 
 
 def split_spans(gold_classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,17 +86,14 @@ def reference_partial_fit(tagger, sentences, epochs=1, global_prototypes=None):
             else:
                 tagger.params_ = sgd_step(tagger.params_, grads, lr)
             tagger.n_steps_ += 1
-            if len(batch_reps.reps):
-                classes = (
-                    batch_reps.pred_classes
-                    if config.prototype_assignment == "predicted"
-                    else batch_reps.gold_classes
-                )
-                tagger.prototypes_ = momentum_update(
-                    tagger.prototypes_,
-                    build_local_prototypes(batch_reps.reps, classes),
-                    config.prototype_momentum,
-                )
+            classes = (
+                batch_reps.pred_classes
+                if config.prototype_assignment == "predicted"
+                else batch_reps.gold_classes
+            )
+            tagger.prototypes_ = replay_local_prototypes(
+                tagger.prototypes_, [(batch_reps.reps, classes)], config.prototype_momentum
+            )
             loss_sums += (breakdown.total, breakdown.tag, breakdown.proto)
             n_batches += 1
     tagger.last_fit_metrics_ = {

@@ -133,7 +133,7 @@ class TestGenerate:
         path.write_text(json.dumps(synth))
         out = tmp_path / "gen"
         assert main(["generate", "--synth-config", str(path), "--output-dir", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_synth_config_bad_json_names_the_file(self, tmp_path, capsys):
@@ -181,7 +181,7 @@ class TestTrain:
         data.update(bad)
         config.write_text(json.dumps(data))
         assert main(["train", "--config", str(config)]) == 1
-        assert capsys.readouterr().err.startswith("error: rounds must be of type int")
+        assert capsys.readouterr().err.startswith(f"error: {config}: rounds must be of type int")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(

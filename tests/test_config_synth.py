@@ -134,6 +134,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(path)
 
+    def test_invalid_value_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"rounds": -1}')
+        message = rf"^{re.escape(str(path))}: rounds must be in \[0, inf\), got -1$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_file(path)
+
 
 class TestSynthConfig:
     @pytest.mark.parametrize(
@@ -177,6 +184,13 @@ class TestSynthConfig:
     def test_non_object_rejected(self):
         with pytest.raises(SynthConfigError, match="must be an object, got list"):
             SynthConfig.from_dict([default_synth_config().to_dict()])
+
+    def test_invalid_file_names_the_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[1]")
+        message = f"^{re.escape(str(path))}: synth config must be an object, got list$"
+        with pytest.raises(SynthConfigError, match=message):
+            SynthConfig.from_file(path)
 
     def test_bad_json_names_the_file(self, tmp_path):
         path = tmp_path / "s.json"

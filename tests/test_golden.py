@@ -1,6 +1,6 @@
 """Golden bytes: the sha256 of every file a two-round ``fedspan train``
 writes that the model determines (``records.jsonl``, each checkpoint and
-each payload), in six configs, against the manifest ``tests/golden.json``.
+each payload), in seven configs, against the manifest ``tests/golden.json``.
 Each config also records the sha256 of the scoring logits of its first
 checkpoint on the laptops test split, which the records cannot show: an
 argmax, and so an F1, can hold while the logits move.
@@ -39,6 +39,7 @@ CONFIGS = {
     "float64": {"precision": "float64"},
     "sgd": {"optimizer": "sgd"},
     "rep_dim_1_chunk_size_1": {"rep_dim": 1, "chunk_size": 1},
+    "gold_assignment": {"prototype_assignment": "gold"},
 }
 # The manifest key of the scoring hash, beside the file paths.
 SCORING = "scoring_logits:laptops/test"

@@ -28,6 +28,7 @@ from fedspan.tagging import span_count
 
 from reference_gradients import batch_loss, dense_gradients, reference_batch_gradients, with_flat
 from reference_plans import plan_from_sentences, reference_plan
+from reference_prototypes import proto_loss
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
@@ -269,6 +270,33 @@ class TestPackedMatchesPerSentence:
         _, without, _ = gradients(params, (*batch, tag_only))
         for (name, a), (_, b) in zip(grads.blocks(), without.blocks()):
             assert a.tobytes() == b.tobytes(), name
+
+    def test_some_selected_spans_have_zero_norm(self):
+        """With the first sentence's chunk rows, b_ctx and b_proj zeroed, its
+        span representations are zero and the others' are not. The zero rows
+        add nothing to the prototype term. The gradients match the reference,
+        and finite differences on every parameter that keeps those rows at
+        zero: moving one of the others by a step gives the rows a direction,
+        and their cosines jump."""
+        params, args = eight_sentence_case([1, 3, 7, 2, 3, 1, 9, 3])
+        toks, _, _, _, protos, weights = args
+        zeroed = toks[0].subword_ids
+        params.embed[zeroed] = params.b_ctx[:] = params.b_proj[:] = 0.0
+        breakdown, grads, reps = gradients(params, args)
+        zero = ~reps.reps.any(axis=1)
+        assert zero.any() and not zero.all()
+        assert_matches_reference(params, args)
+        live = reps.reps[~zero], reps.gold_classes[~zero]
+        live_loss = proto_loss(*live, protos, weights.align_weight, weights.sep_weight)
+        assert breakdown.proto == pytest.approx(live_loss * len(live[0]) / len(zero), rel=1e-10)
+
+        keep = EncoderParams(
+            np.ones(params.embed.shape, bool), np.ones(params.dense.shape, bool), params.dense_shapes
+        )
+        keep.embed[zeroed] = keep.b_ctx[:] = keep.b_proj[:] = False
+        numeric = numeric_gradient(params, plan_of(params, *args[:-1]), weights)
+        errors = relative_errors(dense_gradients(grads, len(params.embed)).flatten(), numeric)
+        assert errors[keep.flatten()].max() <= TOLERANCE
 
     def test_gold_class_is_the_only_present_prototype(self):
         """Only class 3 has a prototype, and some selected spans are of

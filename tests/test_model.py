@@ -17,6 +17,7 @@ from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
 from fedspan.tagging import span_count
 
+from reference_prototypes import replay_local_prototypes
 from reference_training import reference_partial_fit, select_proto_spans, split_spans
 
 
@@ -441,6 +442,42 @@ class TestTrainingMatchesReferenceLoop:
         assert fast.n_steps_ == 9
         if with_protos:
             assert fast.last_fit_metrics_["proto_loss"] != 0.0
+
+
+class TestEpochSmoothing:
+    """``partial_fit`` smooths its local prototypes once per epoch; one
+    build and momentum step per batch over the same batches' reps and
+    classes (``tests/reference_prototypes.py``) must give the same bits."""
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("assignment", ["predicted", "gold"])
+    def test_matches_per_batch_replay(self, tiny_corpus, monkeypatch, precision, assignment):
+        # Half the sentences have no triplet and so no selected span; a
+        # batch of them gives no rows.
+        sentences = tiny_corpus.train[:6] + [Sentence(s.tokens) for s in tiny_corpus.train[6:12]]
+        batches = []
+        gradients = model_module.batch_gradients
+
+        def recording(params, plan, weights):
+            out = gradients(params, plan, weights)
+            reps = out[2]
+            batches.append((reps.reps, reps.pred_classes if assignment == "predicted" else reps.gold_classes))
+            return out
+
+        monkeypatch.setattr(model_module, "batch_gradients", recording)
+        tagger = small_tagger(precision=precision, prototype_assignment=assignment, batch_size=3, seed=2)
+        empty = PrototypeSet.from_arrays(np.zeros((16, 8), precision), np.zeros(16, bool))
+        for epochs in (2, 1):
+            tagger.partial_fit(sentences, epochs=epochs)
+            want = replay_local_prototypes(empty, batches, tagger.config.prototype_momentum)
+            assert tagger.prototypes_.matrix.dtype == np.dtype(precision)
+            assert tagger.prototypes_.matrix.tobytes() == want.matrix.tobytes()
+            assert np.array_equal(tagger.prototypes_.present, want.present)
+        assert len(batches) == 12
+        assert any(len(reps) == 0 for reps, _ in batches)
+        # A class first seen after the first epoch's first batch.
+        seen = [set(classes.tolist()) for _, classes in batches[:4]]
+        assert any(seen[j] - set().union(*seen[:j]) for j in range(1, 4))
 
 
 def long_sentences(corpus, count):

@@ -18,6 +18,7 @@ from fedspan.prototypes import (
     encode_payload,
     make_payload,
     momentum_update,
+    smooth_prototypes,
 )
 from fedspan.tagging import NUM_CLASSES
 
@@ -29,6 +30,7 @@ from reference_prototypes import (
     proto_loss,
     reference_build,
     reference_momentum,
+    replay_local_prototypes,
     safe_cosine,
     sep_loss,
 )
@@ -144,6 +146,29 @@ class TestMatchesDictOracle:
         momentum = data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0))
         out = momentum_update(matrix_set(dim, previous, dtype), matrix_set(dim, batch, dtype), momentum)
         assert_matches_dict(out, reference_momentum(previous, batch, momentum), dtype)
+
+
+class TestSmoothPrototypes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_batch_replay(self, data):
+        """An epoch's batches in one call give the bits of one build and
+        momentum step per batch, batches without rows skipped, and leave
+        the previous set's arrays as they were."""
+        dtype = data.draw(DTYPES)
+        dim = data.draw(st.integers(1, 4))
+        previous = matrix_set(dim, data.draw(class_dicts(dtype, dim)), dtype)
+        before = previous.matrix.tobytes(), previous.present.tobytes()
+        batches = []
+        for n in data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=6)):
+            reps = data.draw(hnp.arrays(dtype, (n, dim), elements=entries(dtype)))
+            batches.append((reps, data.draw(hnp.arrays(np.int64, n, elements=CLASS_IDS))))
+        momentum = data.draw(st.sampled_from([0.0, 0.9, 1.0]) | st.floats(0.0, 1.0))
+        got = smooth_prototypes(previous, *zip(*batches), momentum)
+        assert (previous.matrix.tobytes(), previous.present.tobytes()) == before
+        want = replay_local_prototypes(previous, batches, momentum)
+        assert same_bits(got.matrix, want.matrix)
+        assert np.array_equal(got.present, want.present)
 
 
 class TestBuildLocalPrototypes:
