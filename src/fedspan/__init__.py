@@ -21,8 +21,6 @@ from .decoding import decode_triplets
 from .federation import (
     ClientState,
     Server,
-    aggregate_global,
-    aggregation_weights,
     client_round,
     comm_ledger,
     prototype_similarity,
@@ -62,8 +60,6 @@ __all__ = [
     "TagMatrix",
     "Triplet",
     "TripletMetrics",
-    "aggregate_global",
-    "aggregation_weights",
     "build_local_prototypes",
     "client_round",
     "comm_ledger",

@@ -57,7 +57,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    pass
+    """A checkpoint file that cannot be loaded; the message names the file."""
 
 
 class ConfigError(ValueError):
@@ -1008,23 +1008,23 @@ def save_params(path: str | Path, params: EncoderParams, config: EncoderConfig) 
 def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
     blob = Path(path).read_bytes()
     if len(blob) < _CKPT_HEADER.size:
-        raise CheckpointError("checkpoint truncated before header")
+        raise CheckpointError(f"{path}: checkpoint truncated before header")
     magic, version, *header = _CKPT_HEADER.unpack_from(blob)
     if magic != _CKPT_MAGIC:
-        raise CheckpointError("bad checkpoint magic")
+        raise CheckpointError(f"{path}: bad checkpoint magic")
     if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     fields = dict(zip(_CKPT_FIELDS, header))
     if (n_cls := fields.pop("num_classes")) != NUM_CLASSES:
-        raise CheckpointError(f"checkpoint has {n_cls} classes, expected {NUM_CLASSES}")
+        raise CheckpointError(f"{path}: checkpoint has {n_cls} classes, expected {NUM_CLASSES}")
     config = EncoderConfig(**fields, precision="float32")
     shapes = config.block_shapes()
     embed_shape = shapes.pop("embed")
     size = _CKPT_HEADER.size + 4 * config.param_count()
     if len(blob) < size:
-        raise CheckpointError("checkpoint truncated inside parameter blocks")
+        raise CheckpointError(f"{path}: checkpoint truncated inside parameter blocks")
     if len(blob) > size:
-        raise CheckpointError("trailing bytes after parameter blocks")
+        raise CheckpointError(f"{path}: trailing bytes after parameter blocks")
     values = np.frombuffer(blob, dtype="<f4", offset=_CKPT_HEADER.size)
     n_embed = math.prod(embed_shape)
     params = EncoderParams(
@@ -1032,5 +1032,9 @@ def load_params(path: str | Path) -> tuple[EncoderParams, EncoderConfig]:
         values[n_embed:].astype(np.float32),
         tuple(shapes.values()),
     )
-    params.check_finite()
+    try:
+        config.validate()
+        params.check_finite()
+    except (ConfigError, TrainingDivergedError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return params, config

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -49,46 +49,34 @@ class ClientState:
     model: SpanTagger
 
 
-def aggregation_weights(scores: Sequence[float], mode: str) -> list[float]:
-    """Per-client aggregation weights from validation F1 scores.
+def _client_weights(scores: Sequence[float], mode: str) -> list[float]:
+    """Per-client aggregation weights from validation F1 scores, each in
+    [0, 1] as its payload checked.
 
     ``f1_weighted`` normalizes the scores to sum to 1; ``uniform`` ignores
     them. Equal scores, all-zero ones included, short-circuit to the uniform
     weights so both modes produce bit-identical aggregates in that case.
-    Scores outside [0, 1], NaN included, are rejected in both modes.
     """
-    if not scores:
-        raise ValueError("need at least one score")
-    for s in scores:
-        if not math.isfinite(s):
-            raise ValueError(f"non-finite F1 score: {s}")
-        if s < 0:
-            raise ValueError(f"negative F1 score: {s}")
-        if s > 1:
-            raise ValueError(f"F1 score above 1: {s}")
     n = len(scores)
     uniform = [1.0 / n] * n
-    if mode == "uniform":
-        return uniform
-    if mode != "f1_weighted":
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    if min(scores) == max(scores):
+    if mode == "uniform" or min(scores) == max(scores):
         return uniform
     total = sum(scores)
     return [s / total for s in scores]
 
 
 def _aggregate(
-    payloads: Sequence[PrototypePayload], mode: str, round_index: int | None = None
+    payloads: Sequence[PrototypePayload], mode: str, round_index: int
 ) -> tuple[PrototypeSet, list[float], np.ndarray]:
     """Aggregate, client weights, and the renormalized clients x classes
-    weights. ``PayloadError`` names a client with a payload of another round
-    than ``round_index`` (by default the first payload's) or with two."""
+    weights. Each class's prototype is the weighted mean over the clients
+    that reported it, summed in ascending client id so float summation is
+    reproducible. ``PayloadError`` names a client with a payload of another
+    round than ``round_index`` or with two."""
     if not payloads:
         raise ValueError("no payloads to aggregate")
     payloads = sorted(payloads, key=lambda p: p.client_id)
     dim = payloads[0].prototypes.dim
-    round_index = payloads[0].round_index if round_index is None else round_index
     for prev, p in zip([None, *payloads], payloads):
         if p.prototypes.dim != dim:
             raise ValueError(
@@ -100,7 +88,7 @@ def _aggregate(
             )
         if prev is not None and prev.client_id == p.client_id:
             raise PayloadError(f"client {p.client_id} sent more than one payload")
-    base_weights = aggregation_weights([p.val_f1 for p in payloads], mode)
+    base_weights = _client_weights([p.val_f1 for p in payloads], mode)
     reported = np.array([p.prototypes.present for p in payloads])
     class_weights = np.where(reported, np.array(base_weights)[:, None], 0.0)
     # Each per-class float64 sum adds clients one at a time in ascending id,
@@ -124,38 +112,22 @@ def _aggregate(
     return aggregated, base_weights, class_weights
 
 
-def aggregate_global(payloads: Sequence[PrototypePayload], mode: str) -> PrototypeSet:
-    """Weighted per-class mean of the uploaded prototypes.
-
-    Weights are renormalized per class over the clients that reported it, in
-    ascending client-id order so float summation is reproducible.
-    """
-    return _aggregate(payloads, mode)[0]
-
-
 class Server:
-    """Aggregation endpoint; consumes and produces encoded payload bytes."""
+    """The aggregation endpoint; consumes and produces encoded payload bytes.
+    ``aggregation`` is one of ``ExperimentConfig.aggregation``'s choices."""
 
     def __init__(self, aggregation: str):
+        choices = get_args(get_type_hints(ExperimentConfig)["aggregation"])
+        if aggregation not in choices:
+            raise ValueError(f"aggregation must be one of {choices}, got {aggregation!r}")
         self.aggregation = aggregation
         self.global_prototypes: PrototypeSet | None = None
-        self.payload_log: list[dict] = []
         self.last_weights: list[float] = []
         self.last_class_weights = np.zeros((0, NUM_CLASSES))
 
     def receive_and_aggregate(self, blobs: Sequence[bytes], round_index: int) -> PrototypeSet:
         payloads = [decode_payload(blob) for blob in blobs]
         aggregated, base_weights, class_weights = _aggregate(payloads, self.aggregation, round_index)
-        for payload, blob in zip(payloads, blobs):
-            self.payload_log.append(
-                {
-                    "round": round_index,
-                    "client": payload.client_id,
-                    "bytes": len(blob),
-                    "floats": payload.float_count(),
-                    "val_f1": payload.val_f1,
-                }
-            )
         self.global_prototypes = aggregated
         self.last_weights = base_weights
         self.last_class_weights = class_weights

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from fedspan.federation import aggregation_weights
+from fedspan.federation import _client_weights
 from fedspan.prototypes import PrototypePayload, PrototypeSet, build_local_prototypes, momentum_update
 
 
@@ -124,7 +124,7 @@ def reference_aggregate(
     payloads = sorted(payloads, key=lambda p: p.client_id)
     sets = [vectors(p.prototypes) for p in payloads]
     dim = payloads[0].prototypes.dim
-    base_weights = aggregation_weights([p.val_f1 for p in payloads], mode)
+    base_weights = _client_weights([p.val_f1 for p in payloads], mode)
     out: dict[int, np.ndarray] = {}
     class_weights: dict[int, list[tuple[int, float]]] = {}
     for cls in sorted({c for s in sets for c in s}):

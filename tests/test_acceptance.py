@@ -19,6 +19,7 @@ from fedspan.config import ExperimentConfig
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus, read_corpus_dir
 from fedspan.decoding import decode_triplets
 from fedspan.encoder import batch_gradients
+from fedspan.federation import _client_weights
 from fedspan.prototypes import PrototypeSet, build_local_prototypes, momentum_update
 from fedspan.tagging import derive_gold_tags
 
@@ -130,9 +131,15 @@ def _random_payloads(rng, k, dim=4):
     return payloads
 
 
+def _aggregate(payloads, mode):
+    """The global prototypes the ``Server`` aggregates from the payloads' blobs."""
+    blobs = [fs.encode_payload(p) for p in payloads]
+    return fs.Server(mode).receive_and_aggregate(blobs, payloads[0].round_index)
+
+
 def test_aggregation():
-    # (a) exact normalization
-    assert fs.aggregation_weights([0.6, 0.2, 0.2], "f1_weighted") == [0.6, 0.2, 0.2]
+    # (a) exact normalization, on the weights directly: a payload rounds its F1 to float32
+    assert _client_weights([0.6, 0.2, 0.2], "f1_weighted") == [0.6, 0.2, 0.2]
 
     # (b) equal-F1 weighted output is bit-identical to uniform
     rng = np.random.default_rng(77)
@@ -141,8 +148,8 @@ def test_aggregation():
         equal = [
             fs.make_payload(p.client_id, p.round_index, 0.37, p.prototypes) for p in payloads
         ]
-        weighted = fs.aggregate_global(equal, "f1_weighted")
-        uniform = fs.aggregate_global(equal, "uniform")
+        weighted = _aggregate(equal, "f1_weighted")
+        uniform = _aggregate(equal, "uniform")
         assert classes_of(weighted) == classes_of(uniform)
         for c in classes_of(weighted):
             assert np.array_equal(weighted.matrix[c], uniform.matrix[c])
@@ -151,7 +158,7 @@ def test_aggregation():
     for trial in range(1000):
         payloads = _random_payloads(rng, int(rng.integers(1, 6)))
         mode = ("uniform", "f1_weighted")[trial % 2]
-        out = fs.aggregate_global(payloads, mode)
+        out = _aggregate(payloads, mode)
         for c in classes_of(out):
             contrib = np.array(
                 [p.prototypes.matrix[c] for p in payloads if p.prototypes.present[c]]

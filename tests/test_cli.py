@@ -296,6 +296,13 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(tmp_path / "empty")])
         assert code == 1
 
+    def test_truncated_checkpoint_is_an_error_naming_the_file(self, tmp_path, capsys):
+        ckpt = self.prepare_checkpoint(tmp_path)
+        ckpt.write_bytes(ckpt.read_bytes()[:-7])
+        assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(tmp_path / "corpus")]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {ckpt}: checkpoint truncated inside parameter blocks\n")
+
 
 class TestAnalyze:
     def test_exports(self, tmp_path):

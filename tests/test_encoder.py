@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -1036,7 +1037,20 @@ class TestCheckpoint:
         save_params(path, EncoderParams.initialize(config, 0), config)
         blob = path.read_bytes()
         path.write_bytes(blob[:-7])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: checkpoint truncated inside"):
+            load_params(path)
+
+    @pytest.mark.parametrize("where, block", [("embed", "embed"), ("dense", "b_cls")])
+    def test_non_finite_value_rejected_naming_file_and_block(self, tmp_path, where, block):
+        """A NaN read from a file is a corrupt checkpoint, not a training
+        divergence; the error names the file and the block."""
+        config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
+        params = EncoderParams.initialize(config, 0)
+        getattr(params, where).flat[-1] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_params(path, params, config)
+        message = f"{path}: non-finite parameter in block {block!r}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             load_params(path)
 
     @pytest.mark.parametrize(
@@ -1063,10 +1077,22 @@ class TestCheckpoint:
             save_params(path, bundle, config)
         assert not path.exists()
 
+    def test_header_value_out_of_range_rejected_naming_file(self, tmp_path):
+        """A header field no config allows is a corrupt checkpoint, not a config error."""
+        config = EncoderConfig(vocab_size=8, embed_dim=2, hidden_dim=2, rep_dim=2)
+        path = tmp_path / "model.ckpt"
+        save_params(path, EncoderParams.initialize(config, 0), config)
+        blob = bytearray(path.read_bytes())
+        blob[20:22] = bytes(2)  # l_max, which no block's size depends on
+        path.write_bytes(bytes(blob))
+        message = f"{path}: l_max must be in [1, 65535], got 0"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+            load_params(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"JUNK" + bytes(64))
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: bad checkpoint magic$"):
             load_params(path)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from fedspan.federation import (
     REFERENCE_FULL_MODEL_FLOATS,
     ClientState,
     Server,
-    aggregate_global,
-    aggregation_weights,
+    _client_weights,
     check_corpora,
     client_round,
     comm_ledger,
@@ -41,43 +41,60 @@ def payload(client_id, f1, mapping, dim=2, round_index=1):
     return make_payload(client_id, round_index, f1, protos)
 
 
+def aggregate(pays, mode, round_index=1):
+    """The global prototypes a new ``Server`` aggregates from ``pays``' blobs."""
+    return Server(mode).receive_and_aggregate([encode_payload(p) for p in pays], round_index)
+
+
+def blob_with_f1(client_id, f1):
+    """A payload blob whose header carries ``f1``, which ``make_payload`` refuses to build."""
+    blob = bytearray(encode_payload(payload(client_id, 0.5, {1: [1.0, 0.0]})))
+    struct.pack_into("<f", blob, 14, f1)  # after magic, version, client and round
+    return bytes(blob)
+
+
 class TestAggregationWeights:
+    """Client weights from F1 scores; a score outside [0, 1] is refused by
+    the payload it arrives in, before the server weights it."""
+
     def test_equal_scores(self):
-        assert aggregation_weights([0.5, 0.5], "f1_weighted") == [0.5, 0.5]
+        assert _client_weights([0.5, 0.5], "f1_weighted") == [0.5, 0.5]
 
     def test_normalization_exact(self):
-        weights = aggregation_weights([0.6, 0.2, 0.2], "f1_weighted")
+        weights = _client_weights([0.6, 0.2, 0.2], "f1_weighted")
         assert weights == [0.6, 0.2, 0.2]
         assert math.fsum(weights) == 1.0
 
     def test_zero_scores_fall_back_to_uniform(self):
-        assert aggregation_weights([0.0, 0.0], "f1_weighted") == [0.5, 0.5]
+        assert _client_weights([0.0, 0.0], "f1_weighted") == [0.5, 0.5]
 
     def test_uniform_ignores_scores(self):
-        assert aggregation_weights([0.9, 0.1], "uniform") == [0.5, 0.5]
+        assert _client_weights([0.9, 0.1], "uniform") == [0.5, 0.5]
 
     def test_negative_score_rejected(self):
-        with pytest.raises(ValueError):
-            aggregation_weights([-0.1, 0.5], "f1_weighted")
+        with pytest.raises(PayloadError, match="validation F1 out of range: -0.1"):
+            Server("f1_weighted").receive_and_aggregate([blob_with_f1(0, -0.1), blob_with_f1(1, 0.5)], 1)
 
     def test_score_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            aggregation_weights([1.2], "uniform")
+        with pytest.raises(PayloadError, match="validation F1 out of range: 1.2"):
+            Server("uniform").receive_and_aggregate([blob_with_f1(0, 1.2)], 1)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregation_weights([], "uniform")
+        with pytest.raises(ValueError, match="no payloads to aggregate"):
+            Server("uniform").receive_and_aggregate([], 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mode", ["f1_weighted", "uniform"])
     def test_non_finite_score_rejected(self, bad, mode):
-        with pytest.raises(ValueError, match="non-finite"):
-            aggregation_weights([bad, 0.5], mode)
+        server = Server(mode)
+        with pytest.raises(PayloadError, match=f"validation F1 out of range: {bad}"):
+            server.receive_and_aggregate([blob_with_f1(0, bad), blob_with_f1(1, 0.5)], 1)
+        assert server.global_prototypes is None
 
     def test_equal_scores_bitwise_match_uniform(self):
         for k, score in ((3, 0.3), (4, 0.7), (7, 0.123)):
-            weighted = aggregation_weights([score] * k, "f1_weighted")
-            uniform = aggregation_weights([score] * k, "uniform")
+            weighted = _client_weights([score] * k, "f1_weighted")
+            uniform = _client_weights([score] * k, "uniform")
             assert weighted == uniform
 
     def test_weights_sum_to_one_and_nonnegative(self):
@@ -85,22 +102,24 @@ class TestAggregationWeights:
         for _ in range(100):
             scores = rng.random(int(rng.integers(1, 8))).tolist()
             for mode in ("uniform", "f1_weighted"):
-                weights = aggregation_weights(scores, mode)
+                weights = _client_weights(scores, mode)
                 assert abs(sum(weights) - 1.0) <= 1e-12
                 assert all(w >= 0 for w in weights)
 
 
 class TestAggregateGlobal:
+    """The global prototypes, aggregated by the ``Server`` from payload blobs."""
+
     def test_single_client_identity(self):
         p = payload(0, 0.8, {1: [1.0, 2.0], 3: [0.5, 0.5]})
-        out = aggregate_global([p], "f1_weighted")
+        out = aggregate([p], "f1_weighted")
         assert classes_of(out) == [1, 3]
         assert out.matrix[1] == pytest.approx([1.0, 2.0])
 
     def test_two_clients_equal_weights_average(self):
         a = payload(0, 0.5, {2: [1.0, 0.0]})
         b = payload(1, 0.5, {2: [0.0, 1.0]})
-        out = aggregate_global([a, b], "f1_weighted")
+        out = aggregate([a, b], "f1_weighted")
         assert out.matrix[2] == pytest.approx([0.5, 0.5])
 
     def test_three_clients_weighted_sum(self):
@@ -109,7 +128,7 @@ class TestAggregateGlobal:
             payload(1, 0.2, {2: [0.0, 0.0]}),
             payload(2, 0.2, {2: [0.0, 0.0]}),
         ]
-        out = aggregate_global(pays, "f1_weighted")
+        out = aggregate(pays, "f1_weighted")
         assert out.matrix[2] == pytest.approx([0.6, 0.6])
 
     def test_missing_class_renormalizes(self):
@@ -118,24 +137,24 @@ class TestAggregateGlobal:
             payload(1, 0.2, {1: [0.0, 1.0], 5: [2.0, 2.0]}),
             payload(2, 0.2, {5: [0.0, 0.0]}),
         ]
-        out = aggregate_global(pays, "f1_weighted")
+        out = aggregate(pays, "f1_weighted")
         assert out.matrix[1] == pytest.approx([0.75, 0.25])  # 0.6/0.8, 0.2/0.8
         assert out.matrix[5] == pytest.approx([1.0, 1.0])  # equal renormalized halves
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_global([payload(0, 0.5, {1: [1.0, 0.0]}), payload(1, 0.5, {1: [1.0]}, dim=1)], "uniform")
+            aggregate([payload(0, 0.5, {1: [1.0, 0.0]}), payload(1, 0.5, {1: [1.0]}, dim=1)], "uniform")
 
     def test_round_mismatch_rejected(self):
         a = payload(0, 0.5, {1: [1.0, 0.0]}, round_index=1)
         b = payload(1, 0.5, {1: [1.0, 0.0]}, round_index=2)
-        with pytest.raises(ValueError):
-            aggregate_global([a, b], "uniform")
+        with pytest.raises(PayloadError, match="client 1 payload is for round 2, expected 1"):
+            aggregate([a, b], "uniform", round_index=1)
 
     def test_repeated_client_rejected(self):
         pays = [payload(cid, 0.5, {1: [1.0, 0.0]}) for cid in (3, 1, 3)]
         with pytest.raises(PayloadError, match="client 3 sent more than one payload"):
-            aggregate_global(pays, "f1_weighted")
+            aggregate(pays, "f1_weighted")
 
     def test_equal_f1_matches_uniform_bitwise(self):
         rng = np.random.default_rng(1)
@@ -146,8 +165,8 @@ class TestAggregateGlobal:
                 pays.append(
                     payload(cid, 0.37, {int(c): rng.normal(size=3).astype(np.float32) for c in classes}, dim=3)
                 )
-            weighted = aggregate_global(pays, "f1_weighted")
-            uniform = aggregate_global(pays, "uniform")
+            weighted = aggregate(pays, "f1_weighted")
+            uniform = aggregate(pays, "uniform")
             assert classes_of(weighted) == classes_of(uniform)
             for c in classes_of(weighted):
                 assert np.array_equal(weighted.matrix[c], uniform.matrix[c])
@@ -167,7 +186,7 @@ class TestAggregateGlobal:
                     )
                 )
             mode = ("uniform", "f1_weighted")[int(rng.integers(2))]
-            out = aggregate_global(pays, mode)
+            out = aggregate(pays, mode)
             for c in classes_of(out):
                 contrib = np.array(
                     [p.prototypes.matrix[c] for p in pays if p.prototypes.present[c]]
@@ -543,7 +562,7 @@ class TestServer:
         aggregated = server.receive_and_aggregate(blobs, 1)
         assert classes_of(aggregated) == [1]
         assert server.last_weights == pytest.approx([2 / 3, 1 / 3])
-        assert len(server.payload_log) == 2
+        assert server.last_class_weights.shape == (2, NUM_CLASSES)
         broadcast = server.broadcast(1)
         assert isinstance(broadcast, bytes)
 
@@ -570,10 +589,15 @@ class TestServer:
             server.receive_and_aggregate(fresh[1:], 6)
         with pytest.raises(PayloadError, match="client 0 sent more than one payload"):
             server.receive_and_aggregate([fresh[0], *fresh], 7)
-        assert server.global_prototypes is None and server.payload_log == []
+        assert server.global_prototypes is None and server.last_weights == []
         server.receive_and_aggregate(fresh, 7)
-        assert [entry["client"] for entry in server.payload_log] == [0, 1]
+        assert server.last_weights == [0.5, 0.5]
 
     def test_broadcast_before_aggregate_fails(self):
         with pytest.raises(RuntimeError):
             Server("uniform").broadcast(1)
+
+    def test_unknown_mode_rejected_when_built(self):
+        message = "aggregation must be one of ('uniform', 'f1_weighted'), got 'mean'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Server("mean")
