@@ -5,21 +5,22 @@ chosen among the aspect/opinion spans that fall inside it. Orientation is
 decided by which role starts first; boundary ties prefer the shorter span.
 The test suite checks the decoder against an exhaustive pairwise oracle.
 
-``decode_batch`` decodes many tag matrices in one packed array pass, a fixed
-number of sentences at a time; ``decode_triplets`` is that pass on one.
+``decode_batch`` decodes a packed ``TagBatch`` in place, a fixed number of
+sentences at a time; ``decode_triplets`` is that pass on one tag matrix.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Polarity, Span, Triplet
-from .tagging import ASPECT_BIT, OPINION_BIT, SENTIMENT_INDEX, TagMatrix
+from .tagging import ASPECT_BIT, OPINION_BIT, SENTIMENT_INDEX, TagBatch, TagMatrix, span_counts
 
 logger = logging.getLogger(__name__)
 
@@ -69,13 +70,12 @@ class _Covers(NamedTuple):
     classes: np.ndarray  # (S,) the chunk's classes, end to end
 
 
-def _covers(chunk: Sequence[TagMatrix], l_max: int) -> _Covers:
-    """The first candidate step: find the covers of sentences sharing ``l_max``."""
-    lengths = np.array([tags.n for tags in chunk], dtype=np.int64)
-    classes = np.concatenate([tags.classes for tags in chunk])
+def _covers(lengths: np.ndarray, classes: np.ndarray, l_max: int) -> _Covers:
+    """The first candidate step: find the covers of sentences of ``lengths``
+    words sharing ``l_max``, their ``classes`` end to end."""
     # Spans are packed sentence after sentence, each row-major (span_layout):
     # word i's row holds min(l_max, n - i) spans.
-    word_sentence = np.arange(len(chunk)).repeat(lengths)
+    word_sentence = np.arange(len(lengths)).repeat(lengths)
     first_word = lengths.cumsum() - lengths
     local_word = np.arange(len(word_sentence)) - first_word[word_sentence]
     row_counts = np.minimum(l_max, lengths[word_sentence] - local_word)
@@ -111,20 +111,29 @@ def _contained(covers: _Covers, lo: int, hi: int, width: int):
     return rel_start, rel_end, covers.classes[inside]
 
 
+def _keys_fit(sentences: int, radix: int) -> bool:
+    """Whether the output sort keys of ``sentences`` sentences, spans of
+    radix ``radix``, fit in int64."""
+    return sentences * radix * radix * len(_POLARITIES) < 2**63
+
+
 def _decode_chunk(
-    chunk: Sequence[TagMatrix], l_max: int, diagnostics: np.ndarray
+    lengths: np.ndarray, classes: np.ndarray, l_max: int, diagnostics: np.ndarray
 ) -> list[list[Triplet]]:
-    """Decode sentences that share ``l_max``; adds the interleaved and the
-    coinciding cover counts to ``diagnostics``."""
-    n_max = max(int(tags.n) for tags in chunk)
+    """Decode sentences of ``lengths`` words that share ``l_max``, their
+    ``classes`` end to end; adds the interleaved and the coinciding cover
+    counts to ``diagnostics``."""
+    n_max = int(lengths.max())
     w = min(l_max, n_max)
     # A span is (start, width) in the output sort key below, radix n_max * w;
     # a chunk whose keys could pass int64 is decoded one sentence at a time.
     radix = n_max * w
-    if len(chunk) > 1 and len(chunk) * radix * radix * len(_POLARITIES) >= 2**63:
-        return [t for tags in chunk for t in _decode_chunk([tags], l_max, diagnostics)]
-    covers = _covers(chunk, l_max)
-    out: list[list[Triplet]] = [[] for _ in chunk]
+    if len(lengths) > 1 and not _keys_fit(len(lengths), radix):
+        parts = np.split(classes, span_counts(lengths, l_max).cumsum()[:-1])
+        return [decoded for i, part in enumerate(parts)
+                for decoded in _decode_chunk(lengths[i : i + 1], part, l_max, diagnostics)]
+    covers = _covers(lengths, classes, l_max)
+    out: list[list[Triplet]] = [[] for _ in lengths]
     n_covers = len(covers.start)
     if not n_covers:
         return out
@@ -172,20 +181,26 @@ def _decode_chunk(
     return out
 
 
-def decode_batch(tags_list: Sequence[TagMatrix]) -> list[list[Triplet]]:
-    """Decode one triplet per sentiment span of each tag matrix; each list
-    sorted and deduplicated. Matrices are grouped by ``l_max`` and decoded
-    ``DECODE_CHUNK`` at a time."""
-    groups: dict[int, list[int]] = defaultdict(list)
-    for i, tags in enumerate(tags_list):
-        groups[tags.l_max].append(i)
-    out: list[list[Triplet]] = [[] for _ in tags_list]
+def decode_batch(tags: Sequence[TagMatrix]) -> list[list[Triplet]]:
+    """Decode one triplet per sentiment span of each sentence; each list
+    sorted and deduplicated. A ``TagBatch`` is decoded as it is packed,
+    ``DECODE_CHUNK`` sentences at a time; other tag matrices are first split
+    by ``l_max`` and packed (``TagBatch.of``)."""
+    if isinstance(tags, TagBatch):
+        batches = [(range(len(tags)), tags)]
+    else:
+        groups: dict[int, list[int]] = defaultdict(list)
+        for i, matrix in enumerate(tags):
+            groups[matrix.l_max].append(i)
+        batches = [(ids, TagBatch.of([tags[i] for i in ids])) for ids in groups.values()]
+    out: list[list[Triplet]] = [[] for _ in range(len(tags))]
     diagnostics = np.zeros(2, dtype=np.int64)
-    for l_max, ids in groups.items():
-        for lo in range(0, len(ids), DECODE_CHUNK):
-            part = ids[lo : lo + DECODE_CHUNK]
-            decoded = _decode_chunk([tags_list[i] for i in part], l_max, diagnostics)
-            for i, triplets in zip(part, decoded):
+    for ids, batch in batches:
+        for lo in range(0, len(batch), DECODE_CHUNK):
+            hi = min(lo + DECODE_CHUNK, len(batch))
+            classes = batch.classes[batch.offsets[lo] : batch.offsets[hi]]
+            decoded = _decode_chunk(batch.lengths[lo:hi], classes, batch.l_max, diagnostics)
+            for i, triplets in zip(ids[lo:hi], decoded):
                 out[i] = triplets
     interleaved, coincide = diagnostics.tolist()
     if interleaved:

@@ -72,22 +72,22 @@ def _aggregate(
     weights. Each class's prototype is the weighted mean over the clients
     that reported it, summed in ascending client id so float summation is
     reproducible. ``PayloadError`` names a client with a payload of another
-    round than ``round_index`` or with two."""
+    round than ``round_index`` or with two, and lists every client's
+    prototype width when they differ."""
     if not payloads:
         raise ValueError("no payloads to aggregate")
     payloads = sorted(payloads, key=lambda p: p.client_id)
-    dim = payloads[0].prototypes.dim
     for prev, p in zip([None, *payloads], payloads):
-        if p.prototypes.dim != dim:
-            raise ValueError(
-                f"client {p.client_id} payload has dim {p.prototypes.dim}, expected {dim}"
-            )
         if p.round_index != round_index:
             raise PayloadError(
                 f"client {p.client_id} payload is for round {p.round_index}, expected {round_index}"
             )
         if prev is not None and prev.client_id == p.client_id:
             raise PayloadError(f"client {p.client_id} sent more than one payload")
+    dim = payloads[0].prototypes.dim
+    if any(p.prototypes.dim != dim for p in payloads):
+        widths = ", ".join(f"client {p.client_id} dim {p.prototypes.dim}" for p in payloads)
+        raise PayloadError(f"prototype widths differ: {widths}")
     base_weights = _client_weights([p.val_f1 for p in payloads], mode)
     reported = np.array([p.prototypes.present for p in payloads])
     class_weights = np.where(reported, np.array(base_weights)[:, None], 0.0)

@@ -39,7 +39,7 @@ from .encoder import (
     unit_prototypes,
 )
 from .prototypes import PrototypeSet, smooth_prototypes
-from .tagging import NUM_CLASSES, TagMatrix, derive_gold_tags
+from .tagging import NUM_CLASSES, TagBatch, derive_gold_tags, span_counts
 
 logger = logging.getLogger(__name__)
 
@@ -302,7 +302,8 @@ class SpanTagger:
 
     # -- inference -------------------------------------------------------------------
 
-    def predict_tags(self, sentences: Sequence[Sentence]) -> list[TagMatrix]:
+    def predict_tags(self, sentences: Sequence[Sentence]) -> TagBatch:
+        """The argmax class of every candidate span, in one int16 array."""
         self._require_fitted()
         validate_sentences(sentences)
         l_max = self.config.l_max
@@ -310,17 +311,19 @@ class SpanTagger:
         # per-span one, and a group's reps would depend on its length.
         windows = self.config.rep_dim > 1
         toks = [self._tokenizer.tokenize(s.tokens) for s in sentences]
-        out = []
+        lengths = np.array([tok.n_words for tok in toks], dtype=np.int64)
+        classes = np.empty(int(span_counts(lengths, l_max).sum()), dtype=np.int16)
+        done = 0  # spans of the passes before this one
         # Spans are scored SCORE_GROUP sentences at a time, in call order.
         for packing in packed_passes(toks, SCORE_GROUP, l_max, self.params_.embed.dtype):
-            for g, (lo, hi) in enumerate(zip(packing.groups, packing.groups[1:])):
+            for g, lo in enumerate(packing.groups[:-1]):
                 batch = packing.batch(g, windows)
                 _, word_vecs = encode_words(self.params_, batch)
-                classes = score_spans(self.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
-                first, spans = packing.spans[lo], packing.spans[lo : hi + 1]
-                out += [TagMatrix(n, l_max, classes[a - first : b - first])
-                        for n, a, b in zip(packing.word_counts[lo:hi], spans, spans[1:])]
-        return out
+                logits = score_spans(self.params_, word_vecs, batch).logits
+                start = done + packing.spans[lo]
+                classes[start : start + len(logits)] = logits.argmax(axis=1)
+            done += packing.spans[-1]
+        return TagBatch(l_max, lengths, classes)
 
     def predict(self, sentences: Sequence[Sentence]) -> list[list[Triplet]]:
         return decode_batch(self.predict_tags(sentences))

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -77,6 +78,13 @@ def span_count(n: int, l_max: int) -> int:
     return int(span_layout(n, l_max)[2][-1])
 
 
+def span_counts(lengths: np.ndarray, l_max: int) -> np.ndarray:
+    """``span_count`` of each length, in one array operation: word i starts
+    ``min(l_max, n - i)`` spans."""
+    widths = np.minimum(lengths, l_max)
+    return widths * lengths - widths * (widths - 1) // 2
+
+
 def span_position(n: int, l_max: int, span: Span) -> int:
     """Row-major index of a span within enumerate_spans(n, l_max)."""
     if not (0 <= span.start <= span.end < n):
@@ -109,6 +117,48 @@ class TagMatrix:
         spans = enumerate_spans(self.n, self.l_max)
         tags = {f"{s.start}:{s.end}": int(c) for s, c in zip(spans, self.classes)}
         return json.dumps({"n": self.n, "l_max": self.l_max, "tags": tags})
+
+
+@dataclass(frozen=True, eq=False)
+class TagBatch(Sequence[TagMatrix]):
+    """The tag matrices of many sentences sharing one ``l_max``, packed:
+    sentence i has ``lengths[i]`` words and its classes are
+    ``classes[offsets[i]:offsets[i + 1]]``. Checked once, when built, by
+    ``TagMatrix``'s rules; indexing, slicing and iteration build ``TagMatrix``
+    views on demand."""
+
+    l_max: int
+    lengths: np.ndarray  # (B,) int64
+    classes: np.ndarray  # (S,) every sentence's classes, end to end
+    offsets: np.ndarray = field(init=False, repr=False)  # (B + 1,) int64
+
+    def __post_init__(self) -> None:
+        if self.l_max < 1 or (self.lengths < 1).any():
+            raise ValueError("need n >= 1 and l_max >= 1")
+        offsets = np.zeros(len(self.lengths) + 1, dtype=np.int64)
+        np.cumsum(span_counts(self.lengths, self.l_max), out=offsets[1:])
+        total = int(offsets[-1])
+        if np.shape(self.classes) != (total,):
+            raise ValueError(f"need one class per span: {np.shape(self.classes)} vs {total} spans")
+        object.__setattr__(self, "offsets", offsets)
+
+    @classmethod
+    def of(cls, matrices: Sequence[TagMatrix]) -> "TagBatch":
+        """``matrices``, which share one ``l_max``, packed."""
+        l_maxes = {tags.l_max for tags in matrices}
+        if len(l_maxes) != 1:
+            raise ValueError(f"need tag matrices of one l_max, got {sorted(l_maxes)}")
+        lengths = np.array([tags.n for tags in matrices], dtype=np.int64)
+        return cls(l_maxes.pop(), lengths, np.concatenate([tags.classes for tags in matrices]))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return TagMatrix(int(self.lengths[i]), self.l_max, self.classes[self.offsets[i] : self.offsets[i + 1]])
 
 
 def derive_gold_tags(sentence: Sentence, l_max: int) -> TagMatrix:

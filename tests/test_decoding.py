@@ -1,17 +1,20 @@
 """Triplet decoding and its brute-force equivalence oracle."""
 
 import logging
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspan import decoding
 from fedspan.corpus import Polarity, Span, Triplet, parse_corpus
 from fedspan.decoding import DECODE_CHUNK, _contained, _covers, decode_batch, decode_triplets
 from fedspan.tagging import (
+    TagBatch,
     TagMatrix,
     derive_gold_tags,
     span_count,
@@ -140,7 +143,7 @@ class TestDecode:
 def packed_candidates(tags):
     """The packed candidate steps on one sentence, as (sentiment spans with
     their polarity, then each one's aspects and opinions inside it)."""
-    covers = _covers([tags], tags.l_max)
+    covers = _covers(np.array([tags.n]), tags.classes, tags.l_max)
     rel_start, rel_end, classes = _contained(covers, 0, len(covers.start), min(tags.l_max, tags.n))
     assert not covers.sentence.any()
     sentiments, inside = [], []
@@ -350,6 +353,82 @@ class TestPackedDecoder:
         # A span that is both aspect and opinion also counts as interleaved.
         assert messages[0].startswith("4 ") and "interleaved" in messages[0]
         assert messages[1].startswith("2 ") and "coincide" in messages[1]
+
+
+def random_batch(seed, count, l_max, density, max_n=12):
+    """A ``TagBatch`` of ``count`` sentences of 1 to ``max_n`` words,
+    tagging about ``density`` of their spans."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_n + 1, count)
+    total = sum(span_count(int(n), l_max) for n in lengths)
+    classes = np.where(rng.random(total) < density, rng.integers(1, 16, total), 0)
+    return TagBatch(l_max, lengths, classes.astype(np.int16))
+
+
+class TestTagBatch:
+    """The packed tag matrices of one ``predict_tags`` call."""
+
+    def test_refuses_what_a_tag_matrix_refuses(self):
+        """Misaligned classes, a length of 0 and an ``l_max`` of 0 are
+        refused when the batch is built, with ``TagMatrix``'s messages."""
+        cases = [
+            ((4, 4, np.zeros(9, np.int16)), (4, [4], np.zeros(9, np.int16))),
+            ((4, 4, np.zeros(11, np.int16)), (4, [4], np.zeros(11, np.int16))),
+            ((4, 4, np.zeros((10, 1), np.int16)), (4, [4], np.zeros((10, 1), np.int16))),
+            ((0, 4, np.zeros(0, np.int16)), (4, [3, 0], np.zeros(6, np.int16))),
+            ((4, 0, np.zeros(0, np.int16)), (0, [4], np.zeros(0, np.int16))),
+        ]
+        for matrix_args, (l_max, lengths, classes) in cases:
+            with pytest.raises(ValueError) as refused:
+                TagMatrix(*matrix_args)
+            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+                TagBatch(l_max, np.array(lengths, dtype=np.int64), classes)
+        with pytest.raises(ValueError, match=re.escape("need one class per span: (15,) vs 16 spans")):
+            TagBatch(4, np.array([4, 3], dtype=np.int64), np.zeros(15, np.int16))
+
+    def test_views_and_packing(self):
+        rng = np.random.default_rng(4)
+        matrices = [
+            TagMatrix(n, 9, rng.integers(0, 16, span_count(n, 9)).astype(np.int16)) for n in (3, 12, 1, 9, 10, 5)
+        ]
+        batch = TagBatch.of(matrices)
+        assert batch.classes.dtype == np.int16 and batch.lengths.dtype == np.int64
+        assert len(batch) == 6 and batch.offsets.tolist()[-1] == len(batch.classes)
+        for got in (list(batch), batch[:], [batch[i] for i in range(-6, 0)]):
+            assert [(t.n, t.l_max, t.classes.tobytes()) for t in got] == [
+                (m.n, m.l_max, m.classes.tobytes()) for m in matrices
+            ]
+        assert [t.n for t in batch[4:1:-2]] == [matrices[4].n, matrices[2].n]
+        with pytest.raises(IndexError):
+            batch[6]
+        with pytest.raises(ValueError, match=re.escape("need tag matrices of one l_max, got [3, 9]")):
+            TagBatch.of([*matrices, TagMatrix(2, 3, np.zeros(3, np.int16))])
+        assert len(TagBatch(5, np.zeros(0, np.int64), np.zeros(0, np.int16))) == 0
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["packed", "int64_fallback"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 3 * DECODE_CHUNK),
+        l_max=st.integers(1, 12),
+        density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @example(seed=0, count=2 * DECODE_CHUNK + 3, l_max=10, density=0.3)
+    def test_decodes_as_the_oracle_per_sentence(self, fallback, seed, count, l_max, density):
+        """``decode_batch`` decodes a ``TagBatch`` in place, as
+        ``pairwise_decode`` decodes each of its sentences, over several
+        chunks; also when every chunk's sort keys are taken not to fit in
+        int64, so that it decodes one sentence at a time."""
+        batch = random_batch(seed, count, l_max, density)
+        with mock.patch.object(decoding, "_keys_fit", side_effect=lambda *_: not fallback) as fits:
+            decoded = decode_batch(batch)
+        assert fits.called == (count > 1)
+        assert decoded == [pairwise_decode(tags) for tags in batch]
+
+    def test_sort_keys_fit_below_two_to_the_63(self):
+        """A chunk's largest sort key is sentences * radix**2 * 3 - 1 (three
+        polarities): two sentences at radix 2**30 fit int64, three do not."""
+        assert decoding._keys_fit(2, 2**30) and not decoding._keys_fit(3, 2**30)
 
 
 class TestGoldRoundTrip:

@@ -145,6 +145,15 @@ class TestAggregateGlobal:
         with pytest.raises(ValueError):
             aggregate([payload(0, 0.5, {1: [1.0, 0.0]}), payload(1, 0.5, {1: [1.0]}, dim=1)], "uniform")
 
+    @pytest.mark.parametrize("dims", [(1, 2, 2, 2), (2, 2, 2, 1)])
+    def test_width_mismatch_lists_every_client(self, dims):
+        """A prototype width that differs is a ``PayloadError`` listing each
+        client's width, whichever client is the odd one out."""
+        blobs = [encode_payload(payload(cid, 0.5, {1: [1.0] * dim}, dim=dim)) for cid, dim in enumerate(dims)]
+        listed = ", ".join(f"client {cid} dim {dim}" for cid, dim in enumerate(dims))
+        with pytest.raises(PayloadError, match=re.escape(f"prototype widths differ: {listed}")):
+            Server("uniform").receive_and_aggregate(blobs, 1)
+
     def test_round_mismatch_rejected(self):
         a = payload(0, 0.5, {1: [1.0, 0.0]}, round_index=1)
         b = payload(1, 0.5, {1: [1.0, 0.0]}, round_index=2)

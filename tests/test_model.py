@@ -11,12 +11,14 @@ import fedspan.encoder as encoder_module
 import fedspan.model as model_module
 from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
-from fedspan.encoder import EncoderParams
-from fedspan.model import NotFittedError, SpanTagger, select_spans, validate_sentences
+from fedspan.decoding import decode_batch
+from fedspan.encoder import EncoderParams, encode_words, score_spans
+from fedspan.model import SCORE_GROUP, NotFittedError, SpanTagger, select_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
-from fedspan.tagging import span_count
+from fedspan.tagging import TagBatch, TagMatrix, span_count
 
+from reference_plans import reference_span_batch
 from reference_prototypes import replay_local_prototypes
 from reference_training import reference_partial_fit, select_proto_spans, split_spans
 
@@ -569,6 +571,33 @@ class TestInference:
             span_count(n, l_max) for n in n_words
         ]
         assert [t.n for t in tags] == [len(s.tokens) for s in sentences]
+
+    def test_predict_builds_no_tag_matrix(self, tiny_corpus, monkeypatch):
+        """``predict_tags`` writes every group's classes into one packed
+        ``TagBatch`` and ``predict`` decodes it in place: no ``TagMatrix`` is
+        built, while each sentence's view holds the classes its group's
+        oracle batch (``reference_span_batch``) scores, byte for byte."""
+        tagger = small_tagger().fit(tiny_corpus.train[:10], epochs=1)
+        sentences = tiny_corpus.val[:19]
+        built = []
+        post_init = TagMatrix.__post_init__
+        monkeypatch.setattr(TagMatrix, "__post_init__", lambda tags: built.append(tags) or post_init(tags))
+        predicted = tagger.predict(sentences)
+        tags = tagger.predict_tags(sentences)
+        assert built == []
+        assert isinstance(tags, TagBatch) and tags.classes.dtype == np.int16
+        assert decode_batch(tags) == predicted
+
+        want = []
+        for lo in range(0, len(sentences), SCORE_GROUP):
+            toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
+            batch = reference_span_batch(toks, tagger.config.l_max, np.float32, windows=True)
+            _, word_vecs = encode_words(tagger.params_, batch)
+            classes = score_spans(tagger.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
+            parts = np.split(classes, np.cumsum(batch.span_counts[:-1]))
+            want += [(tok.n_words, part.dtype, part.tobytes()) for tok, part in zip(toks, parts)]
+        assert [(t.n, t.classes.dtype, t.classes.tobytes()) for t in tags] == want
+        assert len(built) == len(sentences)  # the views, built on demand
 
     def test_classes_do_not_depend_on_batch_mates(self, tiny_corpus):
         """In float64, a sentence gets the same classes scored alone as among
