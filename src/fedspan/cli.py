@@ -3,15 +3,18 @@
 Subcommands: generate, train, eval, analyze, sweep, ledger. Configuration
 comes from a JSON file (see ExperimentConfig) with flag overrides; every
 output lands under the configured output directory. Set FEDSPAN_OUTPUT_ROOT
-to relocate relative output directories.
+to relocate relative output directories. ``--log-level``, before the
+subcommand, prints the package's log lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import logging
 import os
 import sys
 import typing
@@ -295,6 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fedspan",
         description="Prototype-sharing federated training for span-based sentiment triplets",
     )
+    parser.add_argument(
+        "--log-level",
+        choices=["debug", "info", "warning", "error"],
+        help="print the package's log lines at this level and above on stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write synthetic corpora to disk")
@@ -330,10 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _stderr_logging(level: str | None):
+    """With ``level``, the ``fedspan`` loggers' lines at that level and above
+    go to stderr while the command runs; without it logging is untouched."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("fedspan")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
+        with _stderr_logging(args.log_level):
+            status = args.func(args)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:

@@ -16,7 +16,9 @@ scored in one packed pass (``score_spans``). ``batch_gradients`` reads what
 does not depend on the weights (the batch, targets, the embedding scatter
 index, the prototype term's constants) from a ``BatchPlan``, and the
 optimizer steps update the parameters in place. Training batches and
-scoring groups alike are packed a few at a time (``packed_passes``).
+scoring groups alike are packed a few at a time (``packed_passes``); a
+scoring call that fits one pass is packed once per tokenizer setting and
+kept (``Tokenizer.packed_call``).
 
 ``EncoderParams`` owns the parameter layout, for parameters, gradients and
 Adam moments alike: ``embed`` and ``dense``, one flat array of the other
@@ -42,12 +44,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Annotated, Callable, Iterator, Literal, Sequence
+from typing import Annotated, Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
 from .prototypes import PrototypeSet
-from .tagging import NUM_CLASSES, span_count, span_layout
+from .tagging import NUM_CLASSES, span_count, span_counts, span_layout
 
 logger = logging.getLogger(__name__)
 
@@ -182,13 +184,17 @@ class Tokenization:
 
 
 class _TokenCache:
-    """Word ids and sentence tokenizations of one tokenizer setting."""
+    """Word ids, sentence tokenizations and kept scoring calls of one
+    tokenizer setting. A kept call (``Tokenizer.packed_call``) is keyed by
+    its tokenizations, which hash by identity, and goes with them: it holds
+    no sentence and no model."""
 
-    __slots__ = ("words", "sentences", "__weakref__")
+    __slots__ = ("words", "sentences", "calls", "__weakref__")
 
     def __init__(self) -> None:
         self.words: dict[str, tuple[int, ...]] = {}
         self.sentences: dict[tuple[str, ...], Tokenization] = {}
+        self.calls: dict[tuple, tuple[np.ndarray, int, tuple[_Packing]]] = {}
 
 
 # One cache per (vocab_size, chunk_size, hash_seed), shared by the tokenizers
@@ -244,6 +250,31 @@ class Tokenizer:
         )
         self._cache.sentences[key] = tok
         return tok
+
+    def packed_call(
+        self, toks: tuple[Tokenization, ...], group_size: int, l_max: int, dtype
+    ) -> tuple[np.ndarray, int, Iterable[_Packing]]:
+        """The word count of each of ``toks``, their span total and their
+        passes (``packed_passes``). None of it depends on a weight, so a call
+        of at most ``PASS_SPANS`` spans, which is one pass, is kept read-only
+        in the setting's cache and reused by every later call over the same
+        tokenizations, ``group_size``, ``l_max``, dtype and bound; a larger
+        call is packed pass by pass each time."""
+        key = (toks, group_size, l_max, dtype, PASS_SPANS)
+        call = self._cache.calls.get(key)
+        if call is not None:
+            return call
+        lengths = np.array([tok.n_words for tok in toks], dtype=np.int64)
+        total = int(span_counts(lengths, l_max).sum())
+        passes = packed_passes(toks, group_size, l_max, dtype)
+        if total > PASS_SPANS:
+            return lengths, total, passes
+        (packing,) = passes
+        for arr in (lengths, packing.chunks, packing.ids, packing.word_starts, packing.word_sizes,
+                    packing.word_size_col, packing.first_words):
+            arr.setflags(write=False)
+        call = self._cache.calls[key] = lengths, total, (packing,)
+        return call
 
 
 class EncoderParams:
@@ -442,7 +473,7 @@ class _Packing:
     word_starts: np.ndarray  # (N,) first chunk of each word in its group
     word_sizes: np.ndarray  # (N,)
     word_size_col: np.ndarray  # (N, 1)
-    span_words: np.ndarray  # (S,) first word of each span's sentence in its group
+    first_words: np.ndarray  # each sentence's first word in its group
 
     @classmethod
     def of(cls, toks: Sequence[Tokenization], group_size: int, l_max: int, dtype) -> "_Packing":
@@ -465,7 +496,7 @@ class _Packing:
             l_max, groups, widths, layouts, word_counts, span_counts, words, [*accumulate(span_counts, initial=0)],
             chunks, np.concatenate([tok.subword_ids for tok in toks]), word_starts, word_sizes,
             word_sizes[:, None].astype(dtype),
-            np.subtract(words[:-1], _spread(group_words[:-1], groups)).repeat(span_counts),
+            np.subtract(words[:-1], _spread(group_words[:-1], groups)),
         )
 
     def batch(self, g: int, windows: bool = False) -> SpanBatch:
@@ -475,7 +506,7 @@ class _Packing:
         layouts, span_counts = self.layouts[lo:hi], self.span_counts[lo:hi]
         bounds = self.chunks[lo : hi + 1] - self.chunks[lo]
         words = slice(self.words[lo], self.words[hi])
-        span_words = self.span_words[self.spans[lo] : self.spans[hi]]
+        span_words = self.first_words[lo:hi].repeat(span_counts)
         pos = np.concatenate([layout[0] for layout in layouts])
         pos += span_words[:, None]
         batch = SpanBatch(
@@ -496,7 +527,7 @@ class _Packing:
 
 # Training batches and scoring groups are packed in passes of at most this
 # many spans (``packed_passes``); a group with more is a pass of its own.
-# What a pass packs up front, about 50 bytes per span, lives until its last
+# What a pass packs up front, about 55 bytes per span, lives until its last
 # group is drawn, so this bounds it. A shipped client's epoch (about 7,000
 # spans) is one pass; a group of 8 long sentences (25-35 words, about 2,100
 # spans) shares one with two others.

@@ -32,14 +32,13 @@ from .encoder import (
     # Called by encode_words; perfbench's tracer patches this binding too.
     forward_sentence,  # noqa: F401
     load_params,
-    packed_passes,
     save_params,
     score_spans,
     sgd_step,
     unit_prototypes,
 )
 from .prototypes import PrototypeSet, smooth_prototypes
-from .tagging import NUM_CLASSES, TagBatch, derive_gold_tags, span_counts
+from .tagging import NUM_CLASSES, TagBatch, derive_gold_tags
 
 logger = logging.getLogger(__name__)
 
@@ -310,12 +309,12 @@ class SpanTagger:
         # At rep_dim 1 the window product sums in another order than the
         # per-span one, and a group's reps would depend on its length.
         windows = self.config.rep_dim > 1
-        toks = [self._tokenizer.tokenize(s.tokens) for s in sentences]
-        lengths = np.array([tok.n_words for tok in toks], dtype=np.int64)
-        classes = np.empty(int(span_counts(lengths, l_max).sum()), dtype=np.int16)
-        done = 0  # spans of the passes before this one
+        toks = tuple(self._tokenizer.tokenize(s.tokens) for s in sentences)
         # Spans are scored SCORE_GROUP sentences at a time, in call order.
-        for packing in packed_passes(toks, SCORE_GROUP, l_max, self.params_.embed.dtype):
+        lengths, total, passes = self._tokenizer.packed_call(toks, SCORE_GROUP, l_max, self.params_.embed.dtype)
+        classes = np.empty(total, dtype=np.int16)
+        done = 0  # spans of the passes before this one
+        for packing in passes:
             for g, lo in enumerate(packing.groups[:-1]):
                 batch = packing.batch(g, windows)
                 _, word_vecs = encode_words(self.params_, batch)

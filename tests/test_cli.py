@@ -1,8 +1,9 @@
-"""CLI subcommands: generate, train, eval, analyze, sweep, ledger."""
+"""CLI subcommands: generate, train, eval, analyze, sweep, ledger; and --log-level."""
 
 import argparse
 import csv
 import json
+import logging
 import os
 import re
 import subprocess
@@ -227,6 +228,26 @@ class TestTrain:
             for l in (tmp_path / "run" / "records.jsonl").read_text().splitlines()
         ]
         assert {r["round"] for r in records} == {1}
+
+
+class TestLogLevel:
+    def test_debug_lines_on_stderr_and_the_records_unchanged(self, tmp_path, capsys):
+        """A one-round shipped run with ``--log-level debug`` prints the
+        decoder's debug lines on stderr and writes the records a run without
+        the flag writes, byte for byte; the handler goes with the command."""
+        plain, logged = tmp_path / "plain", tmp_path / "logged"
+        assert main(["train", "--rounds", "1", "--output-dir", str(plain)]) == 0
+        assert "fedspan." not in capsys.readouterr().err
+        assert main(["--log-level", "debug", "train", "--rounds", "1", "--output-dir", str(logged)]) == 0
+        assert re.search(r"^DEBUG fedspan\.decoding: ", capsys.readouterr().err, re.M)
+        assert (logged / "records.jsonl").read_bytes() == (plain / "records.jsonl").read_bytes()
+        assert not logging.getLogger("fedspan").handlers
+
+    def test_unknown_level_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--log-level", "verbose", "ledger"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'verbose'" in capsys.readouterr().err
 
 
 class TestEval:

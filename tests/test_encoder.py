@@ -133,17 +133,21 @@ class TestTokenizer:
 
     def test_sentence_cache_list_and_tuple_same_bits_as_fresh(self):
         """List and tuple input share one cached tokenization, with the bits
-        a tokenizer built after every earlier one is gone computes anew."""
+        a tokenizer built after every earlier one is gone computes anew. The
+        kept scoring calls go with the cache."""
         words = ["gorgeous", "keyboard", ",", "the", "keyboard"]
         tokenizer = Tokenizer(97, 3, hash_seed=4242)
         cached = tokenizer.tokenize(words)
         assert tokenizer.tokenize(tuple(words)) is cached
         assert Tokenizer(97, 3, hash_seed=4242).tokenize(words) is cached
+        call = tokenizer.packed_call((cached,), 8, 4, np.dtype(np.float32))
+        assert Tokenizer(97, 3, hash_seed=4242).packed_call((cached,), 8, 4, np.dtype(np.float32)) is call
         bits = array_bits(cached)
-        del tokenizer, cached
+        del tokenizer, cached, call
         gc.collect()
         fresh = Tokenizer(97, 3, hash_seed=4242)
         assert not fresh._cache.sentences
+        assert not fresh._cache.calls
         for tokens in (words, tuple(words)):
             tok = fresh.tokenize(tokens)
             assert tok.n_words == len(words)

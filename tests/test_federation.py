@@ -230,6 +230,44 @@ def client_payloads(draw, max_clients=5):
     return out
 
 
+@st.composite
+def disjoint_payloads(draw):
+    """Float32 payloads of 2 to 5 clients, in shuffled id order, each class
+    reported by one client at most; F1 0 included."""
+    dim = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=5, unique=True))
+    owners = draw(st.lists(st.integers(-1, len(ids) - 1), min_size=NUM_CLASSES, max_size=NUM_CLASSES))
+    rows = hnp.arrays(np.float32, dim, elements=st.floats(-1e3, 1e3, width=32))
+    scores = st.sampled_from([0.0, 0.37, 1.0]) | st.floats(0.0, 1.0)
+    return [
+        make_payload(cid, 1, draw(scores), PrototypeSet(dim, {c: draw(rows) for c, k in enumerate(owners) if k == i}))
+        for i, cid in enumerate(ids)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(disjoint_payloads())
+def test_disjoint_classes_aggregate_to_their_one_reporter(pays):
+    """With F1 weighting, a class one client reports is that client's
+    prototype in float64 (equal in value: a -0.0 sums to 0.0), and its
+    class weights are 1 for that client and 0 for the rest."""
+    server = Server("f1_weighted")
+    out = server.receive_and_aggregate([encode_payload(p) for p in pays], 1)
+    assert out.matrix.dtype == np.float64
+    rows = sorted(pays, key=lambda p: p.client_id)
+    for c in range(NUM_CLASSES):
+        reporters = [i for i, p in enumerate(rows) if p.prototypes.present[c]]
+        assert out.present[c] == bool(reporters)
+        want = np.zeros(len(rows))
+        if reporters:
+            [i] = reporters
+            want[i] = 1.0
+            assert np.array_equal(out.matrix[c], rows[i].prototypes.matrix[c].astype(np.float64))
+        else:
+            assert not out.matrix[c].any()
+        assert server.last_class_weights[:, c].tolist() == want.tolist()
+
+
 class TestMatchesPerClassOracle:
     @settings(max_examples=200, deadline=None)
     @given(client_payloads(), st.sampled_from(["uniform", "f1_weighted"]))

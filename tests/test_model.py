@@ -1,6 +1,9 @@
 """SpanTagger estimator surface: fit/predict/score, params protocol, persistence."""
 
+import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import fedspan.model as model_module
 from fedspan.config import ConfigError
 from fedspan.corpus import Polarity, Sentence, Span, Triplet
 from fedspan.decoding import decode_batch
-from fedspan.encoder import EncoderParams, encode_words, score_spans
+from fedspan.encoder import EncoderParams, _Packing, encode_words, score_spans
 from fedspan.model import SCORE_GROUP, NotFittedError, SpanTagger, select_spans, validate_sentences
 from fedspan.prototypes import PrototypeSet
 from fedspan.synth import default_synth_config, generate_synthetic
@@ -352,21 +355,28 @@ class TestTraining:
     def test_training_and_scoring_share_tokenizations(self, tiny_corpus, monkeypatch):
         """A training sentence is scored from the tokenization its training
         used, and a second model of the same tokenizer setting reads the same
-        object."""
+        object. The first call packs those tokenizations; the second model's
+        call reuses the packing and packs nothing, and its classes are those
+        it gets with the kept calls cleared."""
         sentences = tiny_corpus.train[:4]
         tagger = small_tagger().fit(sentences, epochs=1)
         other = small_tagger(seed=1).fit(sentences[2:], epochs=1)
         scored = []
-        passes = model_module.packed_passes
+        passes = encoder_module.packed_passes
         monkeypatch.setattr(
-            model_module, "packed_passes", lambda toks, *args: scored.extend(toks) or passes(toks, *args)
+            encoder_module, "packed_passes", lambda toks, *args: scored.extend(toks) or passes(toks, *args)
         )
         tagger.predict_tags(sentences)
-        other.predict_tags(sentences)
         trained = [tagger._train_inputs[s][0] for s in sentences]
-        assert len(scored) == 2 * len(sentences)
-        assert all(a is b for a, b in zip(scored, trained + trained))
+        assert len(scored) == len(sentences)
+        assert all(a is b for a, b in zip(scored, trained))
+        scored.clear()
+        reused = other.predict_tags(sentences)
+        assert scored == []
         assert all(other._train_inputs[s][0] is tok for s, tok in zip(sentences[2:], trained[2:]))
+        other._tokenizer._cache.calls.clear()
+        assert other.predict_tags(sentences).classes.tobytes() == reused.classes.tobytes()
+        assert len(scored) == len(sentences)
 
     def test_forward_sentence_runs_once_per_sentence(self, tiny_corpus, monkeypatch):
         """Training and scoring run the window product (``forward_sentence``)
@@ -524,6 +534,25 @@ class TestTrainingMemory:
         assert 0 < many < 1.5 * one
 
 
+def tag_bytes(tags):
+    """Each sentence's word count, class dtype and class bytes."""
+    return [(t.n, t.classes.dtype, t.classes.tobytes()) for t in tags]
+
+
+def oracle_tag_bytes(tagger, sentences):
+    """``tag_bytes`` of the classes each group of ``SCORE_GROUP`` sentences
+    gets packed on its own by the oracle (``reference_span_batch``)."""
+    config, want = tagger.config, []
+    for lo in range(0, len(sentences), SCORE_GROUP):
+        toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
+        batch = reference_span_batch(toks, config.l_max, config.dtype, windows=config.rep_dim > 1)
+        _, word_vecs = encode_words(tagger.params_, batch)
+        classes = score_spans(tagger.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
+        parts = np.split(classes, np.cumsum(batch.span_counts[:-1]))
+        want += [(tok.n_words, part.dtype, part.tobytes()) for tok, part in zip(toks, parts)]
+    return want
+
+
 class TestInference:
     def test_predict_equals_per_sentence_predict(self, tiny_corpus):
         """In float64, one call decodes every sentence as a call of its own
@@ -587,16 +616,7 @@ class TestInference:
         assert built == []
         assert isinstance(tags, TagBatch) and tags.classes.dtype == np.int16
         assert decode_batch(tags) == predicted
-
-        want = []
-        for lo in range(0, len(sentences), SCORE_GROUP):
-            toks = [tagger._tokenizer.tokenize(s.tokens) for s in sentences[lo : lo + SCORE_GROUP]]
-            batch = reference_span_batch(toks, tagger.config.l_max, np.float32, windows=True)
-            _, word_vecs = encode_words(tagger.params_, batch)
-            classes = score_spans(tagger.params_, word_vecs, batch).logits.argmax(axis=1).astype(np.int16)
-            parts = np.split(classes, np.cumsum(batch.span_counts[:-1]))
-            want += [(tok.n_words, part.dtype, part.tobytes()) for tok, part in zip(toks, parts)]
-        assert [(t.n, t.classes.dtype, t.classes.tobytes()) for t in tags] == want
+        assert tag_bytes(tags) == oracle_tag_bytes(tagger, sentences)
         assert len(built) == len(sentences)  # the views, built on demand
 
     def test_classes_do_not_depend_on_batch_mates(self, tiny_corpus):
@@ -620,6 +640,153 @@ class TestInference:
         tagger = SpanTagger(seed=0)
         tagger.fit(sentences, epochs=50)
         assert tagger.score(sentences) == 1.0
+
+
+def batch_bytes(tags: TagBatch):
+    return tags.l_max, tags.lengths.dtype, tags.lengths.tobytes(), tags.classes.dtype, tags.classes.tobytes()
+
+
+class TestKeptScoringCalls:
+    """A scoring call of at most ``PASS_SPANS`` spans is packed once per
+    tokenizer setting and kept, read-only, beside its tokenizations; later
+    calls over the same tokenizations reuse it. Each test has a hash seed of
+    its own, so that its setting's cache is its own."""
+
+    def test_a_kept_call_gives_the_bytes_of_a_packed_one(self, tiny_corpus, tmp_path):
+        """The first call packs and keeps, the second reuses; once every
+        model of the setting is gone, the cache goes with it, and a loaded
+        model packs anew, with the same bytes."""
+        sentences = tiny_corpus.val[:13]
+        tagger = small_tagger(hash_seed=91).fit(tiny_corpus.train[:10], epochs=1)
+        cache = weakref.ref(tagger._tokenizer._cache)
+        first = tagger.predict_tags(sentences)
+        second = tagger.predict_tags(sentences)
+        assert len(cache().calls) == 1
+        assert second.lengths is first.lengths  # the kept array
+        tagger.save(tmp_path / "tagger.ckpt")
+        del tagger
+        gc.collect()
+        assert cache() is None
+        loaded = SpanTagger.load(tmp_path / "tagger.ckpt")
+        third = loaded.predict_tags(sentences)
+        assert len(loaded._tokenizer._cache.calls) == 1 and third.lengths is not first.lengths
+        assert batch_bytes(first) == batch_bytes(second) == batch_bytes(third)
+
+    def test_models_of_other_dtype_or_l_max_keep_their_own_calls(self, tiny_corpus):
+        """A float32 and a float64 model at l_max 4 and 10, of one tokenizer
+        setting, score the same sentences, in turn and twice: each keeps a
+        call of its own, and each matches its own per-group oracle."""
+        sentences = [s for s in tiny_corpus.val if len(s.tokens) > 4][:6] + list(tiny_corpus.val[:5])
+        models = [
+            small_tagger(hash_seed=92, precision=precision, l_max=l_max).fit(tiny_corpus.train[:8], epochs=1)
+            for precision in ("float32", "float64")
+            for l_max in (4, 10)
+        ]
+        for _ in range(2):
+            for model in models:
+                assert tag_bytes(model.predict_tags(sentences)) == oracle_tag_bytes(model, sentences)
+        kept = models[0]._tokenizer._cache.calls
+        assert len(kept) == 4
+        assert sorted((packing.word_size_col.dtype.name, packing.l_max) for _, _, (packing,) in kept.values()) == [
+            ("float32", 4), ("float32", 10), ("float64", 4), ("float64", 10)
+        ]
+
+    def test_pass_bound_and_group_size_reach_the_next_call(self, tiny_corpus, monkeypatch):
+        """After a call is kept, a smaller ``PASS_SPANS`` or another
+        ``SCORE_GROUP`` changes the next call's passes: neither is read
+        from a stale entry. In float64 the classes do not change."""
+        tagger = small_tagger(hash_seed=93, precision="float64").fit(tiny_corpus.train[:10], epochs=1)
+        sentences = tiny_corpus.val[:20]
+        want = batch_bytes(tagger.predict_tags(sentences))
+        passes = []  # the group count of each pass packed
+        packed = encoder_module.packed_passes
+
+        def recording(*args):
+            for packing in packed(*args):
+                passes.append(len(packing.groups) - 1)
+                yield packing
+
+        monkeypatch.setattr(encoder_module, "packed_passes", recording)
+        assert batch_bytes(tagger.predict_tags(sentences)) == want
+        assert passes == []
+        monkeypatch.setattr(encoder_module, "PASS_SPANS", 100)  # under each group's spans
+        assert batch_bytes(tagger.predict_tags(sentences)) == want
+        assert passes == [1, 1, 1]
+        passes.clear()
+        monkeypatch.undo()
+        monkeypatch.setattr(encoder_module, "packed_passes", recording)
+        monkeypatch.setattr(model_module, "SCORE_GROUP", 3)
+        assert batch_bytes(tagger.predict_tags(sentences)) == want
+        assert passes == [7]
+        assert len(tagger._tokenizer._cache.calls) == 2
+
+    def test_only_a_call_within_the_bound_is_kept_and_read_only(self, tiny_corpus, monkeypatch):
+        tagger = small_tagger(hash_seed=94).fit(tiny_corpus.train[:10], epochs=1)
+        sentences = tiny_corpus.val[:20]
+        kept = tagger._tokenizer._cache.calls
+        total = sum(span_count(len(s.tokens), tagger.config.l_max) for s in sentences)
+        monkeypatch.setattr(encoder_module, "PASS_SPANS", total - 1)
+        tagger.predict_tags(sentences)
+        assert not kept
+        monkeypatch.setattr(encoder_module, "PASS_SPANS", total)
+        tags = tagger.predict_tags(sentences)
+        [(lengths, kept_total, (packing,))] = kept.values()
+        assert kept_total == total == len(tags.classes) and lengths is tags.lengths
+        arrays = [lengths, *(a for layout in packing.layouts for a in layout)]
+        arrays += [a for f in dataclasses.fields(_Packing) if isinstance(a := getattr(packing, f.name), np.ndarray)]
+        assert len(arrays) == 1 + 4 * len(sentences) + 6
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            tags.lengths[0] = 1
+
+    def test_kept_calls_hold_no_sentence(self, tiny_corpus):
+        """A kept call holds tokenizations, not the sentences scored: a
+        sentence no one else holds is freed, and a new, equal one reuses the
+        call."""
+        tagger = small_tagger(hash_seed=95).fit(tiny_corpus.train[:10], epochs=1)
+        tokens = (*tiny_corpus.val[0].tokens, "again")
+        sentence = Sentence(tokens)
+        ref = weakref.ref(sentence)
+        tags = tagger.predict_tags([sentence])
+        del sentence
+        gc.collect()
+        assert ref() is None
+        assert len(tagger._tokenizer._cache.calls) == 1
+        assert tagger.predict_tags([Sentence(tokens)]).lengths is tags.lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.integers(0, 8), max_size=10),
+    st.sampled_from([1, 4]),
+    st.sampled_from(["float32", "float64"]),
+    st.integers(0, 2**16),
+)
+def test_predict_mixes_one_word_sentences_with_ones_longer_than_l_max(l_max, extra, rep_dim, precision, seed):
+    """End to end, on random weights: one class per span, every decoded span
+    inside its sentence and at most l_max wide, and the kept call's second
+    use gives the first call's bytes."""
+    rng = np.random.default_rng(seed)
+    lengths = [1, l_max + 1, *(1 if k == 0 else l_max + k for k in extra)]
+    rng.shuffle(lengths)
+    words = ["".join(rng.choice(list("abcdef"), int(rng.integers(1, 6)))) for _ in range(sum(lengths))]
+    edges = np.cumsum([0, *lengths]).tolist()
+    sentences = [Sentence(tuple(words[lo:hi])) for lo, hi in zip(edges, edges[1:])]
+    tagger = SpanTagger(
+        vocab_size=61, embed_dim=5, hidden_dim=6, rep_dim=rep_dim, l_max=l_max, precision=precision, chunk_size=2
+    )
+    tagger._initialize()
+    tagger.params_.dense[:] = rng.normal(0.0, 1.0, tagger.params_.dense.shape)
+    tags = tagger.predict_tags(sentences)
+    assert tags.lengths.tolist() == lengths
+    assert len(tags.classes) == sum(span_count(n, l_max) for n in lengths)
+    assert [len(t.classes) for t in tags] == [span_count(n, l_max) for n in lengths]
+    for n, row in zip(lengths, tagger.predict(sentences)):
+        for triplet in row:
+            for span in (triplet.aspect, triplet.opinion):
+                assert 0 <= span.start <= span.end < n and span.width <= l_max
+    assert batch_bytes(tagger.predict_tags(sentences)) == batch_bytes(tags)
 
 
 class TestPersistence:
