@@ -130,23 +130,38 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_records_file(path: Path) -> list[dict]:
-    """A run's records; each line must be a JSON object holding the fields ledger and analyze read."""
+    """A run's records; each line must be a UTF-8 JSON object holding the
+    fields ledger and analyze read, each of its type."""
     if not path.is_file():
         raise FileNotFoundError(f"no record file at {path}")
-    fields = ("round", "client", "corpus", "val_f1", "test_f1_matrix", "uploaded_floats", "downloaded_floats")
+    integer = ("an int", lambda v: type(v) is int)  # not a bool
+    number = lambda v: type(v) in (int, float)  # noqa: E731
+    fields = {
+        "round": integer,
+        "client": integer,
+        "corpus": ("a string", lambda v: type(v) is str),
+        "val_f1": ("a number", number),
+        "test_f1_matrix": ("an object of numbers", lambda v: type(v) is dict and all(map(number, v.values()))),
+        "uploaded_floats": integer,
+        "downloaded_floats": integer,
+    }
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path} line {line_no}: not UTF-8 ({exc})") from None
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path} line {line_no}: not JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"{path} line {line_no}: a record must be a JSON object")
             if missing := [name for name in fields if name not in rec]:
                 raise ValueError(f"{path} line {line_no}: record lacks {', '.join(missing)}")
+            if wrong := [f"{name} must be {kind}" for name, (kind, ok) in fields.items() if not ok(rec[name])]:
+                raise ValueError(f"{path} line {line_no}: {'; '.join(wrong)}")
             records.append(rec)
     return records
 

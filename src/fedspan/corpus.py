@@ -25,11 +25,12 @@ TEST_FILE_NAMES = ("test.txt", "test_triplets.txt")
 
 
 class CorpusFormatError(ValueError):
-    """A corpus line could not be parsed; carries the 1-based line number."""
+    """A corpus line could not be parsed; carries the 1-based line number,
+    and names the file when one is given."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no: int, message: str, path: Path | None = None):
+        super().__init__(f"{path} line {line_no}: {message}" if path else f"line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
 
 
 class Polarity(str, Enum):
@@ -196,7 +197,12 @@ def read_corpus_dir(directory: str | Path, name: str | None = None) -> Corpus:
         path = _find_split_file(directory, candidates)
         if path is None:
             raise FileNotFoundError(f"no {split} file in {directory} (tried {candidates})")
-        splits[split] = parse_corpus(path.read_text(encoding="utf-8"))
+        try:
+            splits[split] = parse_corpus(path.read_text(encoding="utf-8"))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(exc.line_no, exc.message, path) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return Corpus(name or directory.name, splits["train"], splits["val"], splits["test"])
 
 

@@ -12,15 +12,13 @@ sentences at a time; ``decode_triplets`` is that pass on one tag matrix.
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
-from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Polarity, Span, Triplet
-from .tagging import ASPECT_BIT, OPINION_BIT, SENTIMENT_INDEX, TagBatch, TagMatrix, span_counts
+from .tagging import ASPECT_BIT, OPINION_BIT, SENTIMENT_INDEX, TagBatch, TagMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -117,21 +115,18 @@ def _keys_fit(sentences: int, radix: int) -> bool:
     return sentences * radix * radix * len(_POLARITIES) < 2**63
 
 
-def _decode_chunk(
-    lengths: np.ndarray, classes: np.ndarray, l_max: int, diagnostics: np.ndarray
-) -> list[list[Triplet]]:
-    """Decode sentences of ``lengths`` words that share ``l_max``, their
-    ``classes`` end to end; adds the interleaved and the coinciding cover
-    counts to ``diagnostics``."""
+def _decode_chunk(batch: TagBatch, start: int, stop: int, diagnostics: np.ndarray) -> list[list[Triplet]]:
+    """Decode sentences ``start:stop`` of ``batch``; adds the interleaved
+    and the coinciding cover counts to ``diagnostics``."""
+    lengths, l_max = batch.lengths[start:stop], batch.l_max
+    classes = batch.classes[batch.offsets[start] : batch.offsets[stop]]
     n_max = int(lengths.max())
     w = min(l_max, n_max)
     # A span is (start, width) in the output sort key below, radix n_max * w;
     # a chunk whose keys could pass int64 is decoded one sentence at a time.
     radix = n_max * w
-    if len(lengths) > 1 and not _keys_fit(len(lengths), radix):
-        parts = np.split(classes, span_counts(lengths, l_max).cumsum()[:-1])
-        return [decoded for i, part in enumerate(parts)
-                for decoded in _decode_chunk(lengths[i : i + 1], part, l_max, diagnostics)]
+    if stop - start > 1 and not _keys_fit(stop - start, radix):
+        return [decoded for i in range(start, stop) for decoded in _decode_chunk(batch, i, i + 1, diagnostics)]
     covers = _covers(lengths, classes, l_max)
     out: list[list[Triplet]] = [[] for _ in lengths]
     n_covers = len(covers.start)
@@ -181,27 +176,14 @@ def _decode_chunk(
     return out
 
 
-def decode_batch(tags: Sequence[TagMatrix]) -> list[list[Triplet]]:
+def decode_batch(batch: TagBatch) -> list[list[Triplet]]:
     """Decode one triplet per sentiment span of each sentence; each list
-    sorted and deduplicated. A ``TagBatch`` is decoded as it is packed,
-    ``DECODE_CHUNK`` sentences at a time; other tag matrices are first split
-    by ``l_max`` and packed (``TagBatch.of``)."""
-    if isinstance(tags, TagBatch):
-        batches = [(range(len(tags)), tags)]
-    else:
-        groups: dict[int, list[int]] = defaultdict(list)
-        for i, matrix in enumerate(tags):
-            groups[matrix.l_max].append(i)
-        batches = [(ids, TagBatch.of([tags[i] for i in ids])) for ids in groups.values()]
-    out: list[list[Triplet]] = [[] for _ in range(len(tags))]
+    sorted and deduplicated. The batch is decoded as it is packed,
+    ``DECODE_CHUNK`` sentences at a time."""
+    out: list[list[Triplet]] = []
     diagnostics = np.zeros(2, dtype=np.int64)
-    for ids, batch in batches:
-        for lo in range(0, len(batch), DECODE_CHUNK):
-            hi = min(lo + DECODE_CHUNK, len(batch))
-            classes = batch.classes[batch.offsets[lo] : batch.offsets[hi]]
-            decoded = _decode_chunk(batch.lengths[lo:hi], classes, batch.l_max, diagnostics)
-            for i, triplets in zip(ids[lo:hi], decoded):
-                out[i] = triplets
+    for start in range(0, len(batch), DECODE_CHUNK):
+        out += _decode_chunk(batch, start, min(start + DECODE_CHUNK, len(batch)), diagnostics)
     interleaved, coincide = diagnostics.tolist()
     if interleaved:
         logger.debug("%d sentiment spans hold interleaved aspect/opinion candidates", interleaved)
@@ -212,4 +194,4 @@ def decode_batch(tags: Sequence[TagMatrix]) -> list[list[Triplet]]:
 
 def decode_triplets(tags: TagMatrix) -> list[Triplet]:
     """Decode one triplet per sentiment span; output sorted and deduplicated."""
-    return decode_batch([tags])[0]
+    return decode_batch(TagBatch.of([tags]))[0]

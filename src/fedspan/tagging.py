@@ -106,9 +106,7 @@ class TagMatrix:
     conflicts: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        total = span_count(self.n, self.l_max)  # refuses n or l_max below 1
-        if np.shape(self.classes) != (total,):
-            raise ValueError(f"need one class per span: {np.shape(self.classes)} vs {total} spans")
+        TagBatch(self.l_max, np.array([self.n]), self.classes)
 
     def tag_of(self, span: Span) -> int:
         return int(self.classes[span_position(self.n, self.l_max, span)])
@@ -123,9 +121,9 @@ class TagMatrix:
 class TagBatch(Sequence[TagMatrix]):
     """The tag matrices of many sentences sharing one ``l_max``, packed:
     sentence i has ``lengths[i]`` words and its classes are
-    ``classes[offsets[i]:offsets[i + 1]]``. Checked once, when built, by
-    ``TagMatrix``'s rules; indexing, slicing and iteration build ``TagMatrix``
-    views on demand."""
+    ``classes[offsets[i]:offsets[i + 1]]``. Checked once, when built: a
+    ``TagMatrix`` is checked as a one-sentence batch. Indexing, slicing and
+    iteration build ``TagMatrix`` views on demand."""
 
     l_max: int
     lengths: np.ndarray  # (B,) int64

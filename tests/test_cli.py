@@ -503,15 +503,26 @@ class TestLedgerCommand:
             ("[1, 2]", "a record must be a JSON object"),
             (json.dumps({"round": 1}), "record lacks client, corpus, val_f1, test_f1_matrix, uploaded_floats"),
             (json.dumps({k: v for k, v in RECORD.items() if k != "uploaded_floats"}), "record lacks uploaded_floats$"),
+            (json.dumps({**RECORD, "uploaded_floats": "12"}), "uploaded_floats must be an int$"),
+            (json.dumps({**RECORD, "test_f1_matrix": [0.5]}), "test_f1_matrix must be an object of numbers$"),
+            (json.dumps({**RECORD, "test_f1_matrix": {"laptops": "0.5"}}), "test_f1_matrix must be an object of numbers$"),
+            (json.dumps({**RECORD, "round": True, "downloaded_floats": 2.0}),
+             "round must be an int; downloaded_floats must be an int$"),
+            (json.dumps({**RECORD, "client": None, "corpus": 3, "val_f1": "0.5"}),
+             "client must be an int; corpus must be a string; val_f1 must be a number$"),
+            (b'{"corpus": "\xff"}', r"not UTF-8 \('utf-8' codec can't decode byte 0xff in position 12"),
         ],
-        ids=["not_json", "not_an_object", "one_field", "no_uploaded_floats"],
+        ids=["not_json", "not_an_object", "one_field", "no_uploaded_floats", "text_uploaded_floats",
+             "list_test_f1_matrix", "text_test_f1", "bool_round_float_downloads", "null_client_int_corpus_text_f1",
+             "not_utf8"],
     )
     @pytest.mark.parametrize("command", ["ledger", "analyze"])
     def test_malformed_record_is_an_error_naming_file_and_line(self, tmp_path, capsys, command, line, message):
         """The bad line is the second; the run directory holds a valid
         config, so only the records can fail."""
         path = tmp_path / "records.jsonl"
-        path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
+        line = line if isinstance(line, bytes) else line.encode()
+        path.write_bytes(json.dumps(self.RECORD).encode() + b"\n" + line + b"\n")
         (tmp_path / "config.json").write_text(ExperimentConfig().to_json())
         args = ["ledger", "--records", str(path)] if command == "ledger" else ["analyze", "--run", str(tmp_path)]
         assert main(args) == 1

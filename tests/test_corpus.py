@@ -331,3 +331,25 @@ def test_read_corpus_dir_missing_split(tmp_path):
     (tmp_path / "train.txt").write_text("ok .####[]\n")
     with pytest.raises(FileNotFoundError):
         read_corpus_dir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "content, message, line_no",
+    [
+        (b"fine .####[([0], [1], 'BAD')]\n", "{path} line 1: unknown polarity 'BAD'", 1),
+        (b"\xff\n", "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", None),
+    ],
+    ids=["bad_polarity", "not_utf8"],
+)
+def test_read_corpus_dir_errors_name_the_file(tmp_path, content, message, line_no):
+    """A split file that does not parse is named in the error; a format
+    error keeps its line number."""
+    from fedspan.corpus import read_corpus_dir
+
+    (tmp_path / "train.txt").write_text("ok .####[]\n")
+    (tmp_path / "val.txt").write_text("ok .####[]\n")
+    (tmp_path / "test.txt").write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        read_corpus_dir(tmp_path)
+    assert str(err.value) == message.format(path=tmp_path / "test.txt")
+    assert getattr(err.value, "line_no", None) == line_no

@@ -175,9 +175,9 @@ def reference_candidates(tags):
     return sentiments, inside
 
 
-def random_tags(rng, max_n=7, min_n=1):
+def random_tags(rng, max_n=7, min_n=1, l_max=None):
     n = int(rng.integers(min_n, max_n + 1))
-    l_max = int(rng.integers(1, max_n + 1))
+    l_max = l_max or int(rng.integers(1, max_n + 1))
     total = span_count(n, l_max)
     classes = np.where(
         rng.random(total) < 0.7, 0, rng.integers(1, 16, total)
@@ -237,25 +237,26 @@ class TestScalarReferenceOnLongSentences:
 
 @st.composite
 def tag_batches(draw):
-    """1-8 tag matrices of mixed length, l_max and class dtype. The batch
-    tags no span, every span, or a random share of them."""
+    """1-8 tag matrices of mixed length, packed: one l_max and one class
+    dtype per batch. The batch tags no span, every span, or a random share
+    of them."""
     density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    l_max = draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
     batch = []
     for _ in range(draw(st.integers(1, 8))):
         n = draw(st.integers(1, 40))
-        l_max = draw(st.integers(1, 12))
         total = span_count(n, l_max)
         seed = draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         tagged = rng.random(total) < density
         classes = np.where(tagged, rng.integers(1, 16, total), 0)
-        dtype = draw(st.sampled_from([np.int16, np.int64]))
         batch.append(TagMatrix(n, l_max, classes.astype(dtype)))
-    return batch
+    return TagBatch.of(batch)
 
 
 class TestPackedDecoder:
-    """``decode_batch`` over mixed batches against the per-sentence oracles."""
+    """``decode_batch`` over batches of mixed lengths against the per-sentence oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(tag_batches())
@@ -267,6 +268,17 @@ class TestPackedDecoder:
             if tags.n <= 10:
                 assert triplets == brute_force_decode(tags)
             assert decode_triplets(tags) == triplets
+
+    @settings(max_examples=50, deadline=None)
+    @given(tag_batches())
+    def test_one_matrix_is_a_one_sentence_batch(self, batch):
+        for tags in batch:
+            assert decode_triplets(tags) == decode_batch(TagBatch.of([tags]))[0]
+
+    def test_empty_batch(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fedspan.decoding"):
+            assert decode_batch(TagBatch(5, np.zeros(0, np.int64), np.zeros(0, np.int16))) == []
+        assert caplog.records == []
 
     @settings(max_examples=50, deadline=None)
     @given(tag_batches())
@@ -301,9 +313,19 @@ class TestPackedDecoder:
 
     def test_calls_longer_than_a_chunk(self):
         rng = np.random.default_rng(5)
-        batch = [random_tags(rng, max_n=12) for _ in range(2 * DECODE_CHUNK + 3)]
-        assert decode_batch(batch) == [pairwise_decode(tags) for tags in batch]
-        assert decode_batch([]) == []
+        for l_max in (3, 12):
+            batch = [random_tags(rng, max_n=12, l_max=l_max) for _ in range(2 * DECODE_CHUNK + 3)]
+            assert decode_batch(TagBatch.of(batch)) == [pairwise_decode(tags) for tags in batch]
+
+    def test_chunk_decoded_one_sentence_at_a_time(self, monkeypatch):
+        """A chunk whose sort keys could pass int64 is decoded one sentence
+        at a time, each sliced by the batch's offsets: the same triplets."""
+        rng = np.random.default_rng(11)
+        batch = TagBatch.of([random_tags(rng, max_n=12, l_max=4) for _ in range(20)])
+        expected = [pairwise_decode(tags) for tags in batch]
+        assert any(expected)
+        monkeypatch.setattr(decoding, "_keys_fit", lambda sentences, radix: sentences == 1)
+        assert decode_batch(batch) == expected
 
     def test_temporaries_bounded_by_the_chunk(self):
         """With every span tagged, a call of eight chunks needs no more
@@ -311,11 +333,11 @@ class TestPackedDecoder:
         rng = np.random.default_rng(3)
 
         def beyond_output(count):
-            batch = [
+            batch = TagBatch.of([
                 TagMatrix(12, 10, rng.integers(1, 16, span_count(12, 10)).astype(np.int16))
                 for _ in range(count)
-            ]
-            decode_batch(batch[:1])
+            ])
+            decode_batch(TagBatch.of(batch[:1]))
             tracemalloc.start()
             try:
                 triplets = decode_batch(batch)
@@ -330,24 +352,23 @@ class TestPackedDecoder:
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     def test_misaligned_classes_rejected(self, dtype):
-        good = TagMatrix(4, 4, np.zeros(span_count(4, 4), dtype=dtype))
-        for classes in (
-            np.zeros(span_count(4, 4) - 1, dtype=dtype),
-            np.zeros(span_count(4, 4) + 1, dtype=dtype),
-            np.zeros((span_count(4, 4), 1), dtype=dtype),
-        ):
-            with pytest.raises(ValueError):
-                decode_batch([good, TagMatrix(4, 4, classes)])
+        """A batch of two 4-word sentences (20 spans) is refused when its
+        classes are not one per span, so none reaches the decoder."""
+        lengths = np.array([4, 4], dtype=np.int64)
+        assert decode_batch(TagBatch(4, lengths, np.zeros(20, dtype=dtype))) == [[], []]
+        for shape in ((19,), (21,), (20, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"need one class per span: {shape} vs 20 spans")):
+                TagBatch(4, lengths, np.zeros(shape, dtype=dtype))
 
     def test_diagnostics_logged_once_per_call(self, caplog):
         interleaved = tags_from(
             5, 5, {Span(0, 0): A, Span(1, 1): O, Span(2, 2): A, Span(0, 4): sentiment(Polarity.POS)}
         )
         coinciding = tags_from(
-            3, 3, {Span(1, 1): tag_index(True, True, None), Span(0, 2): sentiment(Polarity.POS)}
+            3, 5, {Span(1, 1): tag_index(True, True, None), Span(0, 2): sentiment(Polarity.POS)}
         )
         with caplog.at_level(logging.DEBUG, logger="fedspan.decoding"):
-            decode_batch([interleaved, coinciding, interleaved, coinciding])
+            decode_batch(TagBatch.of([interleaved, coinciding, interleaved, coinciding]))
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 2
         # A span that is both aspect and opinion also counts as interleaved.
@@ -369,20 +390,24 @@ class TestTagBatch:
     """The packed tag matrices of one ``predict_tags`` call."""
 
     def test_refuses_what_a_tag_matrix_refuses(self):
-        """Misaligned classes, a length of 0 and an ``l_max`` of 0 are
-        refused when the batch is built, with ``TagMatrix``'s messages."""
+        """Misaligned classes, 2-D classes, a length of 0 and an ``l_max``
+        of 0 are refused when the batch is built; a ``TagMatrix`` is checked
+        as a one-sentence batch, so it gives the batch's message."""
+        unsized = "need n >= 1 and l_max >= 1"
+        misaligned = "need one class per span: {} vs 10 spans"
         cases = [
-            ((4, 4, np.zeros(9, np.int16)), (4, [4], np.zeros(9, np.int16))),
-            ((4, 4, np.zeros(11, np.int16)), (4, [4], np.zeros(11, np.int16))),
-            ((4, 4, np.zeros((10, 1), np.int16)), (4, [4], np.zeros((10, 1), np.int16))),
-            ((0, 4, np.zeros(0, np.int16)), (4, [3, 0], np.zeros(6, np.int16))),
-            ((4, 0, np.zeros(0, np.int16)), (0, [4], np.zeros(0, np.int16))),
+            ((4, 4, np.zeros(9, np.int16)), (4, [4], np.zeros(9, np.int16)), misaligned.format("(9,)")),
+            ((4, 4, np.zeros(11, np.int16)), (4, [4], np.zeros(11, np.int16)), misaligned.format("(11,)")),
+            ((4, 4, np.zeros((10, 1), np.int16)), (4, [4], np.zeros((10, 1), np.int16)), misaligned.format("(10, 1)")),
+            ((4, 4, np.zeros((2, 5), np.int16)), (4, [4], np.zeros((2, 5), np.int16)), misaligned.format("(2, 5)")),
+            ((0, 4, np.zeros(0, np.int16)), (4, [3, 0], np.zeros(6, np.int16)), unsized),
+            ((4, 0, np.zeros(0, np.int16)), (0, [4], np.zeros(0, np.int16)), unsized),
         ]
-        for matrix_args, (l_max, lengths, classes) in cases:
-            with pytest.raises(ValueError) as refused:
-                TagMatrix(*matrix_args)
-            with pytest.raises(ValueError, match=re.escape(str(refused.value))):
-                TagBatch(l_max, np.array(lengths, dtype=np.int64), classes)
+        for matrix_args, (l_max, lengths, classes), message in cases:
+            for build in (lambda: TagBatch(l_max, np.array(lengths, dtype=np.int64), classes),
+                          lambda: TagMatrix(*matrix_args)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build()
         with pytest.raises(ValueError, match=re.escape("need one class per span: (15,) vs 16 spans")):
             TagBatch(4, np.array([4, 3], dtype=np.int64), np.zeros(15, np.int16))
 
